@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for nonsymmetric versions of binary quadratic operads.
 
 Submodules:
-  exactlin   exact rational linear algebra (RREF, spans, intersections)
+  exactlin   the sparse exact eliminator and the RREF, spans, intersections
+             and null spaces built on it
   arity3     free arity-3 module, S3 action, operad catalog
   manin      white product with As and the nonsymmetric-version criterion
   treeterm   planar tree rewriting, overlaps, confluence certification

@@ -15,8 +15,18 @@ from . import bijections, manin, oracle, systems
 from .arity3 import CATALOG_NAMES, catalog, format_element
 from .treeterm import format_tree
 
-CRITERION_NAMES = ("As", "Nov", "Zin", "Bicom", "Alt", "Flex", "AntiFlex",
-                   "Leib", "PreLie", "Assosym")
+CRITERION_NAMES = tuple(n for n in CATALOG_NAMES if not n.startswith("Nc"))
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a bad literal as "invalid int value"
+    return parse
 
 
 def _cmd_criterion(args) -> int:
@@ -174,17 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("normal-forms", help="list normal tree monomials")
     c.add_argument("system", choices=systems.SYSTEM_NAMES)
-    c.add_argument("n", type=int)
+    c.add_argument("n", type=_int_at_least(1))
     c.set_defaults(func=_cmd_normal_forms)
 
     c = sub.add_parser("bijection", help="normal form correspondence dump")
     c.add_argument("system", choices=("Zin", "Bicom", "Flex"))
-    c.add_argument("n", type=int)
+    c.add_argument("n", type=_int_at_least(1))
     c.set_defaults(func=_cmd_bijection)
 
     c = sub.add_parser("confluence", help="overlap joinability report")
     c.add_argument("system", choices=("Zin", "Bicom", "Flex", "AntiFlex", "L"))
-    c.add_argument("--max-arity", type=int, required=True)
+    c.add_argument("--max-arity", type=_int_at_least(3), required=True)
     c.set_defaults(func=_cmd_confluence)
 
     c = sub.add_parser("certify", help="full three-way agreement suite")

@@ -1,8 +1,11 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra on one sparse elimination kernel.
 
-Vectors are tuples of Fraction, matrices are small and dense.  A Subspace is
-stored as its reduced row-echelon basis, so two subspaces are equal iff their
-canonical bases are equal as sequences.  Everything is immutable and pure.
+SparseEliminator does incremental Gaussian elimination over Q on sparse rows
+(dicts column -> nonzero Fraction); the brute-force oracle feeds it directly,
+and rref, span, intersect and nullspace run on it through dense tuples of
+Fraction.  A Subspace is stored as its reduced row-echelon basis, so two
+subspaces are equal iff their canonical bases are equal as sequences.
+Subspaces are immutable and the functions are pure.
 """
 
 from __future__ import annotations
@@ -12,74 +15,88 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]
 
 
 def vec(entries: Iterable) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-@dataclass(frozen=True)
-class Mat:
-    """Dense row-major rational matrix."""
+class SparseEliminator:
+    """Incremental sparse Gaussian elimination over Q."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    def __init__(self):
+        self.pivots: dict[int, SparseRow] = {}
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+    def reduce(self, row: SparseRow) -> SparseRow:
+        row = dict(row)
+        while row:
+            p = min(row)
+            piv = self.pivots.get(p)
+            if piv is None:
+                return row
+            f = row[p]
+            for j, c in piv.items():
+                v = row.get(j, Fraction(0)) - f * c
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+        return row
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
-        rows = [vec(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer column count from an empty matrix")
-            cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), cols, tuple(x for r in rows for x in r))
+    def add(self, row: SparseRow) -> bool:
+        """Reduce and absorb; returns True if the rank grew."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        p = min(row)
+        inv = 1 / row[p]
+        self.pivots[p] = {j: c * inv for j, c in row.items()}
+        return True
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
-def _rref_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """In-place Gauss-Jordan; returns the nonzero rows in RREF."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    piv_r = 0
-    for piv_c in range(ncols):
-        pivot = None
-        for i in range(piv_r, len(rows)):
-            if rows[i][piv_c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[piv_r], rows[pivot] = rows[pivot], rows[piv_r]
-        inv = 1 / rows[piv_r][piv_c]
-        if inv != 1:
-            rows[piv_r] = [x * inv for x in rows[piv_r]]
-        for i in range(len(rows)):
-            if i != piv_r and rows[i][piv_c] != 0:
-                f = rows[i][piv_c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[piv_r])]
-        piv_r += 1
-        if piv_r == len(rows):
-            break
-    return [r for r in rows[:piv_r]]
+    def rref(self) -> list[SparseRow]:
+        """The pivot rows back-substituted into reduced row-echelon form,
+        in increasing pivot order."""
+        done: dict[int, SparseRow] = {}
+        for p in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[p])
+            # a finished row is zero on every other pivot column, so one
+            # pass over the pivot columns present in row clears them all
+            for q in [q for q in row if q != p and q in done]:
+                f = row[q]
+                for j, c in done[q].items():
+                    v = row.get(j, Fraction(0)) - f * c
+                    if v:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+            done[p] = row
+        return [done[p] for p in sorted(done)]
 
 
-def rref(m: Mat) -> Mat:
-    """Reduced row-echelon form; zero rows are dropped (row space preserved)."""
-    reduced = _rref_rows(m.row_list())
-    return Mat(len(reduced), m.cols, tuple(x for r in reduced for x in r))
+def _sparse(v: Sequence) -> SparseRow:
+    return {j: Fraction(x) for j, x in enumerate(v) if x}
+
+
+def _dense(row: SparseRow, ncols: int) -> Vector:
+    out = [Fraction(0)] * ncols
+    for j, c in row.items():
+        out[j] = c
+    return tuple(out)
+
+
+def rref(rows: Iterable[Sequence], ncols: int) -> list[Vector]:
+    """Reduced row-echelon form of dense rows; zero rows are dropped."""
+    elim = SparseEliminator()
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("ambient dimension mismatch")
+        elim.add(_sparse(r))
+    return [_dense(row, ncols) for row in elim.rref()]
 
 
 @dataclass(frozen=True)
@@ -123,12 +140,7 @@ def _pivot(row: Vector) -> int:
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    rows = [list(vec(v)) for v in vectors]
-    for r in rows:
-        if len(r) != ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-    reduced = _rref_rows(rows)
-    return Subspace(ambient_dim, tuple(tuple(r) for r in reduced))
+    return Subspace(ambient_dim, tuple(rref(vectors, ambient_dim)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -142,27 +154,26 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    zero = [Fraction(0)] * n
-    rows = [list(r) + list(r) for r in a.basis]
-    rows += [list(r) + zero for r in b.basis]
-    reduced = _rref_rows(rows)
-    inter = [r[n:] for r in reduced if not any(r[:n])]
-    return span(inter, n)
+    elim = SparseEliminator()
+    for r in a.basis:
+        row = _sparse(r)
+        elim.add({**row, **{j + n: c for j, c in row.items()}})
+    for r in b.basis:
+        elim.add(_sparse(r))
+    # the rows with pivot >= n are already reduced among themselves
+    inter = [{j - n: c for j, c in row.items()} for row in elim.rref() if min(row) >= n]
+    return Subspace(n, tuple(_dense(row, n) for row in inter))
 
 
-def nullspace(m: Mat) -> Subspace:
-    """Right null space {v : m v = 0} as a canonical subspace of Q^cols."""
-    red = rref(m)
-    piv_cols = []
-    rows = red.row_list()
-    for r in rows:
-        piv_cols.append(_pivot(tuple(r)))
-    free_cols = [c for c in range(m.cols) if c not in piv_cols]
+def nullspace(rows: Sequence[Sequence], cols: int) -> Subspace:
+    """Right null space {v : M v = 0} of the rows of M, a subspace of Q^cols."""
+    reduced = rref(rows, cols)
+    piv_cols = [_pivot(r) for r in reduced]
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m.cols
+    for fc in (c for c in range(cols) if c not in piv_cols):
+        v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in zip(rows, piv_cols):
+        for r, pc in zip(reduced, piv_cols):
             v[pc] = -r[fc]
         basis.append(v)
-    return span(basis, m.cols)
+    return span(basis, cols)

@@ -21,7 +21,7 @@ from itertools import permutations
 from .arity3 import (DOUBLE, SINGLE, Arity3Element, Monomial3, OperadPresentation,
                      OpSpace, basis3, format_element, from_vector, s3_closure,
                      to_vector)
-from .exactlin import Mat, Subspace, nullspace, span
+from .exactlin import Subspace, intersect, nullspace, span
 
 AS3_WORDS = sorted(permutations((1, 2, 3)))  # basis of As(3): x_a x_b x_c
 
@@ -103,8 +103,7 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
             row[base + j] = x
         rows.append(row)
     # kernel of v -> sum_m v_m * image(m): null space of the transpose
-    mt = Mat.from_rows(list(zip(*rows)), cols=len(w_basis))
-    ker = nullspace(mt)
+    ker = nullspace(list(zip(*rows)), len(w_basis))
     rels = tuple(from_vector(r, w_basis, DOUBLE) for r in ker.basis)
     return OperadPresentation(f"As.{p.name}", DOUBLE, rels)
 
@@ -140,27 +139,26 @@ def two_outside_subspace(v: OpSpace) -> Subspace:
     return span(vecs, len(basis))
 
 
-def compute_F(p: OperadPresentation) -> Subspace:
-    from .exactlin import intersect
-    basis = basis3(p.opspace)
-    R = p.relation_space()
-    inter = intersect(R, two_outside_subspace(p.opspace))
-    gens = [from_vector(r, basis, p.opspace) for r in inter.basis]
-    return s3_closure(gens, p.opspace)
-
-
-def admits_nonsymmetric(p: OperadPresentation) -> CriterionReport:
-    from .exactlin import intersect
+def _criterion(p: OperadPresentation):
+    """R, a basis of R cap (two-outside cosets) as elements, and F."""
     basis = basis3(p.opspace)
     R = p.relation_space()
     inter = intersect(R, two_outside_subspace(p.opspace))
     gens = tuple(from_vector(r, basis, p.opspace) for r in inter.basis)
-    F = s3_closure(gens, p.opspace)
+    return R, gens, s3_closure(gens, p.opspace)
+
+
+def compute_F(p: OperadPresentation) -> Subspace:
+    return _criterion(p)[2]
+
+
+def admits_nonsymmetric(p: OperadPresentation) -> CriterionReport:
+    R, gens, F = _criterion(p)
     return CriterionReport(
         operad_name=p.name,
         dim_R=R.dim,
         dim_F=F.dim,
-        dim_P3=len(basis) - R.dim,
+        dim_P3=R.ambient_dim - R.dim,
         admits=F.dim == R.dim,
         F_generators=gens,
     )

@@ -3,7 +3,8 @@
 The degree-n component of the operadic ideal generated by the relations is
 spanned by all graftings: inner trees into the three slots of a relation,
 and the result into one leaf of an outer context tree.  The span's rank is
-computed by incremental sparse Gaussian elimination over the rationals.
+computed by incremental sparse Gaussian elimination over the rationals, on
+the package's one exact kernel, exactlin.SparseEliminator.
 This module is deliberately unclever; it is the trust anchor for the
 Groebner-basis claims.
 """
@@ -16,13 +17,23 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from .treeterm import LEAF, NsElement, Tree, arity
+from .exactlin import SparseEliminator
+from .treeterm import LEAF, NsElement, Tree, graft
 
 DEFAULT_CAP = 7
 
 
 def oracle_cap() -> int:
-    return int(os.environ.get("OPERAD_FORGE_ORACLE_CAP", DEFAULT_CAP))
+    """The largest arity the oracle computes, from OPERAD_FORGE_ORACLE_CAP."""
+    text = os.environ.get("OPERAD_FORGE_ORACLE_CAP", str(DEFAULT_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"OPERAD_FORGE_ORACLE_CAP must be a positive integer, got {text!r}")
+    return cap
 
 
 def catalan(m: int) -> int:
@@ -47,14 +58,6 @@ def free_trees(n: int, ops: tuple[str, ...] = ("x", "y")) -> tuple[Tree, ...]:
 
 def free_dim(n: int, ops: Sequence[str] = ("x", "y")) -> int:
     return len(ops) ** (n - 1) * catalan(n - 1)
-
-
-def _graft_leaves(t: Tree, subs: Sequence[Tree], i: int = 0) -> tuple[Tree, int]:
-    if t == LEAF:
-        return subs[i], i + 1
-    l, i = _graft_leaves(t[1], subs, i)
-    r, i = _graft_leaves(t[2], subs, i)
-    return (t[0], l, r), i
 
 
 def _plug(context: Tree, leaf_index: int, sub: Tree) -> Tree:
@@ -92,7 +95,7 @@ def consequences(rels: Iterable[NsElement], n: int,
                     for t2 in free_trees(b, ops):
                         for t3 in free_trees(c, ops):
                             subs = (t1, t2, t3)
-                            elem = [(_graft_leaves(s, subs)[0], coeff)
+                            elem = [(graft(s, subs), coeff)
                                     for s, coeff in rel.items()]
                             inner_elems.append(elem)
             k = n - m + 1
@@ -107,43 +110,6 @@ def consequences(rels: Iterable[NsElement], n: int,
                         if row:
                             out.append(row)
     return out
-
-
-class SparseEliminator:
-    """Incremental sparse Gaussian elimination over Q."""
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
-
-    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        row = dict(row)
-        while row:
-            p = min(row)
-            piv = self.pivots.get(p)
-            if piv is None:
-                return row
-            f = row[p]
-            for j, c in piv.items():
-                v = row.get(j, Fraction(0)) - f * c
-                if v:
-                    row[j] = v
-                else:
-                    row.pop(j, None)
-        return row
-
-    def add(self, row: dict[int, Fraction]) -> bool:
-        """Reduce and absorb; returns True if the rank grew."""
-        row = self.reduce(row)
-        if not row:
-            return False
-        p = min(row)
-        inv = 1 / row[p]
-        self.pivots[p] = {j: c * inv for j, c in row.items()}
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 def ideal_rank(rels: Iterable[NsElement], n: int,

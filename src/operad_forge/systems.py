@@ -20,8 +20,7 @@ from functools import lru_cache
 
 from .arity3 import DOUBLE, Arity3Element, Monomial3, OperadPresentation
 from .treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem, Tree,
-                       apply_rule_at, arity, normalize, overlaps, parse_tree,
-                       rule, tree_key)
+                       arity, check_confluence, parse_tree, rule)
 
 SYSTEM_NAMES = ("Zin", "Bicom", "Flex", "AntiFlex", "L")
 
@@ -63,19 +62,12 @@ def _derive_flex_rule2(rule1: RewriteRule, name: str) -> RewriteRule:
     reducts are normalized with rule1 alone and the difference is solved for
     the monomial y(*,x(*,x(*,*))), the only non-normal term remaining.
     """
-    one_rule = RewriteSystem("partial", (rule1,))
-    ovs = overlaps(one_rule, 4)
-    assert len(ovs) == 1
-    ov = ovs[0]
-    left = normalize(apply_rule_at(ov.tree, rule1, ov.addrs[0]), one_rule)
-    right = normalize(apply_rule_at(ov.tree, rule1, ov.addrs[1]), one_rule)
-    diff = NsElement(left.items())
-    for t, c in right.items():
-        diff.add(t, -c)
+    (check,) = check_confluence(RewriteSystem("partial", (rule1,)), 4).checks
+    diff = dict(check.difference)
     lhs = parse_tree("y(1,x(1,x(1,1)))")
     assert lhs in diff, "expected leading monomial missing from S-polynomial"
     lead = diff.pop(lhs)
-    rhs = tuple((-c / lead, t) for t, c in sorted(diff.items(), key=lambda tc: tree_key(tc[0])))
+    rhs = tuple((-c / lead, t) for t, c in diff.items())
     return RewriteRule(name, lhs, rhs)
 
 

@@ -245,9 +245,17 @@ def apply_rule_at(t: Tree, r: RewriteRule, addr: Addr) -> NsElement:
 
 
 def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
-    """First match in rule order, then preorder position; None iff t is normal."""
+    """First match in rule order, then preorder position; None iff t is normal.
+
+    A system truncated at an arity cap lacks the rules above it, so a tree
+    of larger arity is refused rather than wrongly reported normal.
+    """
+    addrs = positions(t)
+    if sys.arity_cap is not None and len(addrs) >= sys.arity_cap:
+        raise ValueError(f"arity {len(addrs) + 1} exceeds the arity cap "
+                         f"{sys.arity_cap} of system {sys.name}")
     for r in sys.rules:
-        for addr in positions(t):
+        for addr in addrs:
             if match_at(t, r, addr) is not None:
                 return apply_rule_at(t, r, addr)
     return None
@@ -311,6 +319,9 @@ def overlaps(sys: RewriteSystem, max_arity: int) -> list[Overlap]:
     """All minimal trees of arity <= max_arity where two lhs patterns overlap."""
     if max_arity < 3:
         raise ValueError("max_arity must be at least 3")
+    if sys.arity_cap is not None and max_arity > sys.arity_cap:
+        raise ValueError(f"max_arity {max_arity} exceeds the arity cap "
+                         f"{sys.arity_cap} of system {sys.name}")
     out = []
     for i, ri in enumerate(sys.rules):
         for j, rj in enumerate(sys.rules):

@@ -79,3 +79,26 @@ def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["criterion", "NotAnOperad"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["normal-forms", "Zin", "0"], "argument n: must be at least 1, got 0"),
+    (["bijection", "Zin", "0"], "argument n: must be at least 1, got 0"),
+    (["confluence", "Zin", "--max-arity", "2"],
+     "argument --max-arity: must be at least 3, got 2"),
+])
+def test_arity_below_range_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_criterion_names_are_the_symmetric_catalog():
+    from operad_forge.arity3 import CATALOG_NAMES
+    from operad_forge.cli import CRITERION_NAMES
+    assert CRITERION_NAMES == ("As", "Nov", "Zin", "Bicom", "Alt", "Flex",
+                               "AntiFlex", "Leib", "PreLie", "Assosym")
+    assert set(CRITERION_NAMES) <= set(CATALOG_NAMES)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from operad_forge.exactlin import (Mat, Subspace, intersect, nullspace, rref,
-                                   span, subspace_sum)
+from operad_forge.exactlin import (Subspace, intersect, nullspace, rref, span,
+                                   subspace_sum)
 
 
 def F(x):
@@ -13,13 +13,13 @@ def F(x):
 
 
 def test_rref_identity():
-    m = rref(Mat.from_rows([(F(2), F(0)), (F(0), F(3))]))
-    assert m.row_list() == [[F(1), F(0)], [F(0), F(1)]]
+    m = rref([(F(2), F(0)), (F(0), F(3))], 2)
+    assert m == [(F(1), F(0)), (F(0), F(1))]
 
 
 def test_rref_dependent_rows():
-    m = rref(Mat.from_rows([(F(1), F(2)), (F(2), F(4)), (F(3), F(6))]))
-    assert m.row_list() == [[F(1), F(2)]]
+    m = rref([(F(1), F(2)), (F(2), F(4)), (F(3), F(6))], 2)
+    assert m == [(F(1), F(2))]
 
 
 def test_span_dim_and_contains():
@@ -57,15 +57,13 @@ def test_intersect_disjoint():
 
 
 def test_nullspace():
-    m = Mat.from_rows([(F(1), F(1), F(0)), (F(0), F(0), F(1))])
-    ns = nullspace(m)
+    ns = nullspace([(F(1), F(1), F(0)), (F(0), F(0), F(1))], 3)
     assert ns.dim == 1
     assert ns.contains((F(1), F(-1), F(0)))
 
 
 def test_nullspace_full_rank():
-    m = Mat.from_rows([(F(1), F(0)), (F(0), F(1))])
-    assert nullspace(m).dim == 0
+    assert nullspace([(F(1), F(0)), (F(0), F(1))], 2).dim == 0
 
 
 _vec = st.tuples(*[st.integers(-4, 4).map(Fraction)] * 4)
@@ -88,3 +86,25 @@ def test_span_contains_generators(vecs):
     s = span(vecs, 4)
     for v in vecs:
         assert s.contains(v)
+
+
+@given(st.lists(_vec, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_rref_is_reduced_and_idempotent(rows):
+    reduced = rref(rows, 4)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    assert pivots == sorted(set(pivots))
+    for r, p in zip(reduced, pivots):
+        assert r[p] == 1
+        assert all(other[p] == 0 for other in reduced if other is not r)
+    assert rref(reduced, 4) == reduced
+    assert span(reduced, 4) == span(rows, 4)
+
+
+@given(st.lists(_vec, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_nullspace_is_the_kernel(rows):
+    ns = nullspace(rows, 4)
+    assert ns.dim == 4 - len(rref(rows, 4))
+    for v in ns.basis:
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)

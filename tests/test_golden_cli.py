@@ -1,0 +1,58 @@
+"""Byte-for-byte snapshots of the command-line output.
+
+Each case runs cli.main in-process and compares its stdout with the file of
+the same name under tests/golden.  The snapshots pin the printed results of
+the criterion, the white products, the dimension tables and the bijections,
+so a refactor of any layer below the CLI must leave them unchanged.
+
+Regenerate the files (only after a deliberate change of output) with
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from operad_forge.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+_MANIN = ("As", "Nov", "Zin", "Bicom", "Alt", "Flex", "AntiFlex", "Leib",
+          "PreLie", "Assosym")
+
+CASES = {
+    "certify": ["certify"],
+    "criterion_all_json": ["criterion", "all", "--json"],
+    **{f"manin_{n}_json": ["manin", n, "--json"] for n in _MANIN},
+    **{f"dims_{s}_csv": ["dims", s, "--max-n", "8", "--oracle-max", "5", "--csv"]
+       for s in ("Zin", "Bicom", "Flex", "AntiFlex")},
+    **{f"bijection_{s}_6": ["bijection", s, "6"] for s in ("Zin", "Bicom", "Flex")},
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    code, out = _run(CASES[name])
+    assert code == 0
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert out == want
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        code, out = _run(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
+        print(f"wrote {name}.txt ({len(out)} bytes)")

@@ -82,3 +82,18 @@ def test_cap_override(monkeypatch):
 def test_dimension_row():
     row = oracle.dimension_row("NcZin", systems.nc_relations("NcZin"), 4)
     assert row == ("NcZin", 4, 40, 26, 14)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_bad_cap_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("OPERAD_FORGE_ORACLE_CAP", value)
+    with pytest.raises(ValueError, match="OPERAD_FORGE_ORACLE_CAP") as exc:
+        oracle.oracle_cap()
+    assert repr(value) in str(exc.value)
+    with pytest.raises(ValueError, match="OPERAD_FORGE_ORACLE_CAP"):
+        bruteforce_dim(systems.nc_relations("NcZin"), 4)
+
+
+def test_oracle_uses_the_exactlin_kernel():
+    from operad_forge import exactlin
+    assert SparseEliminator is exactlin.SparseEliminator

@@ -146,3 +146,31 @@ def test_sign_flipped_zin_is_not_confluent():
 def test_format_element_orders_terms():
     e = NsElement([(t("y(1,1)"), Fraction(-1)), (t("x(1,1)"), Fraction(2))])
     assert format_element(e) == "+2*x(1,1)-1*y(1,1)"
+
+
+def test_bicom_refuses_trees_above_its_cap():
+    # f_9 has arity 12; the default Bicom system keeps the rules up to arity 10
+    lhs = systems._bicom_rule(9, "x").lhs
+    bicom = systems.system("Bicom")
+    assert bicom.arity_cap == 10
+    for call in (lambda: is_normal(lhs, bicom),
+                 lambda: normalize(NsElement([(lhs, 1)]), bicom),
+                 lambda: rewrite_once(lhs, bicom)):
+        with pytest.raises(ValueError, match="arity 12 exceeds the arity cap 10"):
+            call()
+    assert not is_normal(lhs, systems.system("Bicom", max_arity=12))
+
+
+def test_bicom_accepts_trees_at_its_cap():
+    bicom = systems.system("Bicom", max_arity=5)
+    assert not is_normal(systems._bicom_rule(2, "y").lhs, bicom)
+    assert is_normal(t("x(1,x(1,x(1,x(1,1))))"), bicom)
+
+
+def test_overlaps_refuse_arity_above_the_cap():
+    bicom = systems.system("Bicom", max_arity=6)
+    with pytest.raises(ValueError, match="max_arity 7 exceeds the arity cap 6"):
+        overlaps(bicom, 7)
+    with pytest.raises(ValueError, match="exceeds the arity cap"):
+        check_confluence(bicom, 7)
+    assert check_confluence(bicom, 6).passed
