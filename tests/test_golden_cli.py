@@ -2,8 +2,9 @@
 
 Each case runs cli.main in-process and compares its stdout with the file of
 the same name under tests/golden.  The snapshots pin the printed results of
-the criterion, the white products, the dimension tables and the bijections,
-so a refactor of any layer below the CLI must leave them unchanged.
+the criterion, the white products, the dimension tables, the bijections,
+the order of every system's normal forms and the overlap listings of the
+confluence checks, so a refactor of any layer below the CLI must leave them unchanged.
 
 Regenerate the files (only after a deliberate change of output) with
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -30,6 +31,11 @@ CASES = {
     **{f"dims_{s}_csv": ["dims", s, "--max-n", "8", "--oracle-max", "5", "--csv"]
        for s in ("Zin", "Bicom", "Flex", "AntiFlex")},
     **{f"bijection_{s}_6": ["bijection", s, "6"] for s in ("Zin", "Bicom", "Flex")},
+    **{f"normal_forms_{s}_5": ["normal-forms", s, "5"]
+       for s in ("Zin", "Bicom", "Flex", "AntiFlex", "L")},
+    **{f"confluence_{s}_{a}": ["confluence", s, "--max-arity", str(a)]
+       for s, a in (("Zin", 6), ("Flex", 6), ("AntiFlex", 6), ("L", 6),
+                    ("Bicom", 7))},
 }
 
 
