@@ -5,8 +5,10 @@ Submodules:
              and null spaces built on it
   arity3     free arity-3 module, S3 action, operad catalog
   manin      white product with As and the nonsymmetric-version criterion
-  treeterm   planar tree rewriting, overlaps, confluence certification
-  systems    the Zin / Bicom / Flex / AntiFlex / L systems and their counts
+  treeterm   planar trees: grafting, the one grammar enumerator, rewriting,
+             overlaps, confluence certification
+  systems    the Zin / Bicom / Flex / AntiFlex / L systems, their grammars
+             and counts
   oracle     brute-force dimension computation (trust anchor)
   bijections normal forms vs binary trees, lattice words, L-trees
   cli        batch command-line front end

@@ -69,6 +69,21 @@ class Monomial3(NamedTuple):
         """The argument not inside the inner product."""
         return self.leaves[2] if self.shape == "L" else self.leaves[0]
 
+    def tree(self):
+        """The planar tree (op, left, right) with the integer leaves."""
+        a, b, c = self.leaves
+        if self.shape == "L":
+            return (self.outer, (self.inner, a, b), c)
+        return (self.outer, a, (self.inner, b, c))
+
+
+def monomial_of_tree(t) -> Monomial3:
+    """Inverse of Monomial3.tree: an arity-3 tree with integer leaves."""
+    op, l, r = t
+    if not isinstance(l, int):
+        return Monomial3("L", (l[1], l[2], r), l[0], op)
+    return Monomial3("R", (l, r[1], r[2]), r[0], op)
+
 
 def canonicalize(m: Monomial3, v: OpSpace) -> tuple[Monomial3, int]:
     """Canonical representative and sign under the +/-symmetric identifications.

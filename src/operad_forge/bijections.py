@@ -166,61 +166,29 @@ def _unword(w: str) -> Tree:
 _FLEX = systems.system("Flex")
 _LSYS = systems.system("L")
 
+# Both directions walk the Flex grammar's classes N, R, Q (R: the right
+# child of a y, Q: the right child of an x at an R position).  Each table
+# maps (class, op) to (new op, left class, right class).
+_TO_L = {("N", "x"): ("z", "N", "N"), ("N", "y"): ("t", "N", "R"),
+         ("R", "x"): ("t", "N", "Q"), ("Q", "y"): ("t", "N", "R")}
+_TO_FLEX = {("N", "z"): ("x", "N", "N"), ("N", "t"): ("y", "N", "R"),
+            ("R", "t"): ("x", "N", "Q"), ("Q", "t"): ("y", "N", "R")}
+
+
+def _relabel(t: Tree, table: dict, cls: str) -> Tree:
+    if t == LEAF:
+        return LEAF
+    op, lc, rc = table[cls, t[0]]
+    return (op, _relabel(t[1], table, lc), _relabel(t[2], table, rc))
+
 
 def flex_to_L(t: Tree) -> Tree:
     if not is_normal(t, _FLEX):
         raise ValueError("not a normal Flex monomial")
-    return _phi(t)
-
-
-def _phi(t: Tree) -> Tree:
-    if t == LEAF:
-        return LEAF
-    op, u, v = t
-    if op == "x":
-        return ("z", _phi(u), _phi(v))
-    return ("t", _phi(u), _phi_r(v))
-
-
-def _phi_r(t: Tree) -> Tree:
-    # inverse direction of Psi_R: r = 1 or r = x(u, q)
-    if t == LEAF:
-        return LEAF
-    _, u, q = t
-    return ("t", _phi(u), _phi_q(q))
-
-
-def _phi_q(t: Tree) -> Tree:
-    if t == LEAF:
-        return LEAF
-    _, u, r = t
-    return ("t", _phi(u), _phi_r(r))
+    return _relabel(t, _TO_L, "N")
 
 
 def L_to_flex(s: Tree) -> Tree:
     if not is_normal(s, _LSYS):
         raise ValueError("not a normal L monomial")
-    return _psi(s)
-
-
-def _psi(s: Tree) -> Tree:
-    if s == LEAF:
-        return LEAF
-    op, u, v = s
-    if op == "z":
-        return ("x", _psi(u), _psi(v))
-    return ("y", _psi(u), _psi_r(v))
-
-
-def _psi_r(s: Tree) -> Tree:
-    if s == LEAF:
-        return LEAF
-    _, u, v = s
-    return ("x", _psi(u), _psi_q(v))
-
-
-def _psi_q(s: Tree) -> Tree:
-    if s == LEAF:
-        return LEAF
-    _, u, v = s
-    return ("y", _psi(u), _psi_r(v))
+    return _relabel(s, _TO_FLEX, "N")

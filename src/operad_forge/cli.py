@@ -13,7 +13,7 @@ import sys
 
 from . import bijections, manin, oracle, systems
 from .arity3 import CATALOG_NAMES, catalog, format_element
-from .treeterm import format_tree
+from .treeterm import check_confluence, format_tree
 
 CRITERION_NAMES = tuple(n for n in CATALOG_NAMES if not n.startswith("Nc"))
 
@@ -60,19 +60,18 @@ def _cmd_manin(args) -> int:
     return 0
 
 
-def _cmd_dims(args) -> int:
-    name = args.system
+def _dim_rows(name: str, max_n: int, oracle_max: int):
+    """(n, grammar count, formula, oracle dimension or None) for n <= max_n."""
     rels = systems.nc_relations("Nc" + name)
-    rows = []
-    for n in range(1, args.max_n + 1):
-        grammar = len(systems.normal_forms(name, n))
-        formula = systems.dim_formula(name, n)
-        if 3 <= n <= args.oracle_max:
-            od = oracle.bruteforce_dim(rels, n, cap=max(args.oracle_max, oracle.DEFAULT_CAP))
-            oracle_str = str(od)
-        else:
-            oracle_str = ""
-        rows.append((n, grammar, formula, oracle_str))
+    cap = max(oracle_max, oracle.DEFAULT_CAP)
+    for n in range(1, max_n + 1):
+        o = oracle.bruteforce_dim(rels, n, cap=cap) if 3 <= n <= oracle_max else None
+        yield (n, len(systems.normal_forms(name, n)), systems.dim_formula(name, n), o)
+
+
+def _cmd_dims(args) -> int:
+    rows = [(n, g, f, "" if o is None else str(o))
+            for n, g, f, o in _dim_rows(args.system, args.max_n, args.oracle_max)]
     if args.csv:
         print("n,grammar_count,formula,oracle_dim")
         for row in rows:
@@ -91,24 +90,22 @@ def _cmd_normal_forms(args) -> int:
     return 0
 
 
+# The forward map of each system that has a bijection, printed as text.
+_BIJECTIONS = {
+    "Zin": lambda t: bijections.format_pbt(bijections.zin_to_pbt(t)),
+    "Bicom": bijections.bicom_to_word,
+    "Flex": lambda t: format_tree(bijections.flex_to_L(t)),
+}
+
+
 def _cmd_bijection(args) -> int:
-    name = args.system
-    for t in systems.normal_forms(name, args.n):
-        if name == "Zin":
-            target = bijections.format_pbt(bijections.zin_to_pbt(t))
-        elif name == "Bicom":
-            target = bijections.bicom_to_word(t)
-        elif name in ("Flex", "AntiFlex"):
-            target = format_tree(bijections.flex_to_L(t))
-        else:
-            print(f"no bijection for system {name}", file=sys.stderr)
-            return 2
-        print(f"{format_tree(t)}\t{target}")
+    forward = _BIJECTIONS[args.system]
+    for t in systems.normal_forms(args.system, args.n):
+        print(f"{format_tree(t)}\t{forward(t)}")
     return 0
 
 
 def _cmd_confluence(args) -> int:
-    from .treeterm import check_confluence, format_element as fmt_ns
     sys_ = systems.system(args.system, max_arity=args.max_arity)
     report = check_confluence(sys_, args.max_arity)
     for c in report.checks:
@@ -135,22 +132,15 @@ def _cmd_certify(args) -> int:
               f"{'ok' if line_ok else 'MISMATCH'}")
     # three-way dimension agreement
     for name in ("Zin", "Bicom", "Flex", "AntiFlex"):
-        rels = systems.nc_relations("Nc" + name)
-        for n in range(1, args.max_n + 1):
-            g = len(systems.normal_forms(name, n))
-            f = systems.dim_formula(name, n)
-            parts = [g == f]
+        for n, g, f, o in _dim_rows(name, args.max_n, args.oracle_max):
             msg = f"dims {name} n={n}: grammar={g} formula={f}"
-            if 3 <= n <= args.oracle_max:
-                o = oracle.bruteforce_dim(rels, n, cap=max(args.oracle_max,
-                                                           oracle.DEFAULT_CAP))
-                parts.append(o == f)
+            line_ok = g == f
+            if o is not None:
+                line_ok &= o == f
                 msg += f" oracle={o}"
-            line_ok = all(parts)
             ok &= line_ok
             print(msg + (" ok" if line_ok else " MISMATCH"))
     # confluence
-    from .treeterm import check_confluence
     for name, cap in (("Zin", 6), ("Flex", 6), ("AntiFlex", 6), ("Bicom", 7)):
         rep = check_confluence(systems.system(name, max_arity=cap), cap)
         line_ok = rep.passed
@@ -177,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("dims", help="dimension table")
     c.add_argument("system", choices=("Zin", "Bicom", "Flex", "AntiFlex"))
-    c.add_argument("--max-n", type=int, required=True)
-    c.add_argument("--oracle-max", type=int, default=0)
+    c.add_argument("--max-n", type=_int_at_least(1), required=True)
+    c.add_argument("--oracle-max", type=_int_at_least(0), default=0)
     c.add_argument("--csv", action="store_true")
     c.set_defaults(func=_cmd_dims)
 
@@ -188,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_normal_forms)
 
     c = sub.add_parser("bijection", help="normal form correspondence dump")
-    c.add_argument("system", choices=("Zin", "Bicom", "Flex"))
+    c.add_argument("system", choices=tuple(_BIJECTIONS))
     c.add_argument("n", type=_int_at_least(1))
     c.set_defaults(func=_cmd_bijection)
 
@@ -198,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_confluence)
 
     c = sub.add_parser("certify", help="full three-way agreement suite")
-    c.add_argument("--max-n", type=int, default=10)
-    c.add_argument("--oracle-max", type=int, default=5)
+    c.add_argument("--max-n", type=_int_at_least(1), default=10)
+    c.add_argument("--oracle-max", type=_int_at_least(0), default=5)
     c.set_defaults(func=_cmd_certify)
 
     return p

@@ -128,9 +128,6 @@ class Subspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return tuple(v)
 
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(_pivot(r) for r in self.basis)
-
 
 def _pivot(row: Vector) -> int:
     for j, x in enumerate(row):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .arity3 import (DOUBLE, SINGLE, Arity3Element, Monomial3, OperadPresentation,
-                     OpSpace, basis3, format_element, from_vector, s3_closure,
-                     to_vector)
+from .arity3 import (DOUBLE, SINGLE, Arity3Element, OperadPresentation, OpSpace,
+                     basis3, format_element, from_vector, monomial_of_tree,
+                     s3_closure, to_vector)
 from .exactlin import Subspace, intersect, nullspace, span
 
 AS3_WORDS = sorted(permutations((1, 2, 3)))  # basis of As(3): x_a x_b x_c
@@ -46,14 +46,6 @@ class CriterionReport:
         }, indent=2)
 
 
-def _mono_tree(m: Monomial3):
-    """Monomial as ((op, leaf, leaf) nested) with integer leaf labels."""
-    a, b, c = m.leaves
-    if m.shape == "L":
-        return (m.outer, (m.inner, a, b), c)
-    return (m.outer, a, (m.inner, b, c))
-
-
 def _leaf_word(t) -> tuple[int, ...]:
     if isinstance(t, int):
         return (t,)
@@ -72,13 +64,6 @@ def _to_single_op(t, swap_op: str):
     return ("*", l, r)
 
 
-def _tree_to_monomial(t, opspace: OpSpace) -> Monomial3:
-    op, l, r = t
-    if not isinstance(l, int):
-        return Monomial3("L", (l[1], l[2], r), l[0], op)
-    return Monomial3("R", (l, r[1], r[2]), r[0], op)
-
-
 def white_product_as(p: OperadPresentation) -> OperadPresentation:
     """The presentation of As o P over the split pair of operations <, >."""
     if p.opspace.ops != SINGLE.ops:
@@ -91,9 +76,9 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
     word_index = {w: i for i, w in enumerate(AS3_WORDS)}
     rows = []
     for m in w_basis:
-        t = _mono_tree(m)
+        t = m.tree()
         word = _leaf_word(t)
-        var_mono = _tree_to_monomial(_to_single_op(t, ">"), SINGLE)
+        var_mono = monomial_of_tree(_to_single_op(t, ">"))
         # image of the Var monomial in P(3), in the 12 ambient coordinates
         reduced = R.reduce(to_vector(Arity3Element(SINGLE, [(var_mono, Fraction(1))]),
                                      v_basis))
@@ -116,7 +101,7 @@ def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
     for rel in q.relations:
         terms = []
         for m, c in rel.terms.items():
-            single = _tree_to_monomial(_to_single_op(_mono_tree(m), ">"), SINGLE)
+            single = monomial_of_tree(_to_single_op(m.tree(), ">"))
             terms.append((single, c))
         rels.append(Arity3Element(SINGLE, terms))
     rels = [r for r in rels if not r.is_zero()]

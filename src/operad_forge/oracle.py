@@ -4,7 +4,9 @@ The degree-n component of the operadic ideal generated by the relations is
 spanned by all graftings: inner trees into the three slots of a relation,
 and the result into one leaf of an outer context tree.  The span's rank is
 computed by incremental sparse Gaussian elimination over the rationals, on
-the package's one exact kernel, exactlin.SparseEliminator.
+the package's one exact kernel, exactlin.SparseEliminator.  The free trees
+come from treeterm.generate and the graftings from treeterm.graft; nothing
+here uses treeterm's rewriting.
 This module is deliberately unclever; it is the trust anchor for the
 Groebner-basis claims.
 """
@@ -18,7 +20,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .exactlin import SparseEliminator
-from .treeterm import LEAF, NsElement, Tree, graft
+from .treeterm import LEAF, NsElement, Tree, generate, graft
 
 DEFAULT_CAP = 7
 
@@ -42,36 +44,18 @@ def catalan(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def free_trees(n: int, ops: tuple[str, ...] = ("x", "y")) -> tuple[Tree, ...]:
-    """All planar binary trees of arity n with node labels from ops."""
+    """All planar binary trees of arity n with node labels from ops.
+
+    The order (op first, then the left arity) fixes the oracle's columns.
+    """
     if n < 1:
         raise ValueError("arity must be at least 1")
-    if n == 1:
-        return (LEAF,)
-    out = []
-    for op in ops:
-        for k in range(1, n):
-            for l in free_trees(k, ops):
-                for r in free_trees(n - k, ops):
-                    out.append((op, l, r))
-    return tuple(out)
+    grammar = (("F", ("leaf",) + tuple((op, "F", "F") for op in ops)),)
+    return generate(grammar, "F", n)
 
 
 def free_dim(n: int, ops: Sequence[str] = ("x", "y")) -> int:
     return len(ops) ** (n - 1) * catalan(n - 1)
-
-
-def _plug(context: Tree, leaf_index: int, sub: Tree) -> Tree:
-    """Replace the leaf_index-th leaf (left to right) of context by sub."""
-
-    def go(t: Tree, i: int) -> tuple[Tree, int]:
-        if t == LEAF:
-            return (sub if i == leaf_index else t), i + 1
-        l, i = go(t[1], i)
-        r, i = go(t[2], i)
-        return (t[0], l, r), i
-
-    out, _ = go(context, 0)
-    return out
 
 
 def _compositions3(m: int):
@@ -101,10 +85,11 @@ def consequences(rels: Iterable[NsElement], n: int,
             k = n - m + 1
             for context in free_trees(k, ops):
                 for leaf_i in range(k):
+                    before, after = [LEAF] * leaf_i, [LEAF] * (k - 1 - leaf_i)
                     for elem in inner_elems:
                         row = {}
                         for t, coeff in elem:
-                            j = index[_plug(context, leaf_i, t)]
+                            j = index[graft(context, before + [t] + after)]
                             row[j] = row.get(j, Fraction(0)) + coeff
                         row = {j: c for j, c in row.items() if c != 0}
                         if row:
@@ -130,11 +115,3 @@ def bruteforce_dim(rels: Iterable[NsElement], n: int,
     if n < 3:
         return free_dim(n, ops)
     return free_dim(n, ops) - ideal_rank(rels, n, ops)
-
-
-def dimension_row(system_name: str, rels: list[NsElement], n: int,
-                  ops: tuple[str, ...] = ("x", "y")) -> tuple:
-    """CSV row (system, n, free_dim, ideal_rank, operad_dim)."""
-    fd = free_dim(n, ops)
-    r = ideal_rank(rels, n, ops) if n >= 3 else 0
-    return (system_name, n, fd, r, fd - r)

@@ -2,9 +2,10 @@
 
 Systems: "Zin", "Bicom" (an infinite rule family, instantiated up to an
 arity cap), "Flex", "AntiFlex" and the auxiliary "L" system over operations
-z, t.  For each system the module provides the normal-form grammar, closed
-dimension formulas and the arity-3 presentation over the two operations
-"<" and ">" (with the tree labels x = "<" and y = ">").
+z, t.  For each system the module provides the normal-form grammar (a
+treeterm.Grammar, enumerated by treeterm.generate), closed dimension
+formulas and the arity-3 presentation over the two operations "<" and ">"
+(with the tree labels x = "<" and y = ">").
 
 The second AntiFlex rule is not written down anywhere; it is derived
 mechanically from the self-overlap of the first rule (the same computation
@@ -18,9 +19,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arity3 import DOUBLE, Arity3Element, Monomial3, OperadPresentation
+from .arity3 import (DOUBLE, Arity3Element, Monomial3, OperadPresentation,
+                     monomial_of_tree)
 from .treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem, Tree,
-                       arity, check_confluence, parse_tree, rule)
+                       arity, check_confluence, generate, graft, parse_tree,
+                       rule)
 
 SYSTEM_NAMES = ("Zin", "Bicom", "Flex", "AntiFlex", "L")
 
@@ -96,59 +99,43 @@ def system(name: str, max_arity: int | None = None) -> RewriteSystem:
 
 # --- normal-form grammars --------------------------------------------------
 
-# Each grammar class is a list of productions; a production is either the
-# leaf or (op, class_left, class_right).  "leaf" admits the arity-1 tree.
+# Each grammar is a treeterm.Grammar: (class, productions) pairs, the root
+# class first; a production is "leaf" or (op, class_left, class_right).
 
-_GRAMMARS: dict[str, dict[str, list]] = {
-    "Zin": {
-        "N": ["leaf", ("x", "N", "one"), ("y", "N", "one"), ("y", "N", "X1")],
-        "X1": [("x", "N", "one")],          # x(N, 1)
-        "one": ["unit"],                    # exactly the leaf, as a subtree
-    },
-    "Bicom": {
-        "N": ["leaf", ("x", "N", "X"), ("y", "N", "Y")],
-        "X": ["leaf", ("x", "X", "X")],
-        "Y": ["leaf", ("y", "Y", "Y")],
-    },
-    "Flex": {
-        "N": ["leaf", ("x", "N", "N"), ("y", "N", "R")],
-        "R": ["leaf", ("x", "N", "Q")],
-        "Q": ["leaf", ("y", "N", "R")],
-    },
-    "L": {
-        "S": ["leaf", ("z", "S", "S"), ("t", "S", "U")],
-        "U": ["leaf", ("t", "S", "U")],
-    },
+_FLEX_GRAMMAR = (
+    ("N", ("leaf", ("x", "N", "N"), ("y", "N", "R"))),
+    ("R", ("leaf", ("x", "N", "Q"))),
+    ("Q", ("leaf", ("y", "N", "R"))),
+)
+
+_GRAMMARS = {
+    "Zin": (
+        ("N", ("leaf", ("x", "N", "one"), ("y", "N", "one"), ("y", "N", "X1"))),
+        ("X1", (("x", "N", "one"),)),       # x(N, 1)
+        ("one", ("leaf",)),                 # exactly the leaf, as a subtree
+    ),
+    "Bicom": (
+        ("N", ("leaf", ("x", "N", "X"), ("y", "N", "Y"))),
+        ("X", ("leaf", ("x", "X", "X"))),
+        ("Y", ("leaf", ("y", "Y", "Y"))),
+    ),
+    "Flex": _FLEX_GRAMMAR,
+    "AntiFlex": _FLEX_GRAMMAR,
+    "L": (
+        ("S", ("leaf", ("z", "S", "S"), ("t", "S", "U"))),
+        ("U", ("leaf", ("t", "S", "U"))),
+    ),
 }
-_GRAMMARS["AntiFlex"] = _GRAMMARS["Flex"]
-
-_ROOT = {"Zin": "N", "Bicom": "N", "Flex": "N", "AntiFlex": "N", "L": "S"}
-
-
-@lru_cache(maxsize=None)
-def _generate(name: str, cls: str, n: int) -> tuple[Tree, ...]:
-    grammar = _GRAMMARS[name]
-    out: list[Tree] = []
-    for prod in grammar[cls]:
-        if prod in ("leaf", "unit"):
-            if n == 1:
-                out.append(LEAF)
-            continue
-        op, lc, rc = prod
-        for k in range(1, n):
-            for left in _generate(name, lc, k):
-                for right in _generate(name, rc, n - k):
-                    out.append((op, left, right))
-    return tuple(out)
 
 
 def normal_forms(name: str, n: int) -> list[Tree]:
     """All arity-n trees generated by the system's normal-form grammar."""
-    if name not in _ROOT:
+    if name not in _GRAMMARS:
         raise KeyError(f"unknown system {name!r}")
     if n < 1:
         raise ValueError("arity must be at least 1")
-    return list(_generate(name, _ROOT[name], n))
+    grammar = _GRAMMARS[name]
+    return list(generate(grammar, grammar[0][0], n))
 
 
 def dim_formula(name: str, n: int) -> int:
@@ -178,10 +165,8 @@ def tree_to_monomial(t: Tree) -> Monomial3:
     """An arity-3 tree over x,y as a canonical monomial with leaves 1,2,3."""
     if t == LEAF or arity(t) != 3:
         raise ValueError("expected an arity-3 tree")
-    op, l, r = t
-    if l != LEAF:
-        return Monomial3("L", (1, 2, 3), _TREE_OP[l[0]], _TREE_OP[op])
-    return Monomial3("R", (1, 2, 3), _TREE_OP[r[0]], _TREE_OP[op])
+    m = monomial_of_tree(graft(t, [1, 2, 3]))
+    return m._replace(inner=_TREE_OP[m.inner], outer=_TREE_OP[m.outer])
 
 
 def _ns_to_arity3(e: NsElement) -> Arity3Element:

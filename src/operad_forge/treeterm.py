@@ -1,4 +1,8 @@
-"""Planar tree monomials, pattern matching and oriented rewriting.
+"""Planar tree monomials: grafting, grammar enumeration, oriented rewriting.
+
+generate() is the package's one tree enumerator: it lists the trees of a
+regular tree grammar, which gives both the systems' normal forms and the
+oracle's free trees (the one-class grammar F := leaf | op(F, F)).
 
 A planar tree is either the leaf (the integer 1) or a tuple (op, left, right)
 with op a one-letter label, usually "x" and "y".  Leaves are anonymous: the
@@ -12,8 +16,9 @@ Text grammar (bit-exact for golden files):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 Tree = object  # 1 | (op, Tree, Tree)
@@ -23,14 +28,6 @@ Addr = tuple[int, ...]
 
 class StepCapExceeded(RuntimeError):
     """Raised when normalization does not reach a fixed point within the cap."""
-
-
-def node(op: str, left: Tree, right: Tree) -> Tree:
-    return (op, left, right)
-
-
-def is_leaf(t: Tree) -> bool:
-    return t == LEAF
 
 
 def arity(t: Tree) -> int:
@@ -126,6 +123,31 @@ def graft(pattern: Tree, subs: list[Tree]) -> Tree:
     return out
 
 
+# A tree grammar is a tuple of (class, productions) pairs; a production is
+# "leaf" (the arity-1 tree) or (op, left class, right class).  Grammars are
+# plain hashable values, so one cache serves all of them and equal grammars
+# share their enumeration.
+Grammar = tuple[tuple[str, tuple], ...]
+
+
+@lru_cache(maxsize=None)
+def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
+    """All arity-n trees of class cls: productions in order, then left arity."""
+    out: list[Tree] = []
+    for prod in dict(grammar)[cls]:
+        if prod == "leaf":
+            if n == 1:
+                out.append(LEAF)
+            continue
+        op, lc, rc = prod
+        for k in range(1, n):
+            rights = generate(grammar, rc, n - k)
+            for left in generate(grammar, lc, k):
+                for right in rights:
+                    out.append((op, left, right))
+    return tuple(out)
+
+
 class NsElement(dict):
     """Rational combination of planar trees: dict Tree -> Fraction, no zeros."""
 
@@ -197,22 +219,6 @@ class RewriteSystem:
     name: str
     rules: tuple[RewriteRule, ...]
     arity_cap: Optional[int] = None  # set when an infinite family was truncated
-
-    def ops(self) -> tuple[str, ...]:
-        seen: list[str] = []
-
-        def walk(t):
-            if t != LEAF:
-                if t[0] not in seen:
-                    seen.append(t[0])
-                walk(t[1])
-                walk(t[2])
-
-        for r in self.rules:
-            walk(r.lhs)
-            for _, p in r.rhs:
-                walk(p)
-        return tuple(sorted(seen))
 
 
 def match_at(t: Tree, r: RewriteRule, addr: Addr) -> Optional[list[Tree]]:

@@ -86,6 +86,13 @@ def test_usage_error():
     (["bijection", "Zin", "0"], "argument n: must be at least 1, got 0"),
     (["confluence", "Zin", "--max-arity", "2"],
      "argument --max-arity: must be at least 3, got 2"),
+    (["dims", "Zin", "--max-n", "-2"], "argument --max-n: must be at least 1, got -2"),
+    (["certify", "--max-n", "0", "--oracle-max", "0"],
+     "argument --max-n: must be at least 1, got 0"),
+    (["dims", "Zin", "--max-n", "4", "--oracle-max", "-1"],
+     "argument --oracle-max: must be at least 0, got -1"),
+    (["certify", "--oracle-max", "-1"],
+     "argument --oracle-max: must be at least 0, got -1"),
 ])
 def test_arity_below_range_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -94,6 +101,7 @@ def test_arity_below_range_is_a_usage_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("usage:")]) == 1
 
 
 def test_criterion_names_are_the_symmetric_catalog():

@@ -20,6 +20,21 @@ def test_free_tree_counts():
     assert len(free_trees(4, ("z", "t"))) == free_dim(4, ("z", "t"))
 
 
+def _free_trees_reference(n, ops):
+    """The oracle's former recursive enumeration: op, left arity, left, right."""
+    if n == 1:
+        return [1]
+    return [(op, l, r) for op in ops for k in range(1, n)
+            for l in _free_trees_reference(k, ops)
+            for r in _free_trees_reference(n - k, ops)]
+
+
+@pytest.mark.parametrize("ops", [("x", "y"), ("z", "t")])
+def test_free_trees_keep_the_column_order(ops):
+    for n in range(1, 7):
+        assert list(free_trees(n, ops)) == _free_trees_reference(n, ops)
+
+
 def test_free_trees_are_distinct():
     ts = free_trees(5)
     assert len(set(ts)) == len(ts)
@@ -77,11 +92,6 @@ def test_cap_override(monkeypatch):
     assert oracle.oracle_cap() == 3
     with pytest.raises(ValueError):
         bruteforce_dim(systems.nc_relations("NcZin"), 4)
-
-
-def test_dimension_row():
-    row = oracle.dimension_row("NcZin", systems.nc_relations("NcZin"), 4)
-    assert row == ("NcZin", 4, 40, 26, 14)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])

@@ -114,6 +114,15 @@ def test_ternary_pair_count_convolution():
         assert systems.ternary_pair_count(n) == systems.dim_formula("Flex", n)
 
 
+def test_tree_to_monomial_is_injective_in_arity_3():
+    from operad_forge.oracle import free_trees
+    monos = {systems.tree_to_monomial(t) for t in free_trees(3)}
+    assert len(monos) == 8
+    assert all(m.leaves == (1, 2, 3) for m in monos)
+    with pytest.raises(ValueError):
+        systems.tree_to_monomial(parse_tree("x(1,1)"))
+
+
 def test_nc_relations_shape():
     for name, count in (("NcNov", 2), ("NcZin", 3), ("NcBicom", 2),
                         ("NcFlex", 1), ("NcAntiFlex", 1)):

@@ -7,9 +7,10 @@ import pytest
 from operad_forge.treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem,
                                    StepCapExceeded, apply_rule_at, arity,
                                    check_confluence, format_element,
-                                   format_tree, graft, is_normal, match_at,
-                                   normalize, overlaps, parse_tree, positions,
-                                   replace, rewrite_once, rule, subtree)
+                                   format_tree, generate, graft, is_normal,
+                                   match_at, normalize, overlaps, parse_tree,
+                                   positions, replace, rewrite_once, rule,
+                                   subtree)
 from operad_forge import systems
 
 
@@ -42,6 +43,19 @@ def test_graft_substitutes_leaves_left_to_right():
     tree = t("x(1,y(1,1))")
     assert graft(tree, [t("x(1,1)"), LEAF, t("y(1,1)")]) == \
         t("x(x(1,1),y(1,y(1,1)))")
+
+
+def test_generate_follows_the_classes():
+    grammar = (("S", ("leaf", ("a", "S", "T"))), ("T", ("leaf",)))
+    assert generate(grammar, "S", 3) == (t("a(a(1,1),1)"),)
+    assert generate(grammar, "T", 3) == ()
+
+
+def test_equal_grammars_share_one_enumeration():
+    g1 = (("F", ("leaf", ("x", "F", "F"))),)
+    g2 = (("F", tuple(["leaf", ("x", "F", "F")])),)
+    assert g1 is not g2
+    assert generate(g1, "F", 6) is generate(g2, "F", 6)
 
 
 def test_match_at_binds_leaves():
