@@ -1,20 +1,29 @@
-"""Exact rational linear algebra on one sparse elimination kernel.
+"""Exact linear algebra on one sparse, fraction-free elimination kernel.
 
-SparseEliminator does incremental Gaussian elimination over Q on sparse rows
-(dicts column -> nonzero Fraction); the brute-force oracle feeds it directly,
-and rref, span, intersect and nullspace run on it through dense tuples of
-Fraction.  A Subspace is stored as its reduced row-echelon basis, so two
-subspaces are equal iff their canonical bases are equal as sequences.
-Subspaces are immutable and the functions are pure.
+SparseEliminator does incremental Gaussian elimination over the integers on
+sparse rows (dicts column -> nonzero int).  A rational row is cleared of its
+denominators once on entry, and every stored pivot row is primitive: the gcd
+of its entries is 1 and its leading entry is positive.  Each step clears one
+column with a gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968),
+so no Fraction is built while rows are reduced; only rref() goes back to
+the rationals, for the canonical reduced row-echelon form.  The brute-force
+oracle feeds the eliminator directly, and rref, span, intersect and
+nullspace run on it through dense tuples of Fraction.  A Subspace is stored
+as its reduced row-echelon basis, so two subspaces are equal iff their
+canonical bases are equal as sequences.  Subspaces are immutable and the
+functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
+IntRow = dict[int, int]
 SparseRow = dict[int, Fraction]
 
 
@@ -22,64 +31,111 @@ def vec(entries: Iterable) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
+def _integral(row: Mapping) -> IntRow:
+    """A copy of a rational sparse row times the lcm of its denominators,
+    with int entries and no zeros."""
+    den = lcm(*(c.denominator for c in row.values()))
+    return {j: c.numerator * (den // c.denominator)
+            for j, c in row.items() if c}
+
+
+def _primitive(row: IntRow) -> IntRow:
+    """row divided by the gcd of its entries, with a positive leading entry."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {j: c // g for j, c in row.items()}
+
+
+def _cancel(row: IntRow, p: int, piv: IntRow) -> None:
+    """Clear column p of row, in place, with the pivot row piv (piv[p] > 0):
+    row := (a/g)*row - (f/g)*piv with a = piv[p], f = row[p], g = gcd(a, f)."""
+    f = row[p]
+    a = piv[p]
+    if a != 1:
+        g = gcd(a, f)
+        if g != a:
+            s = a // g
+            for j in row:
+                row[j] *= s
+        f //= g
+    for j, c in piv.items():
+        v = row.get(j, 0) - f * c
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
 class SparseEliminator:
-    """Incremental sparse Gaussian elimination over Q."""
+    """Incremental fraction-free sparse Gaussian elimination.
+
+    pivots maps each pivot column to its primitive int row, whose smallest
+    column is the pivot."""
 
     def __init__(self):
-        self.pivots: dict[int, SparseRow] = {}
+        self.pivots: dict[int, IntRow] = {}
 
-    def reduce(self, row: SparseRow) -> SparseRow:
-        row = dict(row)
+    def reduce(self, row: Mapping) -> IntRow:
+        """The residual of row after elimination by the pivot rows, as a
+        primitive int row (a nonzero rational multiple of the true residual),
+        or {} if row lies in their span."""
+        row = _integral(row)
         while row:
             p = min(row)
             piv = self.pivots.get(p)
             if piv is None:
-                return row
-            f = row[p]
-            for j, c in piv.items():
-                v = row.get(j, Fraction(0)) - f * c
-                if v:
-                    row[j] = v
-                else:
-                    row.pop(j, None)
+                return _primitive(row)
+            _cancel(row, p, piv)
         return row
 
-    def add(self, row: SparseRow) -> bool:
+    def add(self, row: Mapping) -> bool:
         """Reduce and absorb; returns True if the rank grew."""
         row = self.reduce(row)
         if not row:
             return False
-        p = min(row)
-        inv = 1 / row[p]
-        self.pivots[p] = {j: c * inv for j, c in row.items()}
+        self.pivots[min(row)] = row
         return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def nonzeros(self) -> int:
+        """The total number of nonzero entries in the pivot rows."""
+        return sum(map(len, self.pivots.values()))
+
+    @property
+    def max_bits(self) -> int:
+        """The bit length of the largest absolute pivot-row entry."""
+        return max((c.bit_length() for row in self.pivots.values()
+                    for c in row.values()), default=0)
+
     def rref(self) -> list[SparseRow]:
-        """The pivot rows back-substituted into reduced row-echelon form,
-        in increasing pivot order."""
-        done: dict[int, SparseRow] = {}
+        """The pivot rows back-substituted into reduced row-echelon form over
+        Q, in increasing pivot order."""
+        done: dict[int, IntRow] = {}
         for p in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[p])
             # a finished row is zero on every other pivot column, so one
             # pass over the pivot columns present in row clears them all
             for q in [q for q in row if q != p and q in done]:
-                f = row[q]
-                for j, c in done[q].items():
-                    v = row.get(j, Fraction(0)) - f * c
-                    if v:
-                        row[j] = v
-                    else:
-                        row.pop(j, None)
-            done[p] = row
-        return [done[p] for p in sorted(done)]
+                _cancel(row, q, done[q])
+            done[p] = _primitive(row)
+        out = []
+        for p in sorted(done):
+            row = done[p]
+            lead = row[p]
+            out.append({j: Fraction(c, lead) for j, c in row.items()})
+        return out
 
 
-def _sparse(v: Sequence) -> SparseRow:
-    return {j: Fraction(x) for j, x in enumerate(v) if x}
+def _sparse(v: Sequence) -> dict:
+    """The nonzero entries of v; ints and Fractions are kept as they are,
+    anything else goes through Fraction as in vec()."""
+    return {j: x if isinstance(x, (int, Fraction)) else Fraction(x)
+            for j, x in enumerate(v) if x}
 
 
 def _dense(row: SparseRow, ncols: int) -> Vector:
@@ -90,7 +146,8 @@ def _dense(row: SparseRow, ncols: int) -> Vector:
 
 
 def rref(rows: Iterable[Sequence], ncols: int) -> list[Vector]:
-    """Reduced row-echelon form of dense rows; zero rows are dropped."""
+    """Reduced row-echelon form of dense rows of ints or Fractions; zero rows
+    are dropped."""
     elim = SparseEliminator()
     for r in rows:
         if len(r) != ncols:
@@ -110,10 +167,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _sparse_basis(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
+        """Each basis row as its pivot and its nonzero (column, entry) pairs."""
+        return tuple((_pivot(row), tuple((j, x) for j, x in enumerate(row) if x))
+                     for row in self.basis)
+
     def contains(self, v: Sequence) -> bool:
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
         return not any(self.reduce(v))
 
     def reduce(self, v: Sequence) -> Vector:
@@ -121,11 +181,11 @@ class Subspace:
         v = list(vec(v))
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        for row in self.basis:
-            p = _pivot(row)
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+        for p, row in self._sparse_basis:
+            f = v[p]
+            if f:
+                for j, b in row:
+                    v[j] -= f * b
         return tuple(v)
 
 

@@ -2,11 +2,13 @@
 
 The degree-n component of the operadic ideal generated by the relations is
 spanned by all graftings: inner trees into the three slots of a relation,
-and the result into one leaf of an outer context tree.  The span's rank is
-computed by incremental sparse Gaussian elimination over the rationals, on
-the package's one exact kernel, exactlin.SparseEliminator.  The free trees
-come from treeterm.generate and the graftings from treeterm.graft; nothing
-here uses treeterm's rewriting.
+and the result into one leaf of an outer context tree.  Each relation is
+cleared of its denominators once, so every row has int entries and no
+Fraction is built per row.  The span's rank is computed by incremental
+fraction-free sparse elimination over the integers, on the package's one
+exact kernel, exactlin.SparseEliminator.  The free trees come from
+treeterm.generate and the graftings from treeterm.graft; nothing here uses
+treeterm's rewriting.
 This module is deliberately unclever; it is the trust anchor for the
 Groebner-basis claims.
 """
@@ -14,9 +16,8 @@ Groebner-basis claims.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .exactlin import SparseEliminator
@@ -65,13 +66,15 @@ def _compositions3(m: int):
 
 
 def consequences(rels: Iterable[NsElement], n: int,
-                 ops: tuple[str, ...] = ("x", "y")) -> list[dict[int, Fraction]]:
-    """Sparse vectors spanning the degree-n component of the ideal."""
+                 ops: tuple[str, ...] = ("x", "y")) -> list[dict[int, int]]:
+    """Sparse int vectors spanning the degree-n component of the ideal."""
     if n < 3:
         raise ValueError("relations live in arity 3")
     index = {t: i for i, t in enumerate(free_trees(n, ops))}
     out = []
     for rel in rels:
+        den = lcm(*(c.denominator for c in rel.values()))
+        terms = [(s, c.numerator * (den // c.denominator)) for s, c in rel.items()]
         for m in range(3, n + 1):
             inner_elems = []
             for a, b, c in _compositions3(m):
@@ -80,7 +83,7 @@ def consequences(rels: Iterable[NsElement], n: int,
                         for t3 in free_trees(c, ops):
                             subs = (t1, t2, t3)
                             elem = [(graft(s, subs), coeff)
-                                    for s, coeff in rel.items()]
+                                    for s, coeff in terms]
                             inner_elems.append(elem)
             k = n - m + 1
             for context in free_trees(k, ops):
@@ -90,8 +93,8 @@ def consequences(rels: Iterable[NsElement], n: int,
                         row = {}
                         for t, coeff in elem:
                             j = index[graft(context, before + [t] + after)]
-                            row[j] = row.get(j, Fraction(0)) + coeff
-                        row = {j: c for j, c in row.items() if c != 0}
+                            row[j] = row.get(j, 0) + coeff
+                        row = {j: c for j, c in row.items() if c}
                         if row:
                             out.append(row)
     return out

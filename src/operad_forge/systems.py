@@ -166,6 +166,9 @@ def tree_to_monomial(t: Tree) -> Monomial3:
     if t == LEAF or arity(t) != 3:
         raise ValueError("expected an arity-3 tree")
     m = monomial_of_tree(graft(t, [1, 2, 3]))
+    for op in (m.inner, m.outer):
+        if op not in _TREE_OP:
+            raise ValueError(f"expected node labels x or y, got {op!r}")
     return m._replace(inner=_TREE_OP[m.inner], outer=_TREE_OP[m.outer])
 
 

@@ -1,11 +1,12 @@
 """Exact rational linear algebra: RREF, spans, sums, intersections."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from operad_forge.exactlin import (Subspace, intersect, nullspace, rref, span,
-                                   subspace_sum)
+from operad_forge.exactlin import (SparseEliminator, Subspace, intersect,
+                                   nullspace, rref, span, subspace_sum)
 
 
 def F(x):
@@ -15,6 +16,11 @@ def F(x):
 def test_rref_identity():
     m = rref([(F(2), F(0)), (F(0), F(3))], 2)
     assert m == [(F(1), F(0)), (F(0), F(1))]
+
+
+def test_rref_accepts_what_vec_accepts():
+    assert rref([(0.5, "1/4"), (1, 2)], 2) == [(F(1), F(0)), (F(0), F(1))]
+    assert rref([(0.5, "1/4")], 2) == [(F(1), Fraction(1, 2))]
 
 
 def test_rref_dependent_rows():
@@ -108,3 +114,89 @@ def test_nullspace_is_the_kernel(rows):
     assert ns.dim == 4 - len(rref(rows, 4))
     for v in ns.basis:
         assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+
+
+def _gauss_jordan(rows, ncols):
+    """Reference RREF over Fraction on dense lists; zero rows dropped."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    out, r = [], 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return [tuple(row) for row in m[:r]]
+
+
+def _assert_pivot_rows_primitive(elim):
+    for p, row in elim.pivots.items():
+        assert min(row) == p
+        assert all(type(c) is int and c for c in row.values())
+        assert row[p] > 0
+        assert gcd(*row.values()) == 1
+
+
+_entry = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+_matrix = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(_entry, min_size=n, max_size=n), max_size=6)))
+
+
+@given(_matrix)
+@settings(max_examples=80, deadline=None)
+def test_eliminator_matches_fraction_gauss_jordan(matrix):
+    ncols, rows = matrix
+    elim = SparseEliminator()
+    for r in rows:
+        elim.add({j: x for j, x in enumerate(r) if x})
+    want = _gauss_jordan(rows, ncols)
+    assert elim.rank == len(want)
+    got = [tuple(row.get(j, Fraction(0)) for j in range(ncols))
+           for row in elim.rref()]
+    assert got == want
+    assert rref(rows, ncols) == want
+    _assert_pivot_rows_primitive(elim)
+
+
+def test_pivot_rows_are_primitive_ints():
+    elim = SparseEliminator()
+    assert elim.add({0: Fraction(2, 3), 1: Fraction(1, 2)})  # cleared to 4, 3
+    assert elim.add({0: 2, 2: 5})        # 2*row - piv = (0, -3, 10)
+    assert elim.pivots == {0: {0: 4, 1: 3}, 1: {1: 3, 2: -10}}
+    assert elim.add({1: 7, 2: 1})        # 3*row - 7*piv = (0, 0, 73)
+    assert elim.pivots[2] == {2: 1}
+    assert not elim.add({0: Fraction(1, 2), 1: Fraction(3, 8)})
+    _assert_pivot_rows_primitive(elim)
+    assert elim.rref() == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_eliminator_size_properties():
+    elim = SparseEliminator()
+    assert (elim.nonzeros, elim.max_bits) == (0, 0)
+    elim.add({0: Fraction(2, 3), 1: Fraction(1, 2)})
+    elim.add({0: 2, 2: 5})
+    assert (elim.nonzeros, elim.max_bits) == (4, 4)   # largest entry -10
+    elim.add({1: 7, 2: 1})
+    assert (elim.nonzeros, elim.max_bits) == (5, 4)
+
+
+def test_subspace_reduce_unchanged_by_sparse_rows():
+    s = span([(F(2), F(1), F(0), F(3)), (F(0), F(0), F(1), F(-1))], 4)
+    v = (F(1), F(2), F(3), F(4))
+    # residual by the dense RREF rows, as the reduction is defined
+    want = list(v)
+    for row in s.basis:
+        p = next(j for j, x in enumerate(row) if x)
+        f = want[p]
+        want = [a - f * b for a, b in zip(want, row)]
+    assert s.reduce(v) == tuple(want)
+    assert s.reduce(v) == s.reduce([1, 2, 3, 4])

@@ -63,6 +63,9 @@ def test_relations_themselves_are_consequences():
     ("NcBicom", {3: 6, 4: 20, 5: 70, 6: 252}),
     ("NcFlex", {3: 7, 4: 30, 5: 143, 6: 728}),
     ("NcAntiFlex", {3: 7, 4: 30, 5: 143, 6: 728}),
+    # no closed formula is asserted elsewhere; these freeze the oracle's own
+    # output, the one case whose pivot rows have entries beyond +-1
+    ("NcNov", {3: 6, 4: 20, 5: 70, 6: 252}),
 ])
 def test_bruteforce_dims(name, dims):
     rels = systems.nc_relations(name)
@@ -70,11 +73,16 @@ def test_bruteforce_dims(name, dims):
         assert bruteforce_dim(rels, n) == want, (name, n)
 
 
-def test_bruteforce_nc_nov():
-    # no closed formula is asserted elsewhere; freeze the oracle's own output
-    rels = systems.nc_relations("NcNov")
-    got = [bruteforce_dim(rels, n) for n in (3, 4, 5, 6)]
-    assert got == [6, 20, 70, 252]
+@pytest.mark.parametrize("name,want", [("NcBicom", 3432), ("NcFlex", 21318)])
+def test_bruteforce_arity_8(name, want):
+    assert bruteforce_dim(systems.nc_relations(name), 8, cap=8) == want
+
+
+def test_nc_nov_pivots_grow_beyond_one():
+    elim = SparseEliminator()
+    for row in consequences(systems.nc_relations("NcNov"), 6):
+        elim.add(row)
+    assert elim.max_bits > 1
 
 
 def test_low_arity_is_free():

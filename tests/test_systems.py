@@ -123,6 +123,12 @@ def test_tree_to_monomial_is_injective_in_arity_3():
         systems.tree_to_monomial(parse_tree("x(1,1)"))
 
 
+def test_tree_to_monomial_names_the_labels_it_expects():
+    # the L system's z/t labels are not the x/y of the arity-3 presentations
+    with pytest.raises(ValueError, match="x or y.*'t'"):
+        systems.tree_to_monomial(("z", ("t", 1, 1), 1))
+
+
 def test_nc_relations_shape():
     for name, count in (("NcNov", 2), ("NcZin", 3), ("NcBicom", 2),
                         ("NcFlex", 1), ("NcAntiFlex", 1)):
