@@ -67,7 +67,8 @@ def _compositions3(m: int):
 
 def consequences(rels: Iterable[NsElement], n: int,
                  ops: tuple[str, ...] = ("x", "y")) -> list[dict[int, int]]:
-    """Sparse int vectors spanning the degree-n component of the ideal."""
+    """Sparse int vectors spanning the degree-n component of the ideal,
+    stably sorted by descending leading column."""
     if n < 3:
         raise ValueError("relations live in arity 3")
     index = {t: i for i, t in enumerate(free_trees(n, ops))}
@@ -97,6 +98,8 @@ def consequences(rels: Iterable[NsElement], n: int,
                         row = {j: c for j, c in row.items() if c}
                         if row:
                             out.append(row)
+    # largest leading column first: the same span, far less fill-in
+    out.sort(key=min, reverse=True)
     return out
 
 

@@ -10,6 +10,14 @@ argument order is the left-to-right leaf order.  Rule left-hand sides are
 trees whose leaves act as wildcards; rules are linear and never permute
 arguments, so matching binds wildcards positionally.
 
+A rewrite step takes the first rule, at its first preorder position.  One
+preorder walk lists a tree's internal nodes, and each rule is tried only at
+the nodes that carry its left-hand side's root label.  normalize() rewrites
+the smallest non-normal term (by tree_key) first; its pending terms sit in a
+heap, pushed when they enter and tested once per appearance.  Nothing is
+memoized across calls: a normal-form memo is sound only for a system already
+certified confluent, and check_confluence() runs on this engine.
+
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
 """
@@ -19,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 Tree = object  # 1 | (op, Tree, Tree)
@@ -75,17 +84,24 @@ def _parse(s: str) -> tuple[Tree, str]:
 
 def positions(t: Tree) -> list[Addr]:
     """Preorder addresses of internal nodes; 0 = left child, 1 = right."""
-    out: list[Addr] = []
+    return [addr for addr, _ in _internal_nodes(t)]
 
-    def walk(u: Tree, addr: Addr):
-        if u == LEAF:
-            return
-        out.append(addr)
-        walk(u[1], addr + (0,))
-        walk(u[2], addr + (1,))
 
-    walk(t, ())
+def _internal_nodes(t: Tree) -> list[tuple[Addr, Tree]]:
+    """(address, subtree) of every internal node, in preorder."""
+    out: list[tuple[Addr, Tree]] = []
+    if t != LEAF:
+        _walk(t, (), out)
     return out
+
+
+def _walk(u: Tree, addr: Addr, out: list[tuple[Addr, Tree]]) -> None:
+    out.append((addr, u))
+    _, l, r = u
+    if l != LEAF:
+        _walk(l, addr + (0,), out)
+    if r != LEAF:
+        _walk(r, addr + (1,), out)
 
 
 def subtree(t: Tree, addr: Addr) -> Tree:
@@ -157,14 +173,13 @@ class NsElement(dict):
             self.add(t, c)
 
     def add(self, t: Tree, c) -> None:
-        c = self.get(t, Fraction(0)) + Fraction(c)
-        if c == 0:
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if t in self:
+            c += self[t]
+        if not c:
             self.pop(t, None)
         else:
             self[t] = c
-
-    def scaled(self, f) -> "NsElement":
-        return NsElement((t, c * Fraction(f)) for t, c in self.items())
 
     def __repr__(self):
         return f"NsElement({format_element(self)!r})"
@@ -244,55 +259,69 @@ def apply_rule_at(t: Tree, r: RewriteRule, addr: Addr) -> NsElement:
     subs = match_at(t, r, addr)
     if subs is None:
         raise ValueError(f"rule {r.name} does not match at {addr}")
+    return _reduct(t, r, addr, subs)
+
+
+def _reduct(t: Tree, r: RewriteRule, addr: Addr, subs: list[Tree]) -> NsElement:
     out = NsElement()
     for c, p in r.rhs:
         out.add(replace(t, addr, graft(p, subs)), c)
     return out
 
 
-def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
-    """First match in rule order, then preorder position; None iff t is normal.
+def _first_match(t: Tree, sys: RewriteSystem):
+    """First (rule, address, bindings) in rule order, then preorder; or None.
 
     A system truncated at an arity cap lacks the rules above it, so a tree
     of larger arity is refused rather than wrongly reported normal.
     """
-    addrs = positions(t)
-    if sys.arity_cap is not None and len(addrs) >= sys.arity_cap:
-        raise ValueError(f"arity {len(addrs) + 1} exceeds the arity cap "
+    nodes = _internal_nodes(t)
+    if sys.arity_cap is not None and len(nodes) >= sys.arity_cap:
+        raise ValueError(f"arity {len(nodes) + 1} exceeds the arity cap "
                          f"{sys.arity_cap} of system {sys.name}")
     for r in sys.rules:
-        for addr in addrs:
-            if match_at(t, r, addr) is not None:
-                return apply_rule_at(t, r, addr)
+        op = r.lhs[0]
+        for addr, u in nodes:
+            if u[0] == op:
+                subs = _match(u, r.lhs)
+                if subs is not None:
+                    return r, addr, subs
     return None
 
 
+def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
+    """First match in rule order, then preorder position; None iff t is normal."""
+    found = _first_match(t, sys)
+    return None if found is None else _reduct(t, *found)
+
+
 def is_normal(t: Tree, sys: RewriteSystem) -> bool:
-    return rewrite_once(t, sys) is None
+    return _first_match(t, sys) is None
 
 
 def normalize(e: NsElement, sys: RewriteSystem, step_cap: int = 10_000) -> NsElement:
+    """Rewrite the smallest non-normal term until none is left."""
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
     work = NsElement(e.items())
+    heap = [(tree_key(t), t) for t in work]
+    heapify(heap)
     steps = 0
-    while True:
-        pending = None
-        for t in sorted(work, key=tree_key):
-            step = rewrite_once(t, sys)
-            if step is not None:
-                pending = (t, step)
-                break
-        if pending is None:
-            return work
+    while heap:
+        t = heappop(heap)[1]
+        step = rewrite_once(t, sys) if t in work else None  # else cancelled
+        if step is None:
+            continue
         steps += 1
         if steps > step_cap:
             raise StepCapExceeded(
                 f"no fixed point within {step_cap} steps in system {sys.name}")
-        t, step = pending
         c = work.pop(t)
         for u, d in step.items():
+            if u not in work:
+                heappush(heap, (tree_key(u), u))
             work.add(u, c * d)
+    return work
 
 
 # --- overlaps and confluence ----------------------------------------------

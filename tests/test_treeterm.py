@@ -3,14 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from operad_forge.oracle import free_trees
 from operad_forge.treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem,
                                    StepCapExceeded, apply_rule_at, arity,
                                    check_confluence, format_element,
                                    format_tree, generate, graft, is_normal,
                                    match_at, normalize, overlaps, parse_tree,
                                    positions, replace, rewrite_once, rule,
-                                   subtree)
+                                   subtree, tree_key)
 from operad_forge import systems
 
 
@@ -99,12 +101,14 @@ def test_normalize_is_idempotent():
     assert all(is_normal(term, zin) for term in nf)
 
 
+# a looping pair of rules never terminates
+_LOOP = RewriteSystem("Loop", (rule("ab", "x(1,1)", [(1, "y(1,1)")]),
+                               rule("ba", "y(1,1)", [(1, "x(1,1)")])), 10)
+
+
 def test_step_cap():
-    # a looping rule never terminates; the cap must trip
-    loop = RewriteSystem("Loop", (rule("ab", "x(1,1)", [(1, "y(1,1)")]),
-                                  rule("ba", "y(1,1)", [(1, "x(1,1)")])), 10)
     with pytest.raises(StepCapExceeded):
-        normalize(NsElement([(t("x(1,1)"), Fraction(1))]), loop, step_cap=50)
+        normalize(NsElement([(t("x(1,1)"), Fraction(1))]), _LOOP, step_cap=50)
 
 
 def test_zin_overlap_inventory():
@@ -188,3 +192,133 @@ def test_overlaps_refuse_arity_above_the_cap():
     with pytest.raises(ValueError, match="exceeds the arity cap"):
         check_confluence(bicom, 7)
     assert check_confluence(bicom, 6).passed
+
+
+def test_add_keeps_fractions_exact():
+    c = Fraction(2, 3)
+    e = NsElement()
+    e.add(t("x(1,1)"), c)
+    assert e[t("x(1,1)")] is c
+    e.add(t("x(1,1)"), 1)
+    e.add(t("y(1,1)"), "1/2")
+    e.add(t("x(y(1,1),1)"), 0.25)
+    assert e == {t("x(1,1)"): Fraction(5, 3), t("y(1,1)"): Fraction(1, 2),
+                 t("x(y(1,1),1)"): Fraction(1, 4)}
+    assert all(type(v) is Fraction for v in e.values())
+    e.add(t("y(1,1)"), Fraction(-1, 2))
+    assert t("y(1,1)") not in e
+
+
+# --- the engine before one-walk matching, kept as a reference ----------------
+# It tries every rule at every position through match_at and rescans the whole
+# sorted working set on every step.  The engine must take exactly its steps.
+
+
+def _reference_rewrite_once(tree, sys):
+    addrs = positions(tree)
+    if sys.arity_cap is not None and len(addrs) >= sys.arity_cap:
+        raise ValueError("above the arity cap")
+    for r in sys.rules:
+        for addr in addrs:
+            if match_at(tree, r, addr) is not None:
+                return apply_rule_at(tree, r, addr)
+    return None
+
+
+def _reference_normalize(e, sys, step_cap=10_000):
+    """The normal form and the number of steps taken to reach it."""
+    work = NsElement(e.items())
+    steps = 0
+    while True:
+        pending = None
+        for u in sorted(work, key=tree_key):
+            step = _reference_rewrite_once(u, sys)
+            if step is not None:
+                pending = (u, step)
+                break
+        if pending is None:
+            return work, steps
+        steps += 1
+        if steps > step_cap:
+            raise StepCapExceeded(
+                f"no fixed point within {step_cap} steps in system {sys.name}")
+        u, step = pending
+        c = work.pop(u)
+        for v, d in step.items():
+            work.add(v, c * d)
+
+
+def _assert_same_normalize(e, sys):
+    """Same normal form, reached in exactly the reference's number of steps."""
+    want, steps = _reference_normalize(e, sys)
+    assert normalize(e, sys) == want
+    if steps > 1:
+        assert normalize(e, sys, steps) == want
+        with pytest.raises(StepCapExceeded):
+            normalize(e, sys, steps - 1)
+
+
+def _zin_bad():
+    zin = systems.system("Zin")
+    bad3 = rule("bad3", "y(1,y(1,1))",
+                [(1, "y(1,x(1,1))"), (1, "y(y(1,1),1)")])
+    return RewriteSystem("ZinBad", (zin.rules[0], zin.rules[1], bad3))
+
+
+_REFERENCE_SYSTEMS = {
+    "Zin": (systems.system("Zin"), ("x", "y")),
+    "Flex": (systems.system("Flex"), ("x", "y")),
+    "AntiFlex": (systems.system("AntiFlex"), ("x", "y")),
+    "L": (systems.system("L"), ("z", "t")),
+    "Bicom": (systems.system("Bicom", max_arity=6), ("x", "y")),
+    "ZinBad": (_zin_bad(), ("x", "y")),
+    "partialFlex": (RewriteSystem("partial", (systems._flex_rule1(1),)),
+                    ("x", "y")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SYSTEMS))
+def test_engine_matches_the_reference_on_every_free_tree(name):
+    sys, ops = _REFERENCE_SYSTEMS[name]
+    for n in range(1, 7):
+        for tree in free_trees(n, ops):
+            once = rewrite_once(tree, sys)
+            assert once == _reference_rewrite_once(tree, sys), format_tree(tree)
+            assert is_normal(tree, sys) == (once is None)
+            _assert_same_normalize(NsElement([(tree, Fraction(1))]), sys)
+
+
+def test_reference_systems_are_not_all_confluent():
+    assert not check_confluence(_REFERENCE_SYSTEMS["ZinBad"][0], 6).passed
+    assert not check_confluence(_REFERENCE_SYSTEMS["partialFlex"][0], 4).passed
+
+
+def _random_element(draw_terms, ops):
+    e = NsElement()
+    for n, i, c in draw_terms:
+        trees = free_trees(n, ops)
+        e.add(trees[i % len(trees)], c)
+    return e
+
+
+_TERMS = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10_000),
+                            st.integers(-3, 3)), min_size=1, max_size=6)
+
+
+@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), _TERMS)
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_the_reference_on_random_elements(name, terms):
+    sys, ops = _REFERENCE_SYSTEMS[name]
+    _assert_same_normalize(_random_element(terms, ops), sys)
+
+
+@given(_TERMS, st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_engine_trips_the_step_cap_like_the_reference(terms, step_cap):
+    e = _random_element(terms, ("x", "y"))
+    assume(any(u != LEAF for u in e))  # every internal node loops
+    with pytest.raises(StepCapExceeded) as got:
+        normalize(e, _LOOP, step_cap)
+    with pytest.raises(StepCapExceeded) as want:
+        _reference_normalize(e, _LOOP, step_cap)
+    assert str(got.value) == str(want.value)
