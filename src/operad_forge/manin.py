@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
-from .arity3 import (DOUBLE, SINGLE, Arity3Element, OperadPresentation, OpSpace,
-                     basis3, format_element, from_vector, monomial_of_tree,
-                     s3_closure, to_vector)
+from .arity3 import (DOUBLE, SINGLE, Arity3Element, Monomial3,
+                     OperadPresentation, OpSpace, basis3, format_element,
+                     from_vector, monomial_of_tree, s3_closure, to_vector)
 from .exactlin import Subspace, intersect, nullspace, span
 
 AS3_WORDS = sorted(permutations((1, 2, 3)))  # basis of As(3): x_a x_b x_c
@@ -64,31 +65,43 @@ def _to_single_op(t, swap_op: str):
     return ("*", l, r)
 
 
+@lru_cache(maxsize=None)
+def _split_images() -> tuple[tuple[tuple[Fraction, ...], ...],
+                             tuple[tuple[int, int], ...]]:
+    """The distinct Var monomials of basis3(DOUBLE) as vectors over
+    basis3(SINGLE), and for each two-operation monomial the index of its
+    leaf word in AS3_WORDS and the index of its Var monomial."""
+    v_basis = basis3(SINGLE)
+    word_index = {w: i for i, w in enumerate(AS3_WORDS)}
+    var_index: dict[Monomial3, int] = {}
+    parts = []
+    for m in basis3(DOUBLE):
+        t = m.tree()
+        var = monomial_of_tree(_to_single_op(t, ">"))
+        parts.append((word_index[_leaf_word(t)],
+                      var_index.setdefault(var, len(var_index))))
+    vectors = tuple(
+        to_vector(Arity3Element(SINGLE, [(var, Fraction(1))]), v_basis)
+        for var in var_index)
+    return vectors, tuple(parts)
+
+
 def white_product_as(p: OperadPresentation) -> OperadPresentation:
     """The presentation of As o P over the split pair of operations <, >."""
     if p.opspace.ops != SINGLE.ops:
         raise ValueError("white_product_as expects a single paired operation")
-    v_basis = basis3(SINGLE)
     R = p.relation_space()
-    q = len(v_basis) - R.dim  # dim P(3)
-
-    w_basis = basis3(DOUBLE)
-    word_index = {w: i for i, w in enumerate(AS3_WORDS)}
+    nv = R.ambient_dim
+    vectors, parts = _split_images()
+    reduced = [R.reduce(v) for v in vectors]  # each Var image in P(3), once
     rows = []
-    for m in w_basis:
-        t = m.tree()
-        word = _leaf_word(t)
-        var_mono = monomial_of_tree(_to_single_op(t, ">"))
-        # image of the Var monomial in P(3), in the 12 ambient coordinates
-        reduced = R.reduce(to_vector(Arity3Element(SINGLE, [(var_mono, Fraction(1))]),
-                                     v_basis))
-        row = [Fraction(0)] * (6 * len(v_basis))
-        base = word_index[word] * len(v_basis)
-        for j, x in enumerate(reduced):
-            row[base + j] = x
+    for w, j in parts:
+        row = [Fraction(0)] * (len(AS3_WORDS) * nv)
+        row[w * nv:(w + 1) * nv] = reduced[j]
         rows.append(row)
     # kernel of v -> sum_m v_m * image(m): null space of the transpose
-    ker = nullspace(list(zip(*rows)), len(w_basis))
+    ker = nullspace(list(zip(*rows)), len(parts))
+    w_basis = basis3(DOUBLE)
     rels = tuple(from_vector(r, w_basis, DOUBLE) for r in ker.basis)
     return OperadPresentation(f"As.{p.name}", DOUBLE, rels)
 

@@ -185,6 +185,28 @@ def test_bicom_accepts_trees_at_its_cap():
     assert is_normal(t("x(1,x(1,x(1,x(1,1))))"), bicom)
 
 
+def _f0_over_g8():
+    """An arity-13 tree with f_0 at the root and g_8's lhs as first argument."""
+    return graft(systems._bicom_rule(0, "x").lhs,
+                 [systems._bicom_rule(8, "y").lhs, LEAF, LEAF])
+
+
+def test_bicom_rewrites_above_its_cap_like_the_whole_family():
+    # the default system lacks g_8, but f_0 comes first in the family's order
+    tree = _f0_over_g8()
+    assert arity(tree) == 13
+    bicom, full = systems.system("Bicom"), systems.system("Bicom", max_arity=13)
+    assert not is_normal(tree, bicom)
+    assert rewrite_once(tree, bicom) == rewrite_once(tree, full)
+
+
+def test_bicom_refuses_a_normal_form_above_its_cap():
+    e = NsElement([(_f0_over_g8(), 1)])
+    assert normalize(e, systems.system("Bicom", max_arity=13))  # keeps a term
+    with pytest.raises(ValueError, match="arity 13 exceeds the arity cap 10"):
+        normalize(e, systems.system("Bicom"))
+
+
 def test_overlaps_refuse_arity_above_the_cap():
     bicom = systems.system("Bicom", max_arity=6)
     with pytest.raises(ValueError, match="max_arity 7 exceeds the arity cap 6"):
@@ -317,8 +339,106 @@ def test_engine_matches_the_reference_on_random_elements(name, terms):
 def test_engine_trips_the_step_cap_like_the_reference(terms, step_cap):
     e = _random_element(terms, ("x", "y"))
     assume(any(u != LEAF for u in e))  # every internal node loops
-    with pytest.raises(StepCapExceeded) as got:
-        normalize(e, _LOOP, step_cap)
-    with pytest.raises(StepCapExceeded) as want:
-        _reference_normalize(e, _LOOP, step_cap)
-    assert str(got.value) == str(want.value)
+    try:
+        want, _ = _reference_normalize(e, _LOOP, step_cap)
+    except StepCapExceeded as err:
+        with pytest.raises(StepCapExceeded) as got:
+            normalize(e, _LOOP, step_cap)
+        assert str(got.value) == str(err)
+    else:
+        # internal terms can cancel: -x(1,1) + y(1,1) is 0 after one step
+        assert normalize(e, _LOOP, step_cap) == want
+        assert all(u == LEAF for u in want)
+
+
+# --- the matching automaton -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["Flex", "Bicom"])
+def test_is_normal_keeps_exactly_the_grammar_normal_forms(name):
+    sys = systems.system(name, max_arity=8)
+    kept = {tree for tree in free_trees(8, ("x", "y")) if is_normal(tree, sys)}
+    assert kept == set(systems.normal_forms(name, 8))
+
+
+def _lhs_subpatterns(sys):
+    out = set()
+
+    def collect(p):
+        if p != LEAF:
+            out.add(p)
+            collect(p[1])
+            collect(p[2])
+
+    for r in sys.rules:
+        collect(r.lhs)
+    return out
+
+
+def _eager_closure(sys, ops):
+    """Every set of lhs subpatterns matched at the root of some tree."""
+    patterns = _lhs_subpatterns(sys)
+    states = {frozenset()}
+    while True:
+        new = {frozenset(p for p in patterns if p[0] == op
+                         and (p[1] == LEAF or p[1] in a)
+                         and (p[2] == LEAF or p[2] in b))
+               for op in ops for a in states for b in states} - states
+        if not new:
+            return states
+        states |= new
+
+
+def _state_of(tree, auto):
+    """The tree's state, read off the filled table without filling it."""
+    if tree == LEAF:
+        return 0
+    return dict.__getitem__(auto, (tree[0], _state_of(tree[1], auto),
+                                   _state_of(tree[2], auto)))
+
+
+def _feed(sys, trees):
+    """rewrite_once and is_normal on every tree; a truncated system may
+    refuse only trees above its cap."""
+    for tree in trees:
+        for call in (rewrite_once, is_normal):
+            try:
+                call(tree, sys)
+            except ValueError:
+                assert arity(tree) > sys.arity_cap
+
+
+_CLOSURE_SYSTEMS = {
+    "Zin": (systems.system("Zin"), ("x", "y"), 6),
+    "Flex": (systems.system("Flex"), ("x", "y"), 6),
+    "AntiFlex": (systems.system("AntiFlex"), ("x", "y"), 6),
+    "L": (systems.system("L"), ("z", "t"), 3),
+    "Bicom": (systems.system("Bicom", max_arity=6), ("x", "y"), 41),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_SYSTEMS))
+def test_automaton_table_stays_inside_the_eager_closure(name):
+    cached, ops, size = _CLOSURE_SYSTEMS[name]
+    sys = RewriteSystem(cached.name, cached.rules, cached.arity_cap)  # fresh table
+    closure = _eager_closure(sys, ops)
+    assert len(closure) == size
+    trees = [tree for n in range(1, 8) for tree in free_trees(n, ops)]
+    _feed(sys, trees)
+    auto = sys.automaton
+    assert set(auto.states.values()) <= closure
+    assert {auto.states[s] for s in auto.values()} <= closure
+    patterns = _lhs_subpatterns(sys)
+    for tree in trees:  # each state is what matches at the tree's root
+        s = _state_of(tree, auto)
+        assert auto.states[s] == {p for p in patterns if match_at(
+            tree, RewriteRule("p", p, ()), ()) is not None}
+        mask = sum(1 << i for i, r in enumerate(sys.rules)
+                   if match_at(tree, r, ()) is not None)
+        assert auto.masks.get(s, 0) == mask and (s < 0) == (mask != 0)
+    filled = dict(auto)
+    _feed(sys, trees)
+    assert auto == filled
+    # a label that no lhs carries acts like a leaf and is never stored
+    _feed(sys, [tree for n in range(1, 6) for tree in free_trees(n, ops + ("w",))])
+    assert auto == filled
