@@ -4,11 +4,12 @@ Submodules:
   exactlin   the sparse exact eliminator and the RREF, spans, intersections
              and null spaces built on it
   arity3     free arity-3 module, S3 action, operad catalog
-  manin      white product with As and the nonsymmetric-version criterion
+  manin      the nonsymmetric versions, the white product with As (their
+             S3-closure) and the nonsymmetric-version criterion
   treeterm   planar trees: grafting, the one grammar enumerator, rewriting,
              overlaps, confluence certification
   systems    the Zin / Bicom / Flex / AntiFlex / L systems, their grammars
-             and counts
+             and counts, and the nonsymmetric versions as planar relations
   oracle     brute-force dimension computation (trust anchor)
   bijections normal forms vs binary trees, lattice words, L-trees
   cli        batch command-line front end

@@ -243,6 +243,8 @@ _TERM = re.compile(r"([+-])\s*(\d+(?:/\d+)?)\*")
 
 def parse_element(text: str, opspace: OpSpace) -> Arity3Element:
     text = text.strip()
+    if not text:
+        raise ValueError("empty element")
     if text == "0":
         return Arity3Element(opspace)
     if text[0] not in "+-":
@@ -348,7 +350,7 @@ CATALOG_NAMES = ("As", "Nov", "Zin", "Bicom", "Alt", "Flex", "AntiFlex",
 def catalog(name: str) -> OperadPresentation:
     if name in _CATALOG:
         return _CATALOG[name]
-    if name.startswith("Nc"):
-        from . import systems  # two-operation presentations live there
-        return systems.nc_presentation(name)
+    if name.startswith("Nc") and name[2:] in _CATALOG:
+        from .manin import nonsymmetric_version  # manin imports this module
+        return nonsymmetric_version(_CATALOG[name[2:]])
     raise KeyError(f"unknown operad {name!r}")

@@ -1,11 +1,14 @@
 """White product with the associative operad and the nonsymmetric criterion.
 
-white_product_as maps the 48-dimensional free arity-3 module over the two
-split operations "<" and ">" into As(3) (x) P(3) and takes the kernel: the
-split operations come from  a < b = ab (x) (a.b)  and  a > b = ab (x) (b.a),
-so the As coordinate of a monomial is its leaf word in planar order and the
-Var coordinate is obtained by recursively swapping the arguments of every
-">" node.
+The split operations come from  a < b = ab (x) (a.b)  and  a > b = ab (x) (b.a),
+so a monomial m over "<" and ">" maps to w(m) (x) var(m) in As(3) (x) P(3):
+w(m) is its leaf word in planar order, and var(m) is the Var monomial
+obtained by recursively swapping the arguments of every ">" node.
+
+nonsymmetric_version takes the kernel of this map on the planar block, the
+8 monomials whose leaves are 1, 2, 3 in order.  white_product_as is the
+S3-closure of that kernel; the map is S3-equivariant and splits by leaf
+word, so this is the whole kernel (its docstring gives the argument).
 
 The criterion compares R with the S3-closure F of the part of R lying in
 the "two-outside" cosets: monomials whose lone argument is x1 or x3.
@@ -16,15 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
 
-from .arity3 import (DOUBLE, SINGLE, Arity3Element, Monomial3,
-                     OperadPresentation, OpSpace, basis3, format_element,
-                     from_vector, monomial_of_tree, s3_closure, to_vector)
+from .arity3 import (DOUBLE, SINGLE, Arity3Element, OperadPresentation,
+                     OpSpace, basis3, format_element, from_vector,
+                     monomial_of_tree, s3_closure)
 from .exactlin import Subspace, intersect, nullspace, span
-
-AS3_WORDS = sorted(permutations((1, 2, 3)))  # basis of As(3): x_a x_b x_c
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,6 @@ class CriterionReport:
         }, indent=2)
 
 
-def _leaf_word(t) -> tuple[int, ...]:
-    if isinstance(t, int):
-        return (t,)
-    return _leaf_word(t[1]) + _leaf_word(t[2])
-
-
 def _to_single_op(t, swap_op: str):
     """Rewrite a two-op monomial tree over <,> to a single-op tree; the
     arguments of every swap_op node are exchanged."""
@@ -65,44 +58,43 @@ def _to_single_op(t, swap_op: str):
     return ("*", l, r)
 
 
-@lru_cache(maxsize=None)
-def _split_images() -> tuple[tuple[tuple[Fraction, ...], ...],
-                             tuple[tuple[int, int], ...]]:
-    """The distinct Var monomials of basis3(DOUBLE) as vectors over
-    basis3(SINGLE), and for each two-operation monomial the index of its
-    leaf word in AS3_WORDS and the index of its Var monomial."""
+def nonsymmetric_version(p: OperadPresentation) -> OperadPresentation:
+    """The nonsymmetric version Nc P over the split pair of operations <, >.
+
+    Its relations are the kernel of m -> var(m) mod R on the planar block:
+    the 8 two-operation monomials whose leaves are 1, 2, 3 in order.
+    """
+    if p.opspace.ops != SINGLE.ops:
+        raise ValueError("expected a presentation over a single paired operation")
+    R = p.relation_space()
     v_basis = basis3(SINGLE)
-    word_index = {w: i for i, w in enumerate(AS3_WORDS)}
-    var_index: dict[Monomial3, int] = {}
-    parts = []
-    for m in basis3(DOUBLE):
-        t = m.tree()
-        var = monomial_of_tree(_to_single_op(t, ">"))
-        parts.append((word_index[_leaf_word(t)],
-                      var_index.setdefault(var, len(var_index))))
-    vectors = tuple(
-        to_vector(Arity3Element(SINGLE, [(var, Fraction(1))]), v_basis)
-        for var in var_index)
-    return vectors, tuple(parts)
+    planar = [m for m in basis3(DOUBLE) if m.leaves == (1, 2, 3)]
+    images = []
+    for m in planar:
+        var = monomial_of_tree(_to_single_op(m.tree(), ">"))
+        images.append(R.reduce([int(b == var) for b in v_basis]))
+    # kernel of v -> sum_m v_m * image(m): null space of the transpose
+    ker = nullspace(list(zip(*images)), len(planar))
+    rels = tuple(from_vector(r, planar, DOUBLE) for r in ker.basis)
+    return OperadPresentation(f"Nc{p.name}", DOUBLE, rels)
 
 
 def white_product_as(p: OperadPresentation) -> OperadPresentation:
-    """The presentation of As o P over the split pair of operations <, >."""
-    if p.opspace.ops != SINGLE.ops:
-        raise ValueError("white_product_as expects a single paired operation")
-    R = p.relation_space()
-    nv = R.ambient_dim
-    vectors, parts = _split_images()
-    reduced = [R.reduce(v) for v in vectors]  # each Var image in P(3), once
-    rows = []
-    for w, j in parts:
-        row = [Fraction(0)] * (len(AS3_WORDS) * nv)
-        row[w * nv:(w + 1) * nv] = reduced[j]
-        rows.append(row)
-    # kernel of v -> sum_m v_m * image(m): null space of the transpose
-    ker = nullspace(list(zip(*rows)), len(parts))
+    """The presentation of As o P over the split pair of operations <, >.
+
+    As o P(3) is the kernel of m -> w(m) (x) var(m) on all 48 two-operation
+    monomials.  The six leaf words are a basis of As(3), so the kernel is
+    the direct sum, over the words w, of the kernels on the blocks of
+    monomials with leaf word w.  The map is S3-equivariant, and a
+    permutation sigma carries the planar block (word 123) onto the block of
+    the word sigma(1)sigma(2)sigma(3); so the kernel on that block is sigma
+    applied to the planar kernel, and As o P(3) is the S3-closure of the
+    relations of nonsymmetric_version(p).  The relations returned are the
+    canonical RREF basis of that closure.
+    """
+    closure = nonsymmetric_version(p).relation_space()
     w_basis = basis3(DOUBLE)
-    rels = tuple(from_vector(r, w_basis, DOUBLE) for r in ker.basis)
+    rels = tuple(from_vector(r, w_basis, DOUBLE) for r in closure.basis)
     return OperadPresentation(f"As.{p.name}", DOUBLE, rels)
 
 

@@ -68,7 +68,7 @@ def _compositions3(m: int):
 def consequences(rels: Iterable[NsElement], n: int,
                  ops: tuple[str, ...] = ("x", "y")) -> list[dict[int, int]]:
     """Sparse int vectors spanning the degree-n component of the ideal,
-    stably sorted by descending leading column."""
+    sorted by descending leading column, sparsest first among equals."""
     if n < 3:
         raise ValueError("relations live in arity 3")
     index = {t: i for i, t in enumerate(free_trees(n, ops))}
@@ -98,7 +98,11 @@ def consequences(rels: Iterable[NsElement], n: int,
                         row = {j: c for j, c in row.items() if c}
                         if row:
                             out.append(row)
-    # largest leading column first: the same span, far less fill-in
+    # largest leading column first: the same span, far less fill-in; among
+    # equal leading columns the sparsest first (the second sort is stable),
+    # so that the fill-in does not depend on the order or the basis of the
+    # relations
+    out.sort(key=len)
     out.sort(key=min, reverse=True)
     return out
 
@@ -115,6 +119,8 @@ def bruteforce_dim(rels: Iterable[NsElement], n: int,
                    ops: tuple[str, ...] = ("x", "y"),
                    cap: int | None = None) -> int:
     """dim of the arity-n component of the quotient by the ideal of rels."""
+    if n < 1:
+        raise ValueError("arity must be at least 1")
     cap = oracle_cap() if cap is None else cap
     if n > cap:
         raise ValueError(f"arity {n} exceeds the oracle cap {cap}")

@@ -3,9 +3,10 @@
 Systems: "Zin", "Bicom" (an infinite rule family, instantiated up to an
 arity cap), "Flex", "AntiFlex" and the auxiliary "L" system over operations
 z, t.  For each system the module provides the normal-form grammar (a
-treeterm.Grammar, enumerated by treeterm.generate), closed dimension
-formulas and the arity-3 presentation over the two operations "<" and ">"
-(with the tree labels x = "<" and y = ">").
+treeterm.Grammar, enumerated by treeterm.generate) and closed dimension
+formulas.  It holds no arity-3 presentation: nc_relations reads the
+nonsymmetric versions from the catalog, where manin derives them, and
+writes them as planar trees (tree labels x = "<" and y = ">").
 
 The second AntiFlex rule is not written down anywhere; it is derived
 mechanically from the self-overlap of the first rule (the same computation
@@ -19,11 +20,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arity3 import (DOUBLE, Arity3Element, Monomial3, OperadPresentation,
-                     monomial_of_tree)
+from .arity3 import catalog
 from .treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem, Tree,
-                       arity, check_confluence, generate, graft, parse_tree,
-                       rule)
+                       check_confluence, generate, parse_tree, rule)
 
 SYSTEM_NAMES = ("Zin", "Bicom", "Flex", "AntiFlex", "L")
 
@@ -156,45 +155,22 @@ def ternary_pair_count(n: int) -> int:
     return sum(T(i) * T(n - 1 - i) for i in range(n))
 
 
-# --- arity-3 presentations over {<, >} ------------------------------------
+# --- the nonsymmetric versions as planar relations ------------------------
 
-_TREE_OP = {"x": "<", "y": ">"}
-
-
-def tree_to_monomial(t: Tree) -> Monomial3:
-    """An arity-3 tree over x,y as a canonical monomial with leaves 1,2,3."""
-    if t == LEAF or arity(t) != 3:
-        raise ValueError("expected an arity-3 tree")
-    m = monomial_of_tree(graft(t, [1, 2, 3]))
-    for op in (m.inner, m.outer):
-        if op not in _TREE_OP:
-            raise ValueError(f"expected node labels x or y, got {op!r}")
-    return m._replace(inner=_TREE_OP[m.inner], outer=_TREE_OP[m.outer])
-
-
-def _ns_to_arity3(e: NsElement) -> Arity3Element:
-    return Arity3Element(DOUBLE, [(tree_to_monomial(t), c) for t, c in e.items()])
-
-
-def _el(terms: list[tuple[int, str]]) -> NsElement:
-    return NsElement((parse_tree(t), Fraction(c)) for c, t in terms)
+_TREE_LABEL = {"<": "x", ">": "y"}
 
 
 def nc_relations(name: str) -> list[NsElement]:
-    """Defining arity-3 relations as planar tree elements (x = <, y = >)."""
-    if name == "NcNov":
-        return [
-            _el([(1, "y(1,x(1,1))"), (-1, "x(y(1,1),1)")]),
-            _el([(1, "y(x(1,1),1)"), (-1, "y(1,y(1,1))"),
-                 (-1, "x(1,y(1,1))"), (1, "x(x(1,1),1)")]),
-        ]
-    sysname = {"NcZin": "Zin", "NcBicom": "Bicom",
-               "NcFlex": "Flex", "NcAntiFlex": "AntiFlex"}.get(name)
-    if sysname is None:
+    """The relations of catalog(name), a nonsymmetric version such as
+    "NcZin", as planar tree elements (x = <, y = >)."""
+    if not name.startswith("Nc"):
         raise KeyError(f"unknown nonsymmetric presentation {name!r}")
-    return [r.as_element() for r in system(sysname).rules if r.arity == 3]
-
-
-def nc_presentation(name: str) -> OperadPresentation:
-    rels = tuple(_ns_to_arity3(e) for e in nc_relations(name))
-    return OperadPresentation(name, DOUBLE, rels)
+    out = []
+    for rel in catalog(name).relations:
+        e = NsElement()
+        for m, c in rel.terms.items():
+            inner = (_TREE_LABEL[m.inner], LEAF, LEAF)
+            outer = _TREE_LABEL[m.outer]
+            e.add((outer, inner, LEAF) if m.shape == "L" else (outer, LEAF, inner), c)
+        out.append(e)
+    return out

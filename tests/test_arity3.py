@@ -28,6 +28,12 @@ def test_element_text_roundtrip():
     assert parse_element(format_element(e), SINGLE).terms == e.terms
 
 
+@pytest.mark.parametrize("text", ["", "   "])
+def test_empty_element_is_refused(text):
+    with pytest.raises(ValueError, match="empty"):
+        parse_element(text, SINGLE)
+
+
 def test_left_comb_outside_leaf():
     m = parse_monomial("(x1*x2)*x3", SINGLE)
     assert m.shape == "L" and m.outside_leaf == 3
@@ -97,8 +103,9 @@ def test_catalog_nonsymmetric_presentations():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
-        catalog("Nope")
+    for name in ("Nope", "NcNope", "NcNcZin"):
+        with pytest.raises(KeyError):
+            catalog(name)
 
 
 def test_relation_space_is_s3_stable():

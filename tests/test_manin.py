@@ -1,15 +1,71 @@
 """White product with As, symmetrized quotient, and the admissibility test."""
 
 import json
+import random
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from operad_forge.arity3 import (DOUBLE, catalog, parse_element, s3_closure,
-                                 quotient_dim3)
-from operad_forge.exactlin import intersect, span
+from operad_forge.arity3 import (CATALOG_NAMES, DOUBLE, SINGLE, Arity3Element,
+                                 OperadPresentation, basis3, catalog,
+                                 from_vector, monomial_of_tree, parse_element,
+                                 s3_closure, quotient_dim3, to_vector)
+from operad_forge.exactlin import intersect, nullspace, span
 from operad_forge.manin import (admits_nonsymmetric, compute_F,
-                                symmetrize_quotient, two_outside_subspace,
-                                white_product_as)
+                                nonsymmetric_version, symmetrize_quotient,
+                                two_outside_subspace, white_product_as)
+
+SINGLE_OPERATION = [catalog(n) for n in ("Free",) + tuple(
+    n for n in CATALOG_NAMES if not n.startswith("Nc"))]
+
+
+def _random_operads(count: int, seed: int = 8) -> list[OperadPresentation]:
+    """Seeded random single-operation operads: every other one has its
+    relations inside the two-outside cosets, the rest anywhere."""
+    rng = random.Random(seed)
+    basis = basis3(SINGLE)
+    two_outside = [m for m in basis if m.outside_leaf != 2]
+    out = []
+    for i in range(count):
+        pool = two_outside if i % 2 == 0 else basis
+        rels = tuple(
+            Arity3Element(SINGLE, [(m, Fraction(rng.choice((-2, -1, 1, 2))))
+                                   for m in rng.sample(pool, rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 3)))
+        out.append(OperadPresentation(f"R{i}", SINGLE, rels))
+    return out
+
+
+def _swap_greater(t):
+    if isinstance(t, int):
+        return t
+    op, l, r = t
+    l, r = _swap_greater(l), _swap_greater(r)
+    return ("*", r, l) if op == ">" else ("*", l, r)
+
+
+def _leaf_word(t):
+    return (t,) if isinstance(t, int) else _leaf_word(t[1]) + _leaf_word(t[2])
+
+
+def _white_product_reference(p: OperadPresentation):
+    """The former construction: the kernel of all 48 two-operation monomials
+    m -> w(m) (x) var(m) into As(3) (x) P(3), from the dense transpose."""
+    words = sorted(permutations((1, 2, 3)))
+    R = p.relation_space()
+    nv = R.ambient_dim
+    v_basis, w_basis = basis3(SINGLE), basis3(DOUBLE)
+    rows = []
+    for m in w_basis:
+        t = m.tree()
+        var = Arity3Element(SINGLE, [(monomial_of_tree(_swap_greater(t)), 1)])
+        w = words.index(_leaf_word(t))
+        row = [Fraction(0)] * (len(words) * nv)
+        row[w * nv:(w + 1) * nv] = R.reduce(to_vector(var, v_basis))
+        rows.append(row)
+    ker = nullspace(list(zip(*rows)), len(w_basis))
+    return tuple(from_vector(r, w_basis, DOUBLE) for r in ker.basis)
 
 
 def closure(texts):
@@ -110,3 +166,36 @@ def test_leibniz_internals():
     inter = intersect(leib.relation_space(), two_outside_subspace(SINGLE))
     assert inter.dim == 2
     assert inter == span([vecs[0], vecs[2]], 12)
+
+
+def test_white_product_equals_the_former_construction():
+    operads = SINGLE_OPERATION + _random_operads(120)
+    assert len(SINGLE_OPERATION) == 11
+    for p in operads:
+        assert white_product_as(p).relations == _white_product_reference(p), p.name
+
+
+def test_nonsymmetric_version_lives_on_the_planar_block():
+    for p in SINGLE_OPERATION:
+        nc = nonsymmetric_version(p)
+        assert nc.name == "Nc" + p.name and nc.opspace == DOUBLE
+        assert all(m.leaves == (1, 2, 3) for r in nc.relations for m in r.terms)
+        # its S3-closure is the white product, none of whose relations is lost
+        assert nc.relation_space() == white_product_as(p).relation_space()
+    # the 8 planar monomials have 8 distinct Var monomials as images
+    assert nonsymmetric_version(catalog("Free")).relations == ()
+    with pytest.raises(ValueError, match="single paired operation"):
+        nonsymmetric_version(catalog("NcZin"))
+
+
+def test_criterion_agrees_with_the_symmetrized_white_product():
+    """Observed, not quoted: the repository holds only the paper's abstract.
+    An operad admits a nonsymmetric version exactly when identifying a > b
+    with b < a in As o P gives back R."""
+    seen = set()
+    for p in SINGLE_OPERATION + _random_operads(200):
+        admits = admits_nonsymmetric(p).admits
+        sym = symmetrize_quotient(white_product_as(p))
+        assert admits == (sym.relation_space() == p.relation_space()), p.name
+        seen.add(admits)
+    assert seen == {True, False}

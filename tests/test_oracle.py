@@ -8,6 +8,7 @@ from operad_forge import oracle, systems
 from operad_forge.oracle import (SparseEliminator, bruteforce_dim, catalan,
                                  consequences, free_dim, free_trees,
                                  ideal_rank)
+from operad_forge.treeterm import NsElement
 
 
 def test_catalan():
@@ -97,9 +98,27 @@ def test_rows_come_by_descending_leading_column():
     assert elim.nonzeros <= 20_000
 
 
+@pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 19_485),
+                                                ("NcNov", 7524, 22_349)])
+def test_fill_in_does_not_depend_on_the_relations_order(name, rank, nonzeros):
+    rels = [NsElement((t, -c) for t, c in r.items())
+            for r in reversed(systems.nc_relations(name))]
+    elim = SparseEliminator()
+    for row in consequences(rels, 7):
+        elim.add(row)
+    assert elim.rank == rank
+    assert elim.nonzeros == nonzeros
+
+
 def test_low_arity_is_free():
     assert bruteforce_dim([], 1) == 1
     assert bruteforce_dim([], 2) == 2
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_arity_below_one_is_refused(n):
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        bruteforce_dim([], n)
 
 
 def test_cap_enforced():

@@ -5,8 +5,10 @@ from math import comb
 import pytest
 
 from operad_forge import systems
-from operad_forge.treeterm import (arity, format_element, format_tree,
-                                   is_normal, parse_tree)
+from operad_forge.exactlin import span
+from operad_forge.oracle import free_trees
+from operad_forge.treeterm import (NsElement, arity, format_element,
+                                   format_tree, is_normal, parse_tree)
 
 ZIN_DIMS = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 BICOM_DIMS = [1, 2, 6, 20, 70, 252, 924, 3432, 12870, 48620]
@@ -93,7 +95,6 @@ def test_closed_formulas():
 @pytest.mark.parametrize("name", ["Zin", "Bicom", "Flex", "AntiFlex", "L"])
 def test_grammar_agrees_with_divisor_free_filter(name):
     """The grammar enumerates exactly the trees with no rule divisor."""
-    from operad_forge.oracle import free_trees
     ops = ("z", "t") if name == "L" else ("x", "y")
     for n in range(1, 7):
         sys_ = systems.system(name, max_arity=max(n, 3))
@@ -114,21 +115,6 @@ def test_ternary_pair_count_convolution():
         assert systems.ternary_pair_count(n) == systems.dim_formula("Flex", n)
 
 
-def test_tree_to_monomial_is_injective_in_arity_3():
-    from operad_forge.oracle import free_trees
-    monos = {systems.tree_to_monomial(t) for t in free_trees(3)}
-    assert len(monos) == 8
-    assert all(m.leaves == (1, 2, 3) for m in monos)
-    with pytest.raises(ValueError):
-        systems.tree_to_monomial(parse_tree("x(1,1)"))
-
-
-def test_tree_to_monomial_names_the_labels_it_expects():
-    # the L system's z/t labels are not the x/y of the arity-3 presentations
-    with pytest.raises(ValueError, match="x or y.*'t'"):
-        systems.tree_to_monomial(("z", ("t", 1, 1), 1))
-
-
 def test_nc_relations_shape():
     for name, count in (("NcNov", 2), ("NcZin", 3), ("NcBicom", 2),
                         ("NcFlex", 1), ("NcAntiFlex", 1)):
@@ -142,3 +128,30 @@ def test_nc_flex_relation_is_the_flexible_law():
     (r,) = systems.nc_relations("NcFlex")
     assert format_element(r) == ("-1*x(1,x(1,1))+1*x(x(1,1),1)"
                                  "+1*y(1,y(1,1))-1*y(y(1,1),1)")
+
+
+def _arity3_span(rels):
+    """The span of arity-3 tree elements over the 8 free trees, as an RREF."""
+    trees = free_trees(3)
+    return span([[r.get(t, 0) for t in trees] for r in rels], len(trees))
+
+
+@pytest.mark.parametrize("name", ["Zin", "Bicom", "Flex", "AntiFlex"])
+def test_arity3_rules_present_the_nonsymmetric_version(name):
+    rules = [r.as_element() for r in systems.system(name).rules if r.arity == 3]
+    assert _arity3_span(rules) == _arity3_span(systems.nc_relations("Nc" + name))
+
+
+def test_former_nc_nov_relations_span_the_derived_ones():
+    def el(*terms):
+        return NsElement((parse_tree(t), c) for c, t in terms)
+    former = [el((1, "y(1,x(1,1))"), (-1, "x(y(1,1),1)")),
+              el((1, "y(x(1,1),1)"), (-1, "y(1,y(1,1))"),
+                 (-1, "x(1,y(1,1))"), (1, "x(x(1,1),1)"))]
+    assert _arity3_span(former) == _arity3_span(systems.nc_relations("NcNov"))
+
+
+@pytest.mark.parametrize("name", ["Zin", "NcL", "NcNope"])
+def test_nc_relations_unknown_name(name):
+    with pytest.raises(KeyError):
+        systems.nc_relations(name)
