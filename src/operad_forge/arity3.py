@@ -7,6 +7,14 @@ a left comb (x_a . x_b) . x_c or a right comb x_a . (x_b . x_c), with leaves
 a permutation of (1,2,3) and an operation at each internal node.  The
 symmetric group S3 acts by relabelling leaves.
 
+Basis monomials are canonical under the +/-symmetric identifications
+(canonicalize), so sigma maps each basis monomial to a signed basis
+monomial: sigma.basis[i] = +/-basis[j].  The action is tabulated once per
+OpSpace as this signed permutation of basis indices (_s3_table, built from
+canonicalize, which alone fixes the signs of +/-symmetric operations).
+act applies it to an element, and s3_closure to sparse index rows that go
+straight to exactlin.span.
+
 Convention (normative): the tensor g (x) h of two basis operations denotes
 the monomial g(h(x1,x2), x3), and permutations act by substituting
 x_i -> x_sigma(i).  With e1 = x1.x2 and e2 = x2.x1 this gives
@@ -18,8 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactlin import Subspace, span
 
@@ -28,6 +37,9 @@ SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 
 _SYM_SIGN = {SYMMETRIC: 1, ANTISYMMETRIC: -1}
+
+S3 = [tuple(p) for p in permutations((1, 2, 3))]
+_LEAF_ORDERS = frozenset(S3)
 
 
 @dataclass(frozen=True)
@@ -122,12 +134,19 @@ class Arity3Element:
         self.opspace = opspace
         acc: dict[Monomial3, Fraction] = {}
         for m, coeff in terms:
+            if m.shape not in ("L", "R") or tuple(m.leaves) not in _LEAF_ORDERS:
+                raise ValueError(f"not an arity-3 monomial (shape L or R, leaves "
+                                 f"a permutation of 1, 2, 3): {m}")
             if m.inner not in opspace.ops or m.outer not in opspace.ops:
                 raise ValueError(f"monomial uses unknown operation: {m}")
             cm, sign = canonicalize(m, opspace)
-            coeff = Fraction(coeff) * sign
-            acc[cm] = acc.get(cm, Fraction(0)) + coeff
-        self.terms = {m: c for m, c in acc.items() if c != 0}
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
+            if sign < 0:
+                coeff = -coeff
+            old = acc.get(cm)
+            acc[cm] = coeff if old is None else old + coeff
+        self.terms = {m: c for m, c in acc.items() if c}
 
     def __add__(self, other: "Arity3Element") -> "Arity3Element":
         return Arity3Element(self.opspace,
@@ -152,8 +171,10 @@ class Arity3Element:
         return not self.terms
 
 
-def basis3(v: OpSpace) -> list[Monomial3]:
-    """Deterministic basis of the free arity-3 module: 3*(dim V)^2 monomials."""
+@lru_cache(maxsize=None)
+def basis3(v: OpSpace) -> tuple[Monomial3, ...]:
+    """Deterministic basis of the free arity-3 module: 3*(dim V)^2 canonical
+    monomials."""
     out = []
     seen = set()
     for shape in ("L", "R"):
@@ -166,10 +187,32 @@ def basis3(v: OpSpace) -> list[Monomial3]:
                         seen.add(cm)
                         out.append(cm)
     assert len(out) == 3 * v.dim ** 2
-    return out
+    return tuple(out)
 
 
-def to_vector(e: Arity3Element, basis: list[Monomial3]) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _index(v: OpSpace) -> dict[Monomial3, int]:
+    """The position of each monomial in basis3(v)."""
+    return {m: i for i, m in enumerate(basis3(v))}
+
+
+def _relabel(sigma: tuple[int, int, int], m: Monomial3) -> Monomial3:
+    return Monomial3(m.shape, tuple(sigma[l - 1] for l in m.leaves), m.inner, m.outer)
+
+
+@lru_cache(maxsize=None)
+def _s3_table(v: OpSpace) -> dict[tuple[int, int, int], tuple[tuple[int, int], ...]]:
+    """For each sigma in S3 (in S3's order), the pair (j, sign) at each basis
+    index i, with sigma.basis3(v)[i] = sign * basis3(v)[j]."""
+    index = _index(v)
+    table = {}
+    for sigma in S3:
+        images = (canonicalize(_relabel(sigma, m), v) for m in basis3(v))
+        table[sigma] = tuple((index[cm], sign) for cm, sign in images)
+    return table
+
+
+def to_vector(e: Arity3Element, basis: Sequence[Monomial3]) -> tuple[Fraction, ...]:
     index = {m: i for i, m in enumerate(basis)}
     row = [Fraction(0)] * len(basis)
     for m, c in e.terms.items():
@@ -177,26 +220,40 @@ def to_vector(e: Arity3Element, basis: list[Monomial3]) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
-def from_vector(row, basis: list[Monomial3], opspace: OpSpace) -> Arity3Element:
-    return Arity3Element(opspace, [(m, Fraction(c)) for m, c in zip(basis, row) if c != 0])
+def from_vector(row, basis: Sequence[Monomial3], opspace: OpSpace) -> Arity3Element:
+    return Arity3Element(opspace, [(m, c) for m, c in zip(basis, row) if c])
 
 
 def act(sigma: tuple[int, int, int], e: Arity3Element) -> Arity3Element:
     """Substitute x_i -> x_sigma(i); sigma[i-1] is the image of i."""
+    perm = _s3_table(e.opspace).get(tuple(sigma))
+    if perm is None:
+        raise ValueError(f"{sigma!r} is not a permutation of (1, 2, 3)")
+    basis, index = basis3(e.opspace), _index(e.opspace)
     terms = []
     for m, c in e.terms.items():
-        leaves = tuple(sigma[l - 1] for l in m.leaves)
-        terms.append((Monomial3(m.shape, leaves, m.inner, m.outer), c))
+        j, sign = perm[index[m]]
+        terms.append((basis[j], c if sign > 0 else -c))
     return Arity3Element(e.opspace, terms)
 
 
-S3 = [tuple(p) for p in permutations((1, 2, 3))]
-
-
 def s3_closure(gens: Iterable[Arity3Element], v: OpSpace) -> Subspace:
-    basis = basis3(v)
-    vecs = [to_vector(act(sigma, g), basis) for g in gens for sigma in S3]
-    return span(vecs, len(basis))
+    """The span of sigma.g over sigma in S3 and g in gens, as sparse index rows
+    permuted by _s3_table(v)."""
+    index, table = _index(v), _s3_table(v)
+    rows = []
+    for g in gens:
+        if g.opspace != v:
+            raise ValueError(f"generator over operations {g.opspace.ops} "
+                             f"{g.opspace.sym} in an S3-closure over {v.ops} {v.sym}")
+        terms = [(index[m], c) for m, c in g.terms.items()]
+        for perm in table.values():
+            row = {}
+            for i, c in terms:
+                j, sign = perm[i]
+                row[j] = c if sign > 0 else -c
+            rows.append(row)
+    return span(rows, len(index))
 
 
 @dataclass(frozen=True)
@@ -229,9 +286,8 @@ def format_monomial(m: Monomial3) -> str:
 def format_element(e: Arity3Element) -> str:
     if not e.terms:
         return "0"
-    order = {m: i for i, m in enumerate(basis3(e.opspace))}
     parts = []
-    for m in sorted(e.terms, key=order.__getitem__):
+    for m in sorted(e.terms, key=_index(e.opspace).__getitem__):
         c = e.terms[m]
         sign = "+" if c > 0 else "-"
         parts.append(f"{sign}{abs(c)}*{format_monomial(m)}")
@@ -273,12 +329,16 @@ def parse_monomial(text: str, opspace: OpSpace) -> Monomial3:
     left = re.fullmatch(rf"\(x([123])({ops})x([123])\)({ops})x([123])", text)
     if left:
         a, i, b, o, c = left.groups()
-        return Monomial3("L", (int(a), int(b), int(c)), i, o)
-    right = re.fullmatch(rf"x([123])({ops})\(x([123])({ops})x([123])\)", text)
-    if right:
+        shape = "L"
+    else:
+        right = re.fullmatch(rf"x([123])({ops})\(x([123])({ops})x([123])\)", text)
+        if not right:
+            raise ValueError(f"bad monomial {text!r}")
         a, o, b, i, c = right.groups()
-        return Monomial3("R", (int(a), int(b), int(c)), i, o)
-    raise ValueError(f"bad monomial {text!r}")
+        shape = "R"
+    if len({a, b, c}) != 3:
+        raise ValueError(f"repeated leaf in monomial {text!r}")
+    return Monomial3(shape, (int(a), int(b), int(c)), i, o)
 
 
 # --- catalog ---------------------------------------------------------------

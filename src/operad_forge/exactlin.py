@@ -8,10 +8,12 @@ column with a gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968),
 so no Fraction is built while rows are reduced; only rref() goes back to
 the rationals, for the canonical reduced row-echelon form.  The brute-force
 oracle feeds the eliminator directly, and rref, span, intersect and
-nullspace run on it through dense tuples of Fraction.  A Subspace is stored
-as its reduced row-echelon basis, so two subspaces are equal iff their
-canonical bases are equal as sequences.  Subspaces are immutable and the
-functions are pure.
+nullspace run on it.  rref and span take each row either dense, a sequence
+of ints or Fractions, or sparse, a Mapping column -> entry such as
+arity3.s3_closure builds; they return dense tuples of Fraction.  A Subspace
+is stored as its reduced row-echelon basis, so two subspaces are equal iff
+their canonical bases are equal as sequences.  Subspaces are immutable and
+the functions are pure.
 """
 
 from __future__ import annotations
@@ -131,9 +133,18 @@ class SparseEliminator:
         return out
 
 
-def _sparse(v: Sequence) -> dict:
-    """The nonzero entries of v; ints and Fractions are kept as they are,
-    anything else goes through Fraction as in vec()."""
+def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
+    """The nonzero entries of a row of width ncols.  A Mapping (column ->
+    int or Fraction) is taken as it is, once its columns are checked to lie
+    in range(ncols).  In a dense row, ints and Fractions are kept as they
+    are and anything else goes through Fraction as in vec()."""
+    if isinstance(v, Mapping):
+        cols = range(ncols)
+        if not all(j in cols for j in v):
+            raise ValueError(f"sparse row has a column outside range({ncols})")
+        return v
+    if len(v) != ncols:
+        raise ValueError("ambient dimension mismatch")
     return {j: x if isinstance(x, (int, Fraction)) else Fraction(x)
             for j, x in enumerate(v) if x}
 
@@ -145,14 +156,13 @@ def _dense(row: SparseRow, ncols: int) -> Vector:
     return tuple(out)
 
 
-def rref(rows: Iterable[Sequence], ncols: int) -> list[Vector]:
-    """Reduced row-echelon form of dense rows of ints or Fractions; zero rows
-    are dropped."""
+def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[Vector]:
+    """Reduced row-echelon form of rows of ints or Fractions, each dense (a
+    sequence of length ncols) or sparse (a Mapping column -> entry); zero
+    rows are dropped."""
     elim = SparseEliminator()
     for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ambient dimension mismatch")
-        elim.add(_sparse(r))
+        elim.add(_sparse(r, ncols))
     return [_dense(row, ncols) for row in elim.rref()]
 
 
@@ -196,7 +206,7 @@ def _pivot(row: Vector) -> int:
     raise ValueError("zero row has no pivot")
 
 
-def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
+def span(vectors: Iterable[Sequence | Mapping], ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, tuple(rref(vectors, ambient_dim)))
 
 
@@ -213,10 +223,10 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     elim = SparseEliminator()
     for r in a.basis:
-        row = _sparse(r)
+        row = _sparse(r, n)
         elim.add({**row, **{j + n: c for j, c in row.items()}})
     for r in b.basis:
-        elim.add(_sparse(r))
+        elim.add(_sparse(r, n))
     # the rows with pivot >= n are already reduced among themselves
     inter = [{j - n: c for j, c in row.items()} for row in elim.rref() if min(row) >= n]
     return Subspace(n, tuple(_dense(row, n) for row in inter))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arity3 import (DOUBLE, SINGLE, Arity3Element, OperadPresentation,
                      OpSpace, basis3, format_element, from_vector,
@@ -120,13 +119,8 @@ def two_outside_subspace(v: OpSpace) -> Subspace:
     argument on either side of the inner product.  Dimension 2 * (dim V)^2.
     """
     basis = basis3(v)
-    vecs = []
-    for i, m in enumerate(basis):
-        if m.outside_leaf in (1, 3):
-            row = [Fraction(0)] * len(basis)
-            row[i] = Fraction(1)
-            vecs.append(row)
-    return span(vecs, len(basis))
+    units = [{i: 1} for i, m in enumerate(basis) if m.outside_leaf in (1, 3)]
+    return span(units, len(basis))
 
 
 def _criterion(p: OperadPresentation):

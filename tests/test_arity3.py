@@ -1,15 +1,24 @@
 """Free arity-3 module, S3 action, text format, operad catalog."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from operad_forge.arity3 import (DOUBLE, SINGLE, S3, Arity3Element, Monomial3,
-                                 act, basis3, canonicalize, catalog,
-                                 format_element, format_monomial,
-                                 monomial_of_tree, parse_element,
-                                 parse_monomial, s3_closure, quotient_dim3,
-                                 to_vector)
+from operad_forge.arity3 import (ANTISYMMETRIC, DOUBLE, PAIRED, SINGLE, S3,
+                                 SYMMETRIC, Arity3Element, Monomial3,
+                                 OperadPresentation, OpSpace, act, basis3,
+                                 canonicalize, catalog, format_element,
+                                 format_monomial, monomial_of_tree,
+                                 parse_element, parse_monomial, s3_closure,
+                                 quotient_dim3, to_vector)
+from operad_forge.exactlin import span
+
+LIE = OpSpace(("b",), (ANTISYMMETRIC,))
+COM = OpSpace(("c",), (SYMMETRIC,))
+MIXED = OpSpace(("*", "b", "c"), (PAIRED, ANTISYMMETRIC, SYMMETRIC))
+SPACES = (SINGLE, DOUBLE, LIE, COM, MIXED)
 
 
 def test_basis_sizes():
@@ -116,3 +125,125 @@ def test_relation_space_is_s3_stable():
         for rel in p.relations:
             for sigma in S3:
                 assert r.contains(to_vector(act(sigma, rel), b))
+
+
+def test_basis3_is_one_cached_tuple():
+    b = basis3(DOUBLE)
+    assert isinstance(b, tuple)
+    assert basis3(DOUBLE) is b
+    assert basis3(OpSpace.paired("<", ">")) is b
+
+
+@pytest.mark.parametrize("m", [
+    Monomial3("L", (1, 1, 2), "*", "*"),
+    Monomial3("R", (1, 2, 4), "*", "*"),
+    Monomial3("Q", (1, 2, 3), "*", "*"),
+])
+def test_malformed_monomial_is_refused(m):
+    with pytest.raises(ValueError, match=re.escape(str(m))):
+        Arity3Element(SINGLE, [(m, 1)])
+
+
+def test_parse_monomial_refuses_repeated_leaves():
+    with pytest.raises(ValueError, match="repeated leaf"):
+        parse_monomial("(x1*x1)*x2", SINGLE)
+
+
+@pytest.mark.parametrize("sigma", [(1, 1, 2), (1, 2), (2, 3, 4)])
+def test_act_refuses_non_permutation(sigma):
+    e = parse_element("+1*(x1*x2)*x3", SINGLE)
+    with pytest.raises(ValueError, match="not a permutation"):
+        act(sigma, e)
+
+
+def test_s3_closure_refuses_generator_over_other_opspace():
+    e = parse_element("+1*(x1<x2)>x3", DOUBLE)
+    with pytest.raises(ValueError, match=re.escape("('<', '>')") + ".*"
+                       + re.escape("('*',)")):
+        s3_closure([e], SINGLE)
+
+
+def _m(shape, leaves, inner, outer):
+    return Monomial3(shape, leaves, inner, outer)
+
+
+def test_lie_operad():
+    # Jacobi: [[x1,x2],x3] + [[x2,x3],x1] + [[x3,x1],x2]
+    jacobi = Arity3Element(LIE, [(_m("L", (1, 2, 3), "b", "b"), 1),
+                                 (_m("L", (2, 3, 1), "b", "b"), 1),
+                                 (_m("L", (3, 1, 2), "b", "b"), 1)])
+    lie = OperadPresentation("Lie", LIE, (jacobi,))
+    assert len(basis3(LIE)) == 3
+    assert lie.relation_space().dim == 1
+    assert quotient_dim3(lie) == 2
+
+
+def test_com_operad():
+    assoc = Arity3Element(COM, [(_m("L", (1, 2, 3), "c", "c"), 1),
+                                (_m("R", (1, 2, 3), "c", "c"), -1)])
+    com = OperadPresentation("Com", COM, (assoc,))
+    assert len(basis3(COM)) == 3
+    assert com.relation_space().dim == 2
+    assert quotient_dim3(com) == 1
+
+
+def test_mixed_opspace_basis():
+    assert len(basis3(MIXED)) == 48
+
+
+# The S3 action as it was computed before it was tabulated: relabel the
+# leaves, re-canonicalize every term, close with dense rows.
+
+def _reference_act(sigma, e):
+    terms = []
+    for m, c in e.terms.items():
+        leaves = tuple(sigma[l - 1] for l in m.leaves)
+        terms.append((Monomial3(m.shape, leaves, m.inner, m.outer), c))
+    return Arity3Element(e.opspace, terms)
+
+
+def _reference_to_vector(e, basis):
+    index = {m: i for i, m in enumerate(basis)}
+    row = [Fraction(0)] * len(basis)
+    for m, c in e.terms.items():
+        row[index[m]] = c
+    return tuple(row)
+
+
+def _reference_s3_closure(gens, v):
+    basis = basis3(v)
+    vecs = [_reference_to_vector(_reference_act(sigma, g), basis)
+            for g in gens for sigma in S3]
+    return span(vecs, len(basis))
+
+
+@st.composite
+def _element(draw, v):
+    terms = draw(st.lists(st.tuples(
+        st.builds(Monomial3, st.sampled_from("LR"), st.sampled_from(S3),
+                  st.sampled_from(v.ops), st.sampled_from(v.ops)),
+        st.fractions(-3, 3, max_denominator=3)), max_size=5))
+    return Arity3Element(v, terms)
+
+
+@st.composite
+def _space_and_elements(draw):
+    v = draw(st.sampled_from(SPACES))
+    return v, draw(st.lists(_element(v), max_size=3))
+
+
+@given(_space_and_elements())
+@settings(max_examples=150, deadline=None)
+def test_s3_closure_matches_reference(case):
+    v, gens = case
+    assert s3_closure(gens, v) == _reference_s3_closure(gens, v)
+
+
+@given(st.sampled_from(SPACES).flatmap(_element))
+@settings(max_examples=150, deadline=None)
+def test_act_matches_reference_and_composes(e):
+    for sigma in S3:
+        assert act(sigma, e).terms == _reference_act(sigma, e).terms
+        for tau in S3:
+            comp = tuple(sigma[tau[i] - 1] for i in range(3))
+            assert act(sigma, act(tau, e)).terms == act(comp, e).terms

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from operad_forge.exactlin import (SparseEliminator, Subspace, intersect,
@@ -200,3 +201,19 @@ def test_subspace_reduce_unchanged_by_sparse_rows():
         want = [a - f * b for a, b in zip(want, row)]
     assert s.reduce(v) == tuple(want)
     assert s.reduce(v) == s.reduce([1, 2, 3, 4])
+
+
+@given(st.lists(_vec, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_sparse_rows_give_the_dense_rref(rows):
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert rref(sparse, 4) == rref(rows, 4)
+    assert span(sparse + rows[:1], 4) == span(rows, 4)
+
+
+def test_sparse_row_column_out_of_range():
+    for row in ({4: F(1)}, {-1: F(1)}, {Fraction(1, 2): F(1)}):
+        with pytest.raises(ValueError, match=r"range\(4\)"):
+            span([row], 4)
+    with pytest.raises(ValueError, match="mismatch"):
+        span([(F(1), F(0))], 4)
