@@ -1,14 +1,18 @@
 """Brute-force dimension oracle: the trust anchor for the rewriting claims."""
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
 from operad_forge import oracle, systems
 from operad_forge.oracle import (SparseEliminator, bruteforce_dim, catalan,
                                  consequences, free_dim, free_trees,
-                                 ideal_rank)
-from operad_forge.treeterm import NsElement
+                                 ideal_rank, position)
+from operad_forge.treeterm import LEAF, NsElement, graft
+
+NC_NAMES = ("NcZin", "NcBicom", "NcFlex", "NcAntiFlex", "NcNov")
 
 
 def test_catalan():
@@ -36,6 +40,29 @@ def test_free_trees_keep_the_column_order(ops):
         assert list(free_trees(n, ops)) == _free_trees_reference(n, ops)
 
 
+@pytest.mark.parametrize("ops", [("x", "y"), ("z", "t"), ("a", "b", "c")])
+def test_position_is_the_index_in_free_trees(ops):
+    for n in range(1, 8):
+        for i, tree in enumerate(free_trees(n, ops)):
+            assert position(tree, (1,) * n, ops)[0] == i
+
+
+@pytest.mark.parametrize("ops", [("x", "y"), ("a", "b", "c")])
+def test_position_is_affine_in_the_grafted_trees(ops):
+    for k in range(1, 4):
+        for arities in product(range(1, 5), repeat=k):
+            if sum(arities) > 6:
+                continue
+            index = {t: i for i, t in enumerate(free_trees(sum(arities), ops))}
+            for pattern in free_trees(k, ops):
+                c, w = position(pattern, arities, ops)
+                for subs in product(*(enumerate(free_trees(a, ops))
+                                      for a in arities)):
+                    tree = graft(pattern, [t for _, t in subs])
+                    assert index[tree] == c + sum(
+                        wj * i for wj, (i, _) in zip(w, subs))
+
+
 def test_free_trees_are_distinct():
     ts = free_trees(5)
     assert len(set(ts)) == len(ts)
@@ -48,6 +75,88 @@ def test_eliminator_rank():
     assert not e.add({0: Fraction(2), 1: Fraction(4)})
     assert not e.add({0: Fraction(1), 1: Fraction(5)})  # 1-pivot absorbs
     assert e.rank == 2
+
+
+def _consequences_by_grafting(rels, n, ops=("x", "y")):
+    """The former construction: graft every tree, look up its column."""
+    index = {t: i for i, t in enumerate(free_trees(n, ops))}
+    out = []
+    for rel in rels:
+        den = lcm(*(c.denominator for c in rel.values()))
+        terms = [(s, c.numerator * (den // c.denominator)) for s, c in rel.items()]
+        for m in range(3, n + 1):
+            inner_elems = []
+            for a in range(1, m - 1):
+                for b in range(1, m - a):
+                    c = m - a - b
+                    for t1 in free_trees(a, ops):
+                        for t2 in free_trees(b, ops):
+                            for t3 in free_trees(c, ops):
+                                inner_elems.append(
+                                    [(graft(s, (t1, t2, t3)), coeff)
+                                     for s, coeff in terms])
+            k = n - m + 1
+            for context in free_trees(k, ops):
+                for leaf_i in range(k):
+                    before, after = [LEAF] * leaf_i, [LEAF] * (k - 1 - leaf_i)
+                    for elem in inner_elems:
+                        row = {}
+                        for t, coeff in elem:
+                            j = index[graft(context, before + [t] + after)]
+                            row[j] = row.get(j, 0) + coeff
+                        row = {j: c for j, c in row.items() if c}
+                        if row:
+                            out.append(row)
+    out.sort(key=len)
+    out.sort(key=min, reverse=True)
+    return out
+
+
+@pytest.mark.parametrize("name", NC_NAMES)
+def test_consequences_match_the_grafting_construction(name):
+    rels = systems.nc_relations(name)
+    flipped = [NsElement((t, -c) for t, c in r.items()) for r in reversed(rels)]
+    for given in (rels, flipped):
+        for n in range(3, 8):
+            got = consequences(given, n)
+            want = _consequences_by_grafting(given, n)
+            assert got == want, (name, n)
+            assert [list(r) for r in got] == [list(r) for r in want]
+
+
+@pytest.mark.parametrize("term", [
+    ("x", LEAF, LEAF),                                  # arity 2
+    ("x", ("x", LEAF, LEAF), ("y", LEAF, LEAF)),        # arity 4
+    ("q", LEAF, ("x", LEAF, LEAF)),                     # foreign label
+    ("x", LEAF, ("x", LEAF)),                           # not a binary node
+    "x(1,x(1,1))",                                      # not a tree at all
+])
+def test_malformed_relation_terms_are_refused(term):
+    good = systems.nc_relations("NcZin")[0]
+    rel = NsElement(list(good.items()) + [(term, Fraction(1))])
+    with pytest.raises(ValueError) as exc:
+        consequences([rel], 4)
+    assert repr(term) in str(exc.value)
+    assert repr(("x", "y")) in str(exc.value)
+
+
+def test_terms_over_other_labels_are_refused():
+    rels = systems.nc_relations("NcZin")
+    with pytest.raises(ValueError, match=r"\('z', 't'\)"):
+        consequences(rels, 4, ("z", "t"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ops: free_trees(4, ops),
+    lambda ops: free_dim(4, ops),
+    lambda ops: bruteforce_dim([], 4, ops=ops),
+    lambda ops: bruteforce_dim([], 2, ops=ops),
+    lambda ops: position(LEAF, (1,), ops),
+])
+@pytest.mark.parametrize("ops", [("x", "x"), ("x", "y", "x")])
+def test_repeated_labels_are_refused(call, ops):
+    with pytest.raises(ValueError, match="repeat a label"):
+        call(ops)
 
 
 def test_relations_themselves_are_consequences():
