@@ -5,6 +5,8 @@ the same name under tests/golden.  The snapshots pin the printed results of
 the criterion, the white products, the dimension tables, the bijections,
 the order of every system's normal forms and the overlap listings of the
 confluence checks, so a refactor of any layer below the CLI must leave them unchanged.
+The demo_<name>.txt files pin the stdout of each demos/<name>.py the same
+way; each demo runs in-process as its own __main__.
 
 Regenerate the files (only after a deliberate change of output) with
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -12,6 +14,7 @@ Regenerate the files (only after a deliberate change of output) with
 
 import contextlib
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import pytest
 from operad_forge.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 _MANIN = ("As", "Nov", "Zin", "Bicom", "Alt", "Flex", "AntiFlex", "Leib",
           "PreLie", "Assosym")
@@ -46,12 +50,25 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def _run_demo(name: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
     code, out = _run(CASES[name])
     assert code == 0
     want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert out == want
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_golden_demo(name):
+    want = (GOLDEN / f"demo_{name}.txt").read_text(encoding="utf-8")
+    assert _run_demo(name) == want
 
 
 if __name__ == "__main__":
@@ -62,3 +79,7 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
         print(f"wrote {name}.txt ({len(out)} bytes)")
+    for path in sorted(DEMOS.glob("*.py")):
+        out = _run_demo(path.stem)
+        (GOLDEN / f"demo_{path.stem}.txt").write_text(out, encoding="utf-8")
+        print(f"wrote demo_{path.stem}.txt ({len(out)} bytes)")
