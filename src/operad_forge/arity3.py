@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactlin import Subspace, span
 
@@ -212,16 +212,17 @@ def _s3_table(v: OpSpace) -> dict[tuple[int, int, int], tuple[tuple[int, int], .
     return table
 
 
-def to_vector(e: Arity3Element, basis: Sequence[Monomial3]) -> tuple[Fraction, ...]:
+def to_vector(e: Arity3Element, basis: Sequence[Monomial3]) -> dict[int, Fraction]:
+    """e as a sparse row: the position in basis of each term -> its coefficient."""
     index = {m: i for i, m in enumerate(basis)}
-    row = [Fraction(0)] * len(basis)
-    for m, c in e.terms.items():
-        row[index[m]] = c
-    return tuple(row)
+    return {index[m]: c for m, c in e.terms.items()}
 
 
-def from_vector(row, basis: Sequence[Monomial3], opspace: OpSpace) -> Arity3Element:
-    return Arity3Element(opspace, [(m, c) for m, c in zip(basis, row) if c])
+def from_vector(row: Mapping[int, Fraction], basis: Sequence[Monomial3],
+                opspace: OpSpace) -> Arity3Element:
+    """The element whose coefficient on basis[j] is row[j], for a sparse row
+    such as exactlin returns."""
+    return Arity3Element(opspace, [(basis[j], c) for j, c in row.items()])
 
 
 def act(sigma: tuple[int, int, int], e: Arity3Element) -> Arity3Element:

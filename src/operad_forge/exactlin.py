@@ -8,29 +8,25 @@ column with a gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968),
 so no Fraction is built while rows are reduced; only rref() goes back to
 the rationals, for the canonical reduced row-echelon form.  The brute-force
 oracle feeds the eliminator directly, and rref, span, intersect and
-nullspace run on it.  rref and span take each row either dense, a sequence
-of ints or Fractions, or sparse, a Mapping column -> entry such as
-arity3.s3_closure builds; they return dense tuples of Fraction.  A Subspace
-is stored as its reduced row-echelon basis, so two subspaces are equal iff
-their canonical bases are equal as sequences.  Subspaces are immutable and
-the functions are pure.
+nullspace run on it.  They take each row either dense, a sequence of ints
+or Fractions, or sparse, a Mapping column -> entry such as
+arity3.s3_closure builds.  Every row they return is a SparseRow, a dict
+column -> nonzero Fraction whose pivot is its smallest column, exactly as
+SparseEliminator.rref() makes it.  A Subspace is stored as its reduced
+row-echelon basis, so two subspaces are equal iff their canonical bases
+are equal as sequences.  Subspaces are immutable and the functions are
+pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-Vector = tuple[Fraction, ...]
 IntRow = dict[int, int]
 SparseRow = dict[int, Fraction]
-
-
-def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
 
 
 def _integral(row: Mapping) -> IntRow:
@@ -137,7 +133,7 @@ def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
     """The nonzero entries of a row of width ncols.  A Mapping (column ->
     int or Fraction) is taken as it is, once its columns are checked to lie
     in range(ncols).  In a dense row, ints and Fractions are kept as they
-    are and anything else goes through Fraction as in vec()."""
+    are and anything else goes through Fraction."""
     if isinstance(v, Mapping):
         cols = range(ncols)
         if not all(j in cols for j in v):
@@ -149,61 +145,45 @@ def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
             for j, x in enumerate(v) if x}
 
 
-def _dense(row: SparseRow, ncols: int) -> Vector:
-    out = [Fraction(0)] * ncols
-    for j, c in row.items():
-        out[j] = c
-    return tuple(out)
-
-
-def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[Vector]:
+def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[SparseRow]:
     """Reduced row-echelon form of rows of ints or Fractions, each dense (a
-    sequence of length ncols) or sparse (a Mapping column -> entry); zero
-    rows are dropped."""
+    sequence of length ncols) or sparse (a Mapping column -> entry), as
+    sparse rows in increasing pivot order; zero rows are dropped."""
     elim = SparseEliminator()
     for r in rows:
         elim.add(_sparse(r, ncols))
-    return [_dense(row, ncols) for row in elim.rref()]
+    return elim.rref()
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Canonical subspace of Q^ambient_dim: RREF basis, pivots increasing."""
+    """Canonical subspace of Q^ambient_dim: its RREF basis as sparse rows,
+    pivots increasing, each row's pivot its smallest column."""
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    basis: tuple[SparseRow, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _sparse_basis(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
-        """Each basis row as its pivot and its nonzero (column, entry) pairs."""
-        return tuple((_pivot(row), tuple((j, x) for j, x in enumerate(row) if x))
-                     for row in self.basis)
+    def contains(self, v: Sequence | Mapping) -> bool:
+        return not self.reduce(v)
 
-    def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Residual of v after elimination by the basis rows."""
-        v = list(vec(v))
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        for p, row in self._sparse_basis:
-            f = v[p]
+    def reduce(self, v: Sequence | Mapping) -> dict:
+        """The residual of v after elimination by the basis rows, as a
+        sparse row (column -> nonzero entry)."""
+        v = {j: x for j, x in _sparse(v, self.ambient_dim).items() if x}
+        for row in self.basis:
+            f = v.get(min(row))
             if f:
-                for j, b in row:
-                    v[j] -= f * b
-        return tuple(v)
-
-
-def _pivot(row: Vector) -> int:
-    for j, x in enumerate(row):
-        if x != 0:
-            return j
-    raise ValueError("zero row has no pivot")
+                for j, b in row.items():
+                    x = v.get(j, 0) - f * b
+                    if x:
+                        v[j] = x
+                    else:
+                        del v[j]
+        return v
 
 
 def span(vectors: Iterable[Sequence | Mapping], ambient_dim: int) -> Subspace:
@@ -213,7 +193,7 @@ def span(vectors: Iterable[Sequence | Mapping], ambient_dim: int) -> Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return span(list(a.basis) + list(b.basis), a.ambient_dim)
+    return span(a.basis + b.basis, a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -222,25 +202,24 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     elim = SparseEliminator()
-    for r in a.basis:
-        row = _sparse(r, n)
+    for row in a.basis:
         elim.add({**row, **{j + n: c for j, c in row.items()}})
-    for r in b.basis:
-        elim.add(_sparse(r, n))
+    for row in b.basis:
+        elim.add(row)
     # the rows with pivot >= n are already reduced among themselves
-    inter = [{j - n: c for j, c in row.items()} for row in elim.rref() if min(row) >= n]
-    return Subspace(n, tuple(_dense(row, n) for row in inter))
+    return Subspace(n, tuple({j - n: c for j, c in row.items()}
+                             for row in elim.rref() if min(row) >= n))
 
 
-def nullspace(rows: Sequence[Sequence], cols: int) -> Subspace:
+def nullspace(rows: Iterable[Sequence | Mapping], cols: int) -> Subspace:
     """Right null space {v : M v = 0} of the rows of M, a subspace of Q^cols."""
-    reduced = rref(rows, cols)
-    piv_cols = [_pivot(r) for r in reduced]
+    reduced = {min(r): r for r in rref(rows, cols)}
     basis = []
-    for fc in (c for c in range(cols) if c not in piv_cols):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in zip(reduced, piv_cols):
-            v[pc] = -r[fc]
-        basis.append(v)
+    for free in range(cols):
+        if free not in reduced:
+            v = {free: 1}
+            for p, r in reduced.items():
+                if free in r:
+                    v[p] = -r[free]
+            basis.append(v)
     return span(basis, cols)

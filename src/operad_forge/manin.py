@@ -68,12 +68,13 @@ def nonsymmetric_version(p: OperadPresentation) -> OperadPresentation:
     R = p.relation_space()
     v_basis = basis3(SINGLE)
     planar = [m for m in basis3(DOUBLE) if m.leaves == (1, 2, 3)]
-    images = []
-    for m in planar:
-        var = monomial_of_tree(_to_single_op(m.tree(), ">"))
-        images.append(R.reduce([int(b == var) for b in v_basis]))
     # kernel of v -> sum_m v_m * image(m): null space of the transpose
-    ker = nullspace(list(zip(*images)), len(planar))
+    transpose = {}
+    for i, m in enumerate(planar):
+        var = monomial_of_tree(_to_single_op(m.tree(), ">"))
+        for j, c in R.reduce({v_basis.index(var): 1}).items():
+            transpose.setdefault(j, {})[i] = c
+    ker = nullspace(transpose.values(), len(planar))
     rels = tuple(from_vector(r, planar, DOUBLE) for r in ker.basis)
     return OperadPresentation(f"Nc{p.name}", DOUBLE, rels)
 

@@ -16,17 +16,18 @@ def F(x):
 
 def test_rref_identity():
     m = rref([(F(2), F(0)), (F(0), F(3))], 2)
-    assert m == [(F(1), F(0)), (F(0), F(1))]
+    assert m == [{0: F(1)}, {1: F(1)}]
 
 
 def test_rref_accepts_what_vec_accepts():
-    assert rref([(0.5, "1/4"), (1, 2)], 2) == [(F(1), F(0)), (F(0), F(1))]
-    assert rref([(0.5, "1/4")], 2) == [(F(1), Fraction(1, 2))]
+    # dense entries are taken as Fraction() takes them
+    assert rref([(0.5, "1/4"), (1, 2)], 2) == [{0: F(1)}, {1: F(1)}]
+    assert rref([(0.5, "1/4")], 2) == [{0: F(1), 1: Fraction(1, 2)}]
 
 
 def test_rref_dependent_rows():
     m = rref([(F(1), F(2)), (F(2), F(4)), (F(3), F(6))], 2)
-    assert m == [(F(1), F(2))]
+    assert m == [{0: F(1), 1: F(2)}]
 
 
 def test_span_dim_and_contains():
@@ -39,7 +40,7 @@ def test_span_dim_and_contains():
 def test_reduce_is_canonical():
     s = span([(F(1), F(1), F(0))], 3)
     v = (F(3), F(3), F(1))
-    assert s.reduce(v) == (F(0), F(0), F(1))
+    assert s.reduce(v) == {2: F(1)}
 
 
 def test_subspace_equality_is_basis_free():
@@ -99,11 +100,12 @@ def test_span_contains_generators(vecs):
 @settings(max_examples=60, deadline=None)
 def test_rref_is_reduced_and_idempotent(rows):
     reduced = rref(rows, 4)
-    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    assert all(r and all(r.values()) for r in reduced)
+    pivots = [min(r) for r in reduced]
     assert pivots == sorted(set(pivots))
     for r, p in zip(reduced, pivots):
         assert r[p] == 1
-        assert all(other[p] == 0 for other in reduced if other is not r)
+        assert all(p not in other for other in reduced if other is not r)
     assert rref(reduced, 4) == reduced
     assert span(reduced, 4) == span(rows, 4)
 
@@ -114,7 +116,8 @@ def test_nullspace_is_the_kernel(rows):
     ns = nullspace(rows, 4)
     assert ns.dim == 4 - len(rref(rows, 4))
     for v in ns.basis:
-        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+        assert all(sum(a * v.get(j, 0) for j, a in enumerate(r)) == 0
+                   for r in rows)
 
 
 def _gauss_jordan(rows, ncols):
@@ -164,7 +167,8 @@ def test_eliminator_matches_fraction_gauss_jordan(matrix):
     got = [tuple(row.get(j, Fraction(0)) for j in range(ncols))
            for row in elim.rref()]
     assert got == want
-    assert rref(rows, ncols) == want
+    assert [{j: x for j, x in enumerate(r) if x} for r in want] \
+        == rref(rows, ncols) == elim.rref()
     _assert_pivot_rows_primitive(elim)
 
 
@@ -193,14 +197,13 @@ def test_eliminator_size_properties():
 def test_subspace_reduce_unchanged_by_sparse_rows():
     s = span([(F(2), F(1), F(0), F(3)), (F(0), F(0), F(1), F(-1))], 4)
     v = (F(1), F(2), F(3), F(4))
-    # residual by the dense RREF rows, as the reduction is defined
+    # residual by the RREF rows written out dense, as the reduction is defined
     want = list(v)
     for row in s.basis:
-        p = next(j for j, x in enumerate(row) if x)
-        f = want[p]
-        want = [a - f * b for a, b in zip(want, row)]
-    assert s.reduce(v) == tuple(want)
-    assert s.reduce(v) == s.reduce([1, 2, 3, 4])
+        f = want[min(row)]
+        want = [a - f * row.get(j, 0) for j, a in enumerate(want)]
+    assert s.reduce(v) == {j: x for j, x in enumerate(want) if x}
+    assert s.reduce(v) == s.reduce([1, 2, 3, 4]) == s.reduce({0: 1, 1: 2, 2: 3, 3: 4})
 
 
 @given(st.lists(_vec, max_size=5))

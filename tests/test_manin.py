@@ -62,7 +62,8 @@ def _white_product_reference(p: OperadPresentation):
         var = Arity3Element(SINGLE, [(monomial_of_tree(_swap_greater(t)), 1)])
         w = words.index(_leaf_word(t))
         row = [Fraction(0)] * (len(words) * nv)
-        row[w * nv:(w + 1) * nv] = R.reduce(to_vector(var, v_basis))
+        for j, c in R.reduce(to_vector(var, v_basis)).items():
+            row[w * nv + j] = c
         rows.append(row)
     ker = nullspace(list(zip(*rows)), len(w_basis))
     return tuple(from_vector(r, w_basis, DOUBLE) for r in ker.basis)
