@@ -63,7 +63,7 @@ def nonsymmetric_version(p: OperadPresentation) -> OperadPresentation:
     Its relations are the kernel of m -> var(m) mod R on the planar block:
     the 8 two-operation monomials whose leaves are 1, 2, 3 in order.
     """
-    if p.opspace.ops != SINGLE.ops:
+    if p.opspace != SINGLE:
         raise ValueError("expected a presentation over a single paired operation")
     R = p.relation_space()
     v_basis = basis3(SINGLE)
@@ -100,7 +100,7 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
 
 def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
     """Identify a > b with b < a, i.e. map a>b to b.a and a<b to a.b."""
-    if q.opspace.ops != DOUBLE.ops:
+    if q.opspace != DOUBLE:
         raise ValueError("symmetrize_quotient expects the two split operations")
     rels = []
     for rel in q.relations:

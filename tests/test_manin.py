@@ -7,10 +7,11 @@ from itertools import permutations
 
 import pytest
 
-from operad_forge.arity3 import (CATALOG_NAMES, DOUBLE, SINGLE, Arity3Element,
-                                 OperadPresentation, basis3, catalog,
-                                 from_vector, monomial_of_tree, parse_element,
-                                 s3_closure, quotient_dim3, to_vector)
+from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, SINGLE,
+                                 SYMMETRIC, Arity3Element, OperadPresentation,
+                                 OpSpace, basis3, catalog, from_vector,
+                                 monomial_of_tree, parse_element, s3_closure,
+                                 quotient_dim3, to_vector)
 from operad_forge.exactlin import intersect, nullspace, span
 from operad_forge.manin import (admits_nonsymmetric, compute_F,
                                 nonsymmetric_version, symmetrize_quotient,
@@ -190,13 +191,34 @@ def test_nonsymmetric_version_lives_on_the_planar_block():
 
 
 def test_criterion_agrees_with_the_symmetrized_white_product():
-    """Observed, not quoted: the repository holds only the paper's abstract.
-    An operad admits a nonsymmetric version exactly when identifying a > b
-    with b < a in As o P gives back R."""
+    """Identifying a > b with b < a in As o P gives F, so an operad admits a
+    nonsymmetric version exactly when it gives back R.  var maps the 8
+    planar monomials one-to-one onto the 8 two-outside monomials, so
+    symmetrizing NcP gives R cap (two-outside cosets); symmetrize_quotient
+    is S3-equivariant, so symmetrizing its S3-closure As o P gives F."""
     seen = set()
     for p in SINGLE_OPERATION + _random_operads(200):
         admits = admits_nonsymmetric(p).admits
         sym = symmetrize_quotient(white_product_as(p))
+        assert sym.relation_space() == compute_F(p), p.name
         assert admits == (sym.relation_space() == p.relation_space()), p.name
         seen.add(admits)
     assert seen == {True, False}
+
+
+def test_white_product_refuses_a_symmetric_operation():
+    commutative = OpSpace(("*",), (SYMMETRIC,))
+    rel = parse_element("+1*(x1*x2)*x3-1*x1*(x2*x3)", commutative)
+    p = OperadPresentation("Com", commutative, (rel,))
+    with pytest.raises(ValueError, match="single paired operation"):
+        nonsymmetric_version(p)
+    with pytest.raises(ValueError, match="single paired operation"):
+        white_product_as(p)
+
+
+def test_symmetrize_quotient_refuses_antisymmetric_split_operations():
+    # named < and >, but not the two paired operations of DOUBLE
+    anti = OpSpace(("<", ">"), (ANTISYMMETRIC, ANTISYMMETRIC))
+    q = OperadPresentation("Anti", anti, (parse_element("+1*(x1<x2)>x3", anti),))
+    with pytest.raises(ValueError, match="two split operations"):
+        symmetrize_quotient(q)
