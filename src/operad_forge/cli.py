@@ -16,6 +16,8 @@ from .arity3 import CATALOG_NAMES, catalog, format_element
 from .treeterm import check_confluence, format_tree
 
 CRITERION_NAMES = tuple(n for n in CATALOG_NAMES if not n.startswith("Nc"))
+# the rewriting systems of a catalog nonsymmetric version Nc<name>
+NC_SYSTEMS = tuple(n for n in systems.SYSTEM_NAMES if "Nc" + n in CATALOG_NAMES)
 
 
 def _int_at_least(low: int):
@@ -131,7 +133,7 @@ def _cmd_certify(args) -> int:
         print(f"criterion {name}: admits={str(got).lower()} "
               f"{'ok' if line_ok else 'MISMATCH'}")
     # three-way dimension agreement
-    for name in ("Zin", "Bicom", "Flex", "AntiFlex"):
+    for name in NC_SYSTEMS:
         for n, g, f, o in _dim_rows(name, args.max_n, args.oracle_max):
             msg = f"dims {name} n={n}: grammar={g} formula={f}"
             line_ok = g == f
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_manin)
 
     c = sub.add_parser("dims", help="dimension table")
-    c.add_argument("system", choices=("Zin", "Bicom", "Flex", "AntiFlex"))
+    c.add_argument("system", choices=NC_SYSTEMS)
     c.add_argument("--max-n", type=_int_at_least(1), required=True)
     c.add_argument("--oracle-max", type=_int_at_least(0), default=0)
     c.add_argument("--csv", action="store_true")
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_bijection)
 
     c = sub.add_parser("confluence", help="overlap joinability report")
-    c.add_argument("system", choices=("Zin", "Bicom", "Flex", "AntiFlex", "L"))
+    c.add_argument("system", choices=systems.SYSTEM_NAMES)
     c.add_argument("--max-arity", type=_int_at_least(3), required=True)
     c.set_defaults(func=_cmd_confluence)
 
