@@ -123,9 +123,9 @@ def _cmd_confluence(args) -> int:
 def _cmd_certify(args) -> int:
     ok = True
     # criterion classification
-    expected = {"Nov": True, "Zin": True, "Bicom": True, "Flex": True,
-                "AntiFlex": True, "Alt": False, "Assosym": False,
-                "Leib": False, "PreLie": False}
+    expected = {"As": True, "Nov": True, "Zin": True, "Bicom": True,
+                "Flex": True, "AntiFlex": True, "Alt": False,
+                "Assosym": False, "Leib": False, "PreLie": False}
     for name, want in expected.items():
         got = manin.admits_nonsymmetric(catalog(name)).admits
         line_ok = got is want
