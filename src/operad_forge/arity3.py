@@ -220,8 +220,7 @@ def to_vector(e: Arity3Element, basis: Sequence[Monomial3]) -> dict[int, Fractio
 
 def from_vector(row: Mapping[int, Fraction], basis: Sequence[Monomial3],
                 opspace: OpSpace) -> Arity3Element:
-    """The element whose coefficient on basis[j] is row[j], for a sparse row
-    such as exactlin returns."""
+    """The sum of row[j] * basis[j] over a sparse row such as exactlin's."""
     return Arity3Element(opspace, [(basis[j], c) for j, c in row.items()])
 
 

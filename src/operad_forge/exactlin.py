@@ -8,14 +8,12 @@ column with a gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968),
 so no Fraction is built while rows are reduced; only rref() goes back to
 the rationals, for the canonical reduced row-echelon form.  The brute-force
 oracle feeds the eliminator directly, and rref, span, intersect and
-nullspace run on it.  They take each row either dense, a sequence of ints
-or Fractions, or sparse, a Mapping column -> entry such as
-arity3.s3_closure builds.  Every row they return is a SparseRow, a dict
-column -> nonzero Fraction whose pivot is its smallest column, exactly as
-SparseEliminator.rref() makes it.  A Subspace is stored as its reduced
-row-echelon basis, so two subspaces are equal iff their canonical bases
-are equal as sequences.  Subspaces are immutable and the functions are
-pure.
+nullspace run on it.  They take each row dense, a sequence of ints or
+Fractions, or sparse, a Mapping column -> entry such as arity3.s3_closure
+builds, and return the rows of rref(): dicts column -> Fraction whose pivot
+is the smallest column.  A Subspace is stored as this reduced row-echelon
+basis, so two subspaces are equal iff their canonical bases are equal as
+sequences.  Subspaces are immutable and the functions are pure.
 """
 
 from __future__ import annotations
