@@ -81,21 +81,6 @@ class Monomial3(NamedTuple):
         """The argument not inside the inner product."""
         return self.leaves[2] if self.shape == "L" else self.leaves[0]
 
-    def tree(self):
-        """The planar tree (op, left, right) with the integer leaves."""
-        a, b, c = self.leaves
-        if self.shape == "L":
-            return (self.outer, (self.inner, a, b), c)
-        return (self.outer, a, (self.inner, b, c))
-
-
-def monomial_of_tree(t) -> Monomial3:
-    """Inverse of Monomial3.tree: an arity-3 tree with integer leaves."""
-    op, l, r = t
-    if not isinstance(l, int):
-        return Monomial3("L", (l[1], l[2], r), l[0], op)
-    return Monomial3("R", (l, r[1], r[2]), r[0], op)
-
 
 def canonicalize(m: Monomial3, v: OpSpace) -> tuple[Monomial3, int]:
     """Canonical representative and sign under the +/-symmetric identifications.
@@ -347,25 +332,20 @@ SINGLE = OpSpace.paired("*")
 DOUBLE = OpSpace.paired("<", ">")
 
 
-def _el(opspace: OpSpace, *terms: tuple[int, str]) -> Arity3Element:
-    return Arity3Element(
-        opspace, [(parse_monomial(t, opspace), Fraction(c)) for c, t in terms])
-
-
 def _single(name: str, *rels: Arity3Element) -> OperadPresentation:
     return OperadPresentation(name, SINGLE, tuple(rels))
 
 
 def _L(a, b, c):
-    return f"(x{a}*x{b})*x{c}"
+    return Monomial3("L", (a, b, c), "*", "*")
 
 
 def _R(a, b, c):
-    return f"x{a}*(x{b}*x{c})"
+    return Monomial3("R", (a, b, c), "*", "*")
 
 
 def _catalog() -> dict[str, OperadPresentation]:
-    E = lambda *terms: _el(SINGLE, *terms)
+    E = lambda *terms: Arity3Element(SINGLE, [(m, c) for c, m in terms])
     cat = {}
     cat["Free"] = _single("Free")
     cat["As"] = _single("As", E((1, _L(1, 2, 3)), (-1, _R(1, 2, 3))))

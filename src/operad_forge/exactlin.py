@@ -13,7 +13,9 @@ Fractions, or sparse, a Mapping column -> entry such as arity3.s3_closure
 builds, and return the rows of rref(): dicts column -> Fraction whose pivot
 is the smallest column.  A Subspace is stored as this reduced row-echelon
 basis, so two subspaces are equal iff their canonical bases are equal as
-sequences.  Subspaces are immutable and the functions are pure.
+sequences, and a row lies in a subspace iff adding it leaves the rank
+unchanged; SparseEliminator.reduce is the one reduction loop.  Subspaces
+are immutable and the functions are pure.
 """
 
 from __future__ import annotations
@@ -130,12 +132,16 @@ class SparseEliminator:
 def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
     """The nonzero entries of a row of width ncols.  A Mapping (column ->
     int or Fraction) is taken as it is, once its columns are checked to lie
-    in range(ncols).  In a dense row, ints and Fractions are kept as they
-    are and anything else goes through Fraction."""
+    in range(ncols) and its entries to be ints or Fractions.  In a dense
+    row, ints and Fractions are kept as they are and anything else goes
+    through Fraction."""
     if isinstance(v, Mapping):
         cols = range(ncols)
-        if not all(j in cols for j in v):
-            raise ValueError(f"sparse row has a column outside range({ncols})")
+        for j, x in v.items():
+            if j not in cols:
+                raise ValueError(f"sparse row has a column outside range({ncols})")
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError(f"sparse row entry {x!r} is not an int or a Fraction")
         return v
     if len(v) != ncols:
         raise ValueError("ambient dimension mismatch")
@@ -166,22 +172,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence | Mapping) -> bool:
-        return not self.reduce(v)
-
-    def reduce(self, v: Sequence | Mapping) -> dict:
-        """The residual of v after elimination by the basis rows, as a
-        sparse row (column -> nonzero entry)."""
-        v = {j: x for j, x in _sparse(v, self.ambient_dim).items() if x}
-        for row in self.basis:
-            f = v.get(min(row))
-            if f:
-                for j, b in row.items():
-                    x = v.get(j, 0) - f * b
-                    if x:
-                        v[j] = x
-                    else:
-                        del v[j]
-        return v
+        return span((*self.basis, v), self.ambient_dim).dim == self.dim
 
 
 def span(vectors: Iterable[Sequence | Mapping], ambient_dim: int) -> Subspace:

@@ -3,15 +3,18 @@
 The split operations come from  a < b = ab (x) (a.b)  and  a > b = ab (x) (b.a),
 so a monomial m over "<" and ">" maps to w(m) (x) var(m) in As(3) (x) P(3):
 w(m) is its leaf word in planar order, and var(m) is the Var monomial
-obtained by recursively swapping the arguments of every ">" node.
-
-nonsymmetric_version takes the kernel of this map on the planar block, the
-8 monomials whose leaves are 1, 2, 3 in order.  white_product_as is the
-S3-closure of that kernel; the map is S3-equivariant and splits by leaf
-word, so this is the whole kernel (its docstring gives the argument).
+obtained by recursively swapping the arguments of every ">" node.  VAR
+tabulates var on the 48 two-operation monomials.
 
 The criterion compares R with the S3-closure F of the part of R lying in
 the "two-outside" cosets: monomials whose lone argument is x1 or x3.
+
+var maps the planar block, the 8 monomials whose leaves are 1, 2, 3 in
+order, one to one onto the 8 two-outside monomials, so the kernel of
+m -> var(m) mod R on the planar block is R cap (two-outside cosets) pulled
+back along var.  nonsymmetric_version returns that pullback, and
+white_product_as its S3-closure; the map is S3-equivariant and splits by
+leaf word, so this is the whole kernel (its docstring gives the argument).
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arity3 import (DOUBLE, SINGLE, Arity3Element, OperadPresentation,
-                     OpSpace, basis3, format_element, from_vector,
-                     monomial_of_tree, s3_closure)
-from .exactlin import Subspace, intersect, nullspace, span
+from .arity3 import (DOUBLE, SINGLE, Arity3Element, Monomial3,
+                     OperadPresentation, OpSpace, basis3, format_element,
+                     from_vector, s3_closure)
+from .exactlin import Subspace, intersect, span
 
 
 @dataclass(frozen=True)
@@ -45,36 +48,38 @@ class CriterionReport:
         }, indent=2)
 
 
-def _to_single_op(t, swap_op: str):
-    """Rewrite a two-op monomial tree over <,> to a single-op tree; the
-    arguments of every swap_op node are exchanged."""
-    if isinstance(t, int):
-        return t
-    op, l, r = t
-    l, r = _to_single_op(l, swap_op), _to_single_op(r, swap_op)
-    if op == swap_op:
-        l, r = r, l
-    return ("*", l, r)
+def _var(m: Monomial3) -> Monomial3:
+    """The single-operation monomial of m with the arguments of every ">"
+    node swapped."""
+    a, b, c = m.leaves
+    pair, lone = ((a, b), c) if m.shape == "L" else ((b, c), a)
+    if m.inner == ">":
+        pair = pair[::-1]
+    # a ">" at the root moves the inner product to the other side
+    if (m.shape == "L") != (m.outer == ">"):
+        return Monomial3("L", (*pair, lone), "*", "*")
+    return Monomial3("R", (lone, *pair), "*", "*")
+
+
+VAR = {m: _var(m) for m in basis3(DOUBLE)}
 
 
 def nonsymmetric_version(p: OperadPresentation) -> OperadPresentation:
     """The nonsymmetric version Nc P over the split pair of operations <, >.
 
     Its relations are the kernel of m -> var(m) mod R on the planar block:
-    the 8 two-operation monomials whose leaves are 1, 2, 3 in order.
+    the 8 two-operation monomials whose leaves are 1, 2, 3 in order.  var
+    is one to one from this block onto the two-outside monomials, so the
+    kernel is R cap (two-outside cosets) read through var.
     """
     if p.opspace != SINGLE:
         raise ValueError("expected a presentation over a single paired operation")
-    R = p.relation_space()
+    _, inter = _two_outside_part(p)
     v_basis = basis3(SINGLE)
     planar = [m for m in basis3(DOUBLE) if m.leaves == (1, 2, 3)]
-    # kernel of v -> sum_m v_m * image(m): null space of the transpose
-    transpose = {}
-    for i, m in enumerate(planar):
-        var = monomial_of_tree(_to_single_op(m.tree(), ">"))
-        for j, c in R.reduce({v_basis.index(var): 1}).items():
-            transpose.setdefault(j, {})[i] = c
-    ker = nullspace(transpose.values(), len(planar))
+    column = {v_basis.index(VAR[m]): k for k, m in enumerate(planar)}
+    ker = span(({column[j]: c for j, c in r.items()} for r in inter.basis),
+               len(planar))
     rels = tuple(from_vector(r, planar, DOUBLE) for r in ker.basis)
     return OperadPresentation(f"Nc{p.name}", DOUBLE, rels)
 
@@ -102,13 +107,8 @@ def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
     """Identify a > b with b < a, i.e. map a>b to b.a and a<b to a.b."""
     if q.opspace != DOUBLE:
         raise ValueError("symmetrize_quotient expects the two split operations")
-    rels = []
-    for rel in q.relations:
-        terms = []
-        for m, c in rel.terms.items():
-            single = monomial_of_tree(_to_single_op(m.tree(), ">"))
-            terms.append((single, c))
-        rels.append(Arity3Element(SINGLE, terms))
+    rels = (Arity3Element(SINGLE, [(VAR[m], c) for m, c in rel.terms.items()])
+            for rel in q.relations)
     rels = [r for r in rels if not r.is_zero()]
     return OperadPresentation(f"{q.name}/sym", SINGLE, tuple(rels))
 
@@ -124,11 +124,16 @@ def two_outside_subspace(v: OpSpace) -> Subspace:
     return span(units, len(basis))
 
 
+def _two_outside_part(p: OperadPresentation) -> tuple[Subspace, Subspace]:
+    """R and R cap (two-outside cosets)."""
+    R = p.relation_space()
+    return R, intersect(R, two_outside_subspace(p.opspace))
+
+
 def _criterion(p: OperadPresentation):
     """R, a basis of R cap (two-outside cosets) as elements, and F."""
     basis = basis3(p.opspace)
-    R = p.relation_space()
-    inter = intersect(R, two_outside_subspace(p.opspace))
+    R, inter = _two_outside_part(p)
     gens = tuple(from_vector(r, basis, p.opspace) for r in inter.basis)
     return R, gens, s3_closure(gens, p.opspace)
 

@@ -66,6 +66,8 @@ def free_trees(n: int, ops: tuple[str, ...] = ("x", "y")) -> tuple[Tree, ...]:
 
 
 def free_dim(n: int, ops: Sequence[str] = ("x", "y")) -> int:
+    if n < 1:
+        raise ValueError("arity must be at least 1")
     _distinct(ops)
     return len(ops) ** (n - 1) * catalan(n - 1)
 

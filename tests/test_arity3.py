@@ -10,9 +10,9 @@ from operad_forge.arity3 import (ANTISYMMETRIC, DOUBLE, PAIRED, SINGLE, S3,
                                  SYMMETRIC, Arity3Element, Monomial3,
                                  OperadPresentation, OpSpace, act, basis3,
                                  canonicalize, catalog, format_element,
-                                 format_monomial, monomial_of_tree,
-                                 parse_element, parse_monomial, s3_closure,
-                                 quotient_dim3, to_vector)
+                                 format_monomial, parse_element,
+                                 parse_monomial, s3_closure, quotient_dim3,
+                                 to_vector)
 from operad_forge.exactlin import span
 
 LIE = OpSpace(("b",), (ANTISYMMETRIC,))
@@ -51,17 +51,6 @@ def test_left_comb_outside_leaf():
 def test_right_comb_outside_leaf():
     m = parse_monomial("x1*(x2*x3)", SINGLE)
     assert m.shape == "R" and m.outside_leaf == 1
-
-
-def test_monomial_tree_roundtrip():
-    for v in (SINGLE, DOUBLE):
-        for m in basis3(v):
-            assert monomial_of_tree(m.tree()) == m
-
-
-def test_monomial_tree_shapes():
-    assert Monomial3("L", (2, 1, 3), "<", ">").tree() == (">", ("<", 2, 1), 3)
-    assert Monomial3("R", (2, 1, 3), "<", ">").tree() == (">", 2, ("<", 1, 3))
 
 
 def test_s3_action_is_leaf_relabeling():

@@ -37,12 +37,6 @@ def test_span_dim_and_contains():
     assert not s.contains((F(0), F(0), F(1)))
 
 
-def test_reduce_is_canonical():
-    s = span([(F(1), F(1), F(0))], 3)
-    v = (F(3), F(3), F(1))
-    assert s.reduce(v) == {2: F(1)}
-
-
 def test_subspace_equality_is_basis_free():
     a = span([(F(1), F(1)), (F(1), F(-1))], 2)
     b = span([(F(1), F(0)), (F(0), F(1))], 2)
@@ -194,18 +188,6 @@ def test_eliminator_size_properties():
     assert (elim.nonzeros, elim.max_bits) == (5, 4)
 
 
-def test_subspace_reduce_unchanged_by_sparse_rows():
-    s = span([(F(2), F(1), F(0), F(3)), (F(0), F(0), F(1), F(-1))], 4)
-    v = (F(1), F(2), F(3), F(4))
-    # residual by the RREF rows written out dense, as the reduction is defined
-    want = list(v)
-    for row in s.basis:
-        f = want[min(row)]
-        want = [a - f * row.get(j, 0) for j, a in enumerate(want)]
-    assert s.reduce(v) == {j: x for j, x in enumerate(want) if x}
-    assert s.reduce(v) == s.reduce([1, 2, 3, 4]) == s.reduce({0: 1, 1: 2, 2: 3, 3: 4})
-
-
 @given(st.lists(_vec, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_sparse_rows_give_the_dense_rref(rows):
@@ -220,3 +202,9 @@ def test_sparse_row_column_out_of_range():
             span([row], 4)
     with pytest.raises(ValueError, match="mismatch"):
         span([(F(1), F(0))], 4)
+    # a sparse entry must be an int or a Fraction; a dense one goes through
+    # Fraction
+    for entry in (0.5, "1/2"):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            rref([{0: entry}], 1)
+    assert rref([[0.5]], 1) == [{0: F(1)}]

@@ -8,12 +8,12 @@ from itertools import permutations
 import pytest
 
 from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, SINGLE,
-                                 SYMMETRIC, Arity3Element, OperadPresentation,
-                                 OpSpace, basis3, catalog, from_vector,
-                                 monomial_of_tree, parse_element, s3_closure,
+                                 SYMMETRIC, Arity3Element, Monomial3,
+                                 OperadPresentation, OpSpace, basis3, catalog,
+                                 from_vector, parse_element, s3_closure,
                                  quotient_dim3, to_vector)
 from operad_forge.exactlin import intersect, nullspace, span
-from operad_forge.manin import (admits_nonsymmetric, compute_F,
+from operad_forge.manin import (VAR, admits_nonsymmetric, compute_F,
                                 nonsymmetric_version, symmetrize_quotient,
                                 two_outside_subspace, white_product_as)
 
@@ -38,6 +38,37 @@ def _random_operads(count: int, seed: int = 8) -> list[OperadPresentation]:
     return out
 
 
+def _tree(m: Monomial3):
+    """The planar tree (op, left, right) of m, with the integer leaves."""
+    a, b, c = m.leaves
+    if m.shape == "L":
+        return (m.outer, (m.inner, a, b), c)
+    return (m.outer, a, (m.inner, b, c))
+
+
+def _monomial_of_tree(t) -> Monomial3:
+    """Inverse of _tree: an arity-3 tree with integer leaves."""
+    op, l, r = t
+    if not isinstance(l, int):
+        return Monomial3("L", (l[1], l[2], r), l[0], op)
+    return Monomial3("R", (l, r[1], r[2]), r[0], op)
+
+
+def _residual(R, v: dict) -> dict:
+    """The sparse row v after elimination by the RREF basis rows of R."""
+    v = {j: x for j, x in v.items() if x}
+    for row in R.basis:
+        f = v.get(min(row))
+        if f:
+            for j, b in row.items():
+                x = v.get(j, 0) - f * b
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+    return v
+
+
 def _swap_greater(t):
     if isinstance(t, int):
         return t
@@ -59,15 +90,30 @@ def _white_product_reference(p: OperadPresentation):
     v_basis, w_basis = basis3(SINGLE), basis3(DOUBLE)
     rows = []
     for m in w_basis:
-        t = m.tree()
-        var = Arity3Element(SINGLE, [(monomial_of_tree(_swap_greater(t)), 1)])
+        t = _tree(m)
+        var = Arity3Element(SINGLE, [(_monomial_of_tree(_swap_greater(t)), 1)])
         w = words.index(_leaf_word(t))
         row = [Fraction(0)] * (len(words) * nv)
-        for j, c in R.reduce(to_vector(var, v_basis)).items():
+        for j, c in _residual(R, to_vector(var, v_basis)).items():
             row[w * nv + j] = c
         rows.append(row)
     ker = nullspace(list(zip(*rows)), len(w_basis))
     return tuple(from_vector(r, w_basis, DOUBLE) for r in ker.basis)
+
+
+def _nonsymmetric_reference(p: OperadPresentation):
+    """The former construction of Nc P: the kernel of m -> var(m) mod R on
+    the planar block, as the null space of the transposed residuals."""
+    R = p.relation_space()
+    v_basis = basis3(SINGLE)
+    planar = [m for m in basis3(DOUBLE) if m.leaves == (1, 2, 3)]
+    transpose = {}
+    for i, m in enumerate(planar):
+        var = _monomial_of_tree(_swap_greater(_tree(m)))
+        for j, c in _residual(R, {v_basis.index(var): 1}).items():
+            transpose.setdefault(j, {})[i] = c
+    ker = nullspace(transpose.values(), len(planar))
+    return tuple(from_vector(r, planar, DOUBLE) for r in ker.basis)
 
 
 def closure(texts):
@@ -175,6 +221,26 @@ def test_white_product_equals_the_former_construction():
     assert len(SINGLE_OPERATION) == 11
     for p in operads:
         assert white_product_as(p).relations == _white_product_reference(p), p.name
+
+
+def test_var_agrees_with_the_tree_reference():
+    assert list(VAR) == list(basis3(DOUBLE))
+    for m, single in VAR.items():
+        assert single == _monomial_of_tree(_swap_greater(_tree(m))), m
+        assert single in basis3(SINGLE)
+
+
+def test_var_maps_the_planar_block_onto_the_two_outside_monomials():
+    planar = [m for m in basis3(DOUBLE) if m.leaves == (1, 2, 3)]
+    images = [VAR[m] for m in planar]
+    two_outside = [m for m in basis3(SINGLE) if m.outside_leaf in (1, 3)]
+    assert len(planar) == len(set(images)) == len(two_outside) == 8
+    assert set(images) == set(two_outside)
+
+
+def test_nonsymmetric_version_equals_the_former_construction():
+    for p in SINGLE_OPERATION + _random_operads(120):
+        assert nonsymmetric_version(p).relations == _nonsymmetric_reference(p), p.name
 
 
 def test_nonsymmetric_version_lives_on_the_planar_block():

@@ -226,8 +226,9 @@ def test_low_arity_is_free():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_arity_below_one_is_refused(n):
-    with pytest.raises(ValueError, match="arity must be at least 1"):
-        bruteforce_dim([], n)
+    for count in (free_dim, free_trees, lambda n: bruteforce_dim([], n)):
+        with pytest.raises(ValueError, match="arity must be at least 1"):
+            count(n)
 
 
 def test_cap_enforced():
