@@ -87,28 +87,30 @@ def position(pattern: Tree, arities: Sequence[int],
     graft(pattern, [t_1, ...]), where t_j is tree number i_j of
     free_trees(arities[j], ops)."""
     _distinct(ops)
-    leaves = iter(arities)
-
-    def walk(t):
-        if t == LEAF:
-            return next(leaves), 0, (1,)
-        if type(t) is not tuple or len(t) != 3 or t[0] not in ops:
-            raise ValueError
-        nl, cl, wl = walk(t[1])
-        nr, cr, wr = walk(t[2])
-        dim, starts = _layout(nl + nr, ops)
-        dr = _layout(nr, ops)[0]
-        c = ops.index(t[0]) * (dim // len(ops)) + starts[nl] + cl * dr + cr
-        return nl + nr, c, tuple(x * dr for x in wl) + wr
-
     try:
-        _, c, w = walk(pattern)
+        _, c, w = _walk(pattern, iter(arities), ops)
     except (StopIteration, ValueError):
         w = ()
     if len(w) != len(arities):
         raise ValueError(f"{pattern!r} is not a tree over {ops} "
                          f"with {len(arities)} leaves")
     return c, w
+
+
+def _walk(t: Tree, leaves, ops: tuple[str, ...]):
+    """(arity, c, w) of position() for the subtree t, whose leaves take the
+    next arities from the iterator leaves; ValueError if t is no tree over
+    ops, StopIteration if the arities run out."""
+    if t == LEAF:
+        return next(leaves), 0, (1,)
+    if type(t) is not tuple or len(t) != 3 or t[0] not in ops:
+        raise ValueError
+    nl, cl, wl = _walk(t[1], leaves, ops)
+    nr, cr, wr = _walk(t[2], leaves, ops)
+    dim, starts = _layout(nl + nr, ops)
+    dr = _layout(nr, ops)[0]
+    c = ops.index(t[0]) * (dim // len(ops)) + starts[nl] + cl * dr + cr
+    return nl + nr, c, tuple(x * dr for x in wl) + wr
 
 
 def _slots(n: int, m: int, ops: tuple[str, ...]) -> list[tuple[int, int]]:

@@ -21,13 +21,24 @@ state is a set of lhs subpatterns and only lhs labels are stored, so the
 table is bounded by the rules alone, whatever trees are fed to it: 6 states
 for Zin and Flex, 113 for Bicom at cap 9 and 313 at cap 14.
 
+Each rule compiles its right-hand sides once (RewriteRule.reducts, a cached
+property): per rhs term a coefficient and a function that builds the term
+from a redex, reading the wildcard subtrees through the lhs's fixed child
+paths, so a rewrite step neither matches nor grafts generically.
+
 A system truncated at an arity cap (Bicom) holds a prefix of its family's
 rule order, so a redex it finds above the cap is exactly the one the whole
 family would pick; only a verdict "normal" above the cap is refused, with a
 ValueError.  normalize() rewrites the smallest non-normal term (by tree_key)
 first; its pending terms sit in a heap, pushed when they enter and tested
-once per appearance.  No tree or result is memoized across calls: a
-normal-form memo is sound only for a system already certified confluent, and
+once per appearance.  A term is walked once, when it enters: the matching
+pass also lists its preorder tokens (a node's label, "" for a leaf), and
+that list is its heap key.  A full binary tree's preorder code is
+prefix-free, so the list sorts exactly like tree_key as long as every label
+is a non-empty string, as in every tree parse_tree builds.  Inside the loop
+integral coefficients are ints and the others Fractions; the result holds
+Fractions only.  No tree or result is memoized across calls: a normal-form
+memo is sound only for a system already certified confluent, and
 check_confluence() runs on this engine.
 
 Text grammar (bit-exact for golden files):
@@ -40,7 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 Tree = object  # 1 | (op, Tree, Tree)
 LEAF: Tree = 1
@@ -224,6 +236,47 @@ class RewriteRule:
             e.add(p, -c)
         return e
 
+    @cached_property
+    def reducts(self) -> tuple[tuple[object, Callable[[Tree], Tree]], ...]:
+        """(coefficient, build) per nonzero rhs term: build(redex) is the
+        term with the redex's wildcard subtrees grafted in, read through the
+        lhs's child paths.  An integral coefficient is an int."""
+        paths: list[tuple[int, ...]] = []
+        stack = [(self.lhs, ())]
+        while stack:
+            p, path = stack.pop()
+            if p == LEAF:
+                paths.append(path)
+            else:
+                stack += ((p[2], path + (2,)), (p[1], path + (1,)))
+        return tuple((_exact(c), _builder(p, iter(map(_reader, paths))))
+                     for c, p in self.rhs if c)
+
+
+def _exact(c: Fraction):
+    """c as an int when it is integral, else c."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reader(path: tuple[int, ...]) -> Callable[[Tree], Tree]:
+    """The function u -> the subtree of u at a non-empty child path."""
+    i, rest = path[0], path[1:]
+    if not rest:
+        return itemgetter(i)
+    inner = _reader(rest)
+    return lambda u: inner(u[i])
+
+
+def _builder(p: Tree, readers) -> Callable[[Tree], Tree]:
+    """The function redex -> p with its leaves, left to right, replaced by
+    what the next readers return."""
+    if p == LEAF:
+        return next(readers)
+    op = p[0]
+    left = _builder(p[1], readers)
+    right = _builder(p[2], readers)
+    return lambda u: (op, left(u), right(u))
+
 
 def rule(name: str, lhs: str, rhs: list[tuple[int, str]] | str) -> RewriteRule:
     if isinstance(rhs, str):
@@ -318,16 +371,23 @@ def _match(t: Tree, pattern: Tree) -> Optional[list[Tree]]:
 
 
 def apply_rule_at(t: Tree, r: RewriteRule, addr: Addr) -> NsElement:
-    subs = match_at(t, r, addr)
-    if subs is None:
+    if match_at(t, r, addr) is None:
         raise ValueError(f"rule {r.name} does not match at {addr}")
-    return _reduct(t, r, addr, subs)
+    return NsElement(_rewrite_at(t, r, addr))
 
 
-def _reduct(t: Tree, r: RewriteRule, addr: Addr, subs: list[Tree]) -> NsElement:
-    out = NsElement()
-    for c, p in r.rhs:
-        out.add(replace(t, addr, graft(p, subs)), c)
+def _rewrite_at(t: Tree, r: RewriteRule, addr: Addr) -> list[tuple[Tree, object]]:
+    """(tree, coefficient) per rhs term of r, applied where r matches at addr."""
+    spine = []
+    for side in addr:
+        spine.append(t)
+        t = t[1 + side]
+    out = []
+    for c, build in r.reducts:
+        u = build(t)
+        for node, side in zip(reversed(spine), reversed(addr)):
+            u = (node[0], node[1], u) if side else (node[0], u, node[2])
+        out.append((u, c))
     return out
 
 
@@ -340,54 +400,74 @@ def _refuse_above_cap(sys: RewriteSystem, n: int) -> None:
 
 
 def _scan(u: Tree, up: int, auto: LhsAutomaton, parent: list[int],
-          hits: list) -> int:
+          hits: list, key: list[str]) -> int:
     """The automaton state of u; records u's parent and, if some rule
-    matches at u, its preorder index, state and subtree."""
+    matches at u, its preorder index and state; appends u's preorder tokens
+    to key."""
     k = len(parent)
     parent.append(up)
     op, l, r = u
-    a = 0 if l == LEAF else _scan(l, 2 * k, auto, parent, hits)
-    b = 0 if r == LEAF else _scan(r, 2 * k + 1, auto, parent, hits)
+    key.append(op)
+    if l == LEAF:
+        key.append("")
+        a = 0
+    else:
+        a = _scan(l, 2 * k, auto, parent, hits, key)
+    if r == LEAF:
+        key.append("")
+        b = 0
+    else:
+        b = _scan(r, 2 * k + 1, auto, parent, hits, key)
     s = auto[op, a, b]
     if s < 0:
-        hits.append((k, s, u))
+        hits.append((k, s))
     return s
 
 
-def _first_match(t: Tree, sys: RewriteSystem):
-    """First (rule, address, bindings) in rule order, then preorder; or None.
+def _entry(t: Tree, auto: LhsAutomaton) -> tuple[list[str], Tree, list[int], list]:
+    """(key, t, parent, hits) from one post-order pass of the automaton.
 
-    One post-order pass runs the automaton and records the nodes where some
-    rule matches.  A truncated system's rules are a prefix of its family's
-    order, so a match found above the cap is the one the whole family would
-    pick; only a normal verdict above the cap is refused.
+    key is t's preorder code (a node's label, "" for a leaf), which sorts
+    like tree_key because the code is prefix-free and labels are non-empty.
+    parent[i] is 2 * (preorder index of node i's parent) + its side; hits
+    lists (preorder index, state) where some rule matches.
     """
-    auto = sys.automaton
-    parent: list[int] = []  # by preorder index: 2 * parent's index + side
-    hits: list = []  # (preorder index, state, subtree) where some rule matches
-    if t != LEAF:
-        _scan(t, 0, auto, parent, hits)
-    if not hits:
-        _refuse_above_cap(sys, len(parent) + 1)
-        return None
-    masks = auto.masks
+    key: list[str] = []
+    parent: list[int] = []
+    hits: list = []
+    if t == LEAF:
+        key.append("")
+    else:
+        _scan(t, 0, auto, parent, hits, key)
+    return key, t, parent, hits
+
+
+def _redex(sys: RewriteSystem, parent: list[int], hits: list):
+    """The first (rule, address) in rule order, then preorder, among hits.
+
+    A truncated system's rules are a prefix of its family's order, so a
+    match found above the cap is the one the whole family would pick.
+    """
+    masks = sys.automaton.masks
     bits = 0
-    for _, s, _ in hits:
+    for _, s in hits:
         bits |= masks[s]
     low = bits & -bits
-    k, _, u = min(h for h in hits if masks[h[1]] & low)
-    r = sys.rules[low.bit_length() - 1]
+    k = min(h[0] for h in hits if masks[h[1]] & low)
     addr = []
     while k:
         addr.append(parent[k] & 1)
         k = parent[k] >> 1
-    return r, tuple(reversed(addr)), _match(u, r.lhs)
+    return sys.rules[low.bit_length() - 1], tuple(reversed(addr))
 
 
 def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
     """First match in rule order, then preorder position; None iff t is normal."""
-    found = _first_match(t, sys)
-    return None if found is None else _reduct(t, *found)
+    _, _, parent, hits = _entry(t, sys.automaton)
+    if not hits:
+        _refuse_above_cap(sys, len(parent) + 1)
+        return None
+    return NsElement(_rewrite_at(t, *_redex(sys, parent, hits)))
 
 
 def _normal_state(u: Tree, auto: LhsAutomaton) -> int:
@@ -412,28 +492,46 @@ def is_normal(t: Tree, sys: RewriteSystem) -> bool:
 
 
 def normalize(e: NsElement, sys: RewriteSystem, step_cap: int = 10_000) -> NsElement:
-    """Rewrite the smallest non-normal term until none is left."""
+    """Rewrite the smallest non-normal term until none is left.
+
+    Each term is scanned once, when it enters the working set, and its heap
+    entry keeps the scan, so a popped term is not walked again.  Integral
+    coefficients are ints until the result is returned.
+    """
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
-    work = NsElement(e.items())
-    heap = [(tree_key(t), t) for t in work]
+    auto = sys.automaton
+    work = {t: _exact(c) for t, c in NsElement(e.items()).items()}
+    heap = [_entry(t, auto) for t in work]
     heapify(heap)
     steps = 0
     while heap:
-        t = heappop(heap)[1]
-        step = rewrite_once(t, sys) if t in work else None  # else cancelled
-        if step is None:
+        _, t, parent, hits = heappop(heap)
+        if t not in work:
+            continue  # cancelled
+        if not hits:
+            _refuse_above_cap(sys, len(parent) + 1)
             continue
         steps += 1
         if steps > step_cap:
             raise StepCapExceeded(
                 f"no fixed point within {step_cap} steps in system {sys.name}")
         c = work.pop(t)
-        for u, d in step.items():
-            if u not in work:
-                heappush(heap, (tree_key(u), u))
-            work.add(u, c * d)
-    return work
+        for u, d in _rewrite_at(t, *_redex(sys, parent, hits)):
+            old = work.get(u)
+            if old is None:
+                heappush(heap, _entry(u, auto))
+                work[u] = c * d
+            else:
+                v = old + c * d
+                if v:
+                    work[u] = v
+                else:
+                    del work[u]
+    out = NsElement()
+    for t, c in work.items():
+        out[t] = c if type(c) is Fraction else Fraction(c)
+    return out
 
 
 # --- overlaps and confluence ----------------------------------------------

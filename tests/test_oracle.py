@@ -1,5 +1,6 @@
 """Brute-force dimension oracle: the trust anchor for the rewriting claims."""
 
+import gc
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -61,6 +62,19 @@ def test_position_is_affine_in_the_grafted_trees(ops):
                     tree = graft(pattern, [t for _, t in subs])
                     assert index[tree] == c + sum(
                         wj * i for wj, (i, _) in zip(w, subs))
+
+
+def test_position_leaves_no_reference_cycle():
+    pattern, arities = free_trees(4)[5], (1, 2, 1, 3)
+    position(pattern, arities)  # fills the layout cache
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            position(pattern, arities)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_free_trees_are_distinct():

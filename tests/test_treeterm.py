@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from operad_forge.oracle import free_trees
 from operad_forge.treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem,
-                                   StepCapExceeded, apply_rule_at, arity,
-                                   check_confluence, format_element,
+                                   StepCapExceeded, _entry, apply_rule_at,
+                                   arity, check_confluence, format_element,
                                    format_tree, generate, graft, is_normal,
                                    match_at, normalize, overlaps, parse_tree,
                                    positions, replace, rewrite_once, rule,
@@ -231,6 +231,36 @@ def test_add_keeps_fractions_exact():
     assert t("y(1,1)") not in e
 
 
+def test_normalize_converts_its_input_like_ns_element():
+    zin = systems.system("Zin")
+    raw = {t("x(1,x(1,1))"): "1/2", t("y(1,y(1,1))"): 0, t("x(1,y(1,1))"): 2}
+    got = normalize(raw, zin)
+    assert got == normalize(NsElement(raw.items()), zin)
+    assert all(type(c) is Fraction for c in got.values())
+
+
+_LABELS = ("x", "y", "z", "t", "xy")
+
+
+@st.composite
+def _trees(draw, n=None):
+    """A planar tree of arity n, drawn from 1-7 if n is None."""
+    if n is None:
+        n = draw(st.integers(1, 7))
+    if n == 1:
+        return LEAF
+    k = draw(st.integers(1, n - 1))
+    return (draw(st.sampled_from(_LABELS)), draw(_trees(k)), draw(_trees(n - k)))
+
+
+@given(st.lists(_trees(), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_heap_key_sorts_like_tree_key(trees):
+    auto = systems.system("Zin").automaton
+    assert sorted(trees, key=lambda u: _entry(u, auto)[0]) == \
+        sorted(trees, key=tree_key)
+
+
 # --- the engine before one-walk matching, kept as a reference ----------------
 # It tries every rule at every position through match_at and rescans the whole
 # sorted working set on every step.  The engine must take exactly its steps.
@@ -273,7 +303,9 @@ def _reference_normalize(e, sys, step_cap=10_000):
 def _assert_same_normalize(e, sys):
     """Same normal form, reached in exactly the reference's number of steps."""
     want, steps = _reference_normalize(e, sys)
-    assert normalize(e, sys) == want
+    got = normalize(e, sys)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values())
     if steps > 1:
         assert normalize(e, sys, steps) == want
         with pytest.raises(StepCapExceeded):
@@ -287,6 +319,14 @@ def _zin_bad():
     return RewriteSystem("ZinBad", (zin.rules[0], zin.rules[1], bad3))
 
 
+def _zin_half():
+    """Zin with zin3's coefficients made non-integral."""
+    zin = systems.system("Zin")
+    half3 = rule("half3", "y(1,y(1,1))", [(Fraction(1, 2), "y(1,x(1,1))"),
+                                          (Fraction(-2, 3), "y(y(1,1),1)")])
+    return RewriteSystem("ZinHalf", (zin.rules[0], zin.rules[1], half3))
+
+
 _REFERENCE_SYSTEMS = {
     "Zin": (systems.system("Zin"), ("x", "y")),
     "Flex": (systems.system("Flex"), ("x", "y")),
@@ -294,9 +334,24 @@ _REFERENCE_SYSTEMS = {
     "L": (systems.system("L"), ("z", "t")),
     "Bicom": (systems.system("Bicom", max_arity=6), ("x", "y")),
     "ZinBad": (_zin_bad(), ("x", "y")),
+    "ZinHalf": (_zin_half(), ("x", "y")),
     "partialFlex": (RewriteSystem("partial", (systems._flex_rule1(1),)),
                     ("x", "y")),
 }
+
+
+@pytest.mark.parametrize("name", ["Zin", "ZinHalf", "Bicom"])
+def test_reducts_graft_the_redex_wildcards_into_the_rhs(name):
+    pool = [LEAF, t("x(1,1)"), t("y(1,x(1,1))")]
+    for r in _REFERENCE_SYSTEMS[name][0].rules:
+        assert [c for c, _ in r.reducts] == [c for c, _ in r.rhs]
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c, _ in r.reducts)
+        for i in range(3):
+            subs = [pool[(i + j) % 3] for j in range(r.arity)]
+            redex = graft(r.lhs, subs)
+            assert [build(redex) for _, build in r.reducts] == \
+                [graft(p, subs) for _, p in r.rhs]
 
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_SYSTEMS))
@@ -323,8 +378,10 @@ def _random_element(draw_terms, ops):
     return e
 
 
+_COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3)]))
 _TERMS = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10_000),
-                            st.integers(-3, 3)), min_size=1, max_size=6)
+                            _COEFFS), min_size=1, max_size=6)
 
 
 @given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), _TERMS)
