@@ -252,6 +252,10 @@ class RewriteRule:
         return tuple((_exact(c), _builder(p, iter(map(_reader, paths))))
                      for c, p in self.rhs if c)
 
+    def __getstate__(self):
+        """The fields without the compiled reducts, which do not pickle."""
+        return {k: v for k, v in self.__dict__.items() if k != "reducts"}
+
 
 def _exact(c: Fraction):
     """c as an int when it is integral, else c."""
@@ -399,50 +403,48 @@ def _refuse_above_cap(sys: RewriteSystem, n: int) -> None:
                          f"{sys.arity_cap} of system {sys.name}")
 
 
-def _scan(u: Tree, up: int, auto: LhsAutomaton, parent: list[int],
-          hits: list, key: list[str]) -> int:
-    """The automaton state of u; records u's parent and, if some rule
-    matches at u, its preorder index and state; appends u's preorder tokens
-    to key."""
-    k = len(parent)
-    parent.append(up)
+def _scan(u: Tree, path: int, auto: LhsAutomaton, hits: list,
+          key: list[str]) -> int:
+    """The automaton state of u, the node at path; appends u's preorder
+    tokens to key and, if some rule matches at u, (position of u's label in
+    key, state, path) to hits."""
+    k = len(key)
     op, l, r = u
     key.append(op)
     if l == LEAF:
         key.append("")
         a = 0
     else:
-        a = _scan(l, 2 * k, auto, parent, hits, key)
+        a = _scan(l, 2 * path, auto, hits, key)
     if r == LEAF:
         key.append("")
         b = 0
     else:
-        b = _scan(r, 2 * k + 1, auto, parent, hits, key)
+        b = _scan(r, 2 * path + 1, auto, hits, key)
     s = auto[op, a, b]
     if s < 0:
-        hits.append((k, s))
+        hits.append((k, s, path))
     return s
 
 
-def _entry(t: Tree, auto: LhsAutomaton) -> tuple[list[str], Tree, list[int], list]:
-    """(key, t, parent, hits) from one post-order pass of the automaton.
+def _entry(t: Tree, auto: LhsAutomaton) -> tuple[list[str], Tree, list]:
+    """(key, t, hits) from one post-order pass of the automaton.
 
     key is t's preorder code (a node's label, "" for a leaf), which sorts
-    like tree_key because the code is prefix-free and labels are non-empty.
-    parent[i] is 2 * (preorder index of node i's parent) + its side; hits
-    lists (preorder index, state) where some rule matches.
+    like tree_key because the code is prefix-free and labels are non-empty;
+    t has len(key) // 2 internal nodes.  A path is an int: 1 at the root,
+    2p and 2p + 1 at the children of p.
     """
     key: list[str] = []
-    parent: list[int] = []
     hits: list = []
     if t == LEAF:
         key.append("")
     else:
-        _scan(t, 0, auto, parent, hits, key)
-    return key, t, parent, hits
+        _scan(t, 1, auto, hits, key)
+    return key, t, hits
 
 
-def _redex(sys: RewriteSystem, parent: list[int], hits: list):
+def _redex(sys: RewriteSystem, hits: list) -> tuple[RewriteRule, Addr]:
     """The first (rule, address) in rule order, then preorder, among hits.
 
     A truncated system's rules are a prefix of its family's order, so a
@@ -450,24 +452,21 @@ def _redex(sys: RewriteSystem, parent: list[int], hits: list):
     """
     masks = sys.automaton.masks
     bits = 0
-    for _, s in hits:
+    for _, s, _ in hits:
         bits |= masks[s]
     low = bits & -bits
-    k = min(h[0] for h in hits if masks[h[1]] & low)
-    addr = []
-    while k:
-        addr.append(parent[k] & 1)
-        k = parent[k] >> 1
-    return sys.rules[low.bit_length() - 1], tuple(reversed(addr))
+    path = min(h for h in hits if masks[h[1]] & low)[2]
+    return sys.rules[low.bit_length() - 1], tuple(
+        (path >> i) & 1 for i in range(path.bit_length() - 2, -1, -1))
 
 
 def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
     """First match in rule order, then preorder position; None iff t is normal."""
-    _, _, parent, hits = _entry(t, sys.automaton)
+    key, _, hits = _entry(t, sys.automaton)
     if not hits:
-        _refuse_above_cap(sys, len(parent) + 1)
+        _refuse_above_cap(sys, len(key) // 2 + 1)
         return None
-    return NsElement(_rewrite_at(t, *_redex(sys, parent, hits)))
+    return NsElement(_rewrite_at(t, *_redex(sys, hits)))
 
 
 def _normal_state(u: Tree, auto: LhsAutomaton) -> int:
@@ -506,18 +505,18 @@ def normalize(e: NsElement, sys: RewriteSystem, step_cap: int = 10_000) -> NsEle
     heapify(heap)
     steps = 0
     while heap:
-        _, t, parent, hits = heappop(heap)
+        key, t, hits = heappop(heap)
         if t not in work:
             continue  # cancelled
         if not hits:
-            _refuse_above_cap(sys, len(parent) + 1)
+            _refuse_above_cap(sys, len(key) // 2 + 1)
             continue
         steps += 1
         if steps > step_cap:
             raise StepCapExceeded(
                 f"no fixed point within {step_cap} steps in system {sys.name}")
         c = work.pop(t)
-        for u, d in _rewrite_at(t, *_redex(sys, parent, hits)):
+        for u, d in _rewrite_at(t, *_redex(sys, hits)):
             old = work.get(u)
             if old is None:
                 heappush(heap, _entry(u, auto))

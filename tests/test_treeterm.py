@@ -1,5 +1,6 @@
 """Planar tree terms, pattern matching, rewriting, overlaps, confluence."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,14 @@ def test_reducts_graft_the_redex_wildcards_into_the_rhs(name):
             redex = graft(r.lhs, subs)
             assert [build(redex) for _, build in r.reducts] == \
                 [graft(p, subs) for _, p in r.rhs]
+
+
+def test_a_rule_with_compiled_reducts_still_pickles():
+    r = _zin_half().rules[2]
+    assert r.reducts
+    copy = pickle.loads(pickle.dumps(r))
+    assert copy == r and "reducts" not in vars(copy)
+    assert [c for c, _ in copy.reducts] == [c for c, _ in r.reducts]
 
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_SYSTEMS))
