@@ -1,11 +1,13 @@
 """Exact-arithmetic toolkit for nonsymmetric versions of binary quadratic operads.
 
 Submodules:
-  exactlin   the sparse exact eliminator and the RREF, spans, intersections
-             and null spaces built on it
+  exactlin   the sparse exact eliminator and the RREF and spans built on it
+             (the criterion's one elimination per space), with intersections
+             and null spaces as general tools
   arity3     free arity-3 module, S3 action, operad catalog
   manin      the nonsymmetric versions, the white product with As (their
-             S3-closure) and the nonsymmetric-version criterion
+             S3-closure, by permuting rows) and the nonsymmetric-version
+             criterion
   treeterm   planar trees: grafting, the one grammar enumerator, rewriting,
              overlaps, confluence certification
   systems    the Zin / Bicom / Flex / AntiFlex / L systems, their grammars

@@ -12,8 +12,9 @@ Basis monomials are canonical under the +/-symmetric identifications
 monomial: sigma.basis[i] = +/-basis[j].  The action is tabulated once per
 OpSpace as this signed permutation of basis indices (_s3_table, built from
 canonicalize, which alone fixes the signs of +/-symmetric operations).
-act applies it to an element, and s3_closure to sparse index rows that go
-straight to exactlin.span.
+act applies it to an element, and s3_orbit_rows to the generators of an
+S3-closure, giving sparse index rows that go straight to exactlin.span
+(s3_closure) or, in another column order, to exactlin.rref (manin).
 
 Convention (normative): the tensor g (x) h of two basis operations denotes
 the monomial g(h(x1,x2), x3), and permutations act by substituting
@@ -30,7 +31,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exactlin import Subspace, span
+from .exactlin import SparseRow, Subspace, span
 
 PAIRED = "paired"
 SYMMETRIC = "symmetric"
@@ -222,9 +223,9 @@ def act(sigma: tuple[int, int, int], e: Arity3Element) -> Arity3Element:
     return Arity3Element(e.opspace, terms)
 
 
-def s3_closure(gens: Iterable[Arity3Element], v: OpSpace) -> Subspace:
-    """The span of sigma.g over sigma in S3 and g in gens, as sparse index rows
-    permuted by _s3_table(v)."""
+def s3_orbit_rows(gens: Iterable[Arity3Element], v: OpSpace) -> list[SparseRow]:
+    """The sparse index rows of sigma.g over g in gens and sigma in S3 (in
+    S3's order), permuted by _s3_table(v)."""
     index, table = _index(v), _s3_table(v)
     rows = []
     for g in gens:
@@ -238,7 +239,12 @@ def s3_closure(gens: Iterable[Arity3Element], v: OpSpace) -> Subspace:
                 j, sign = perm[i]
                 row[j] = c if sign > 0 else -c
             rows.append(row)
-    return span(rows, len(index))
+    return rows
+
+
+def s3_closure(gens: Iterable[Arity3Element], v: OpSpace) -> Subspace:
+    """The span of sigma.g over sigma in S3 and g in gens."""
+    return span(s3_orbit_rows(gens, v), len(basis3(v)))
 
 
 @dataclass(frozen=True)

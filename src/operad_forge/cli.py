@@ -126,12 +126,23 @@ def _cmd_certify(args) -> int:
     expected = {"As": True, "Nov": True, "Zin": True, "Bicom": True,
                 "Flex": True, "AntiFlex": True, "Alt": False,
                 "Assosym": False, "Leib": False, "PreLie": False}
+    admits = {}
     for name, want in expected.items():
-        got = manin.admits_nonsymmetric(catalog(name)).admits
+        got = admits[name] = manin.admits_nonsymmetric(catalog(name)).admits
         line_ok = got is want
         ok &= line_ok
         print(f"criterion {name}: admits={str(got).lower()} "
               f"{'ok' if line_ok else 'MISMATCH'}")
+    # the criterion equivalence: P admits a nonsymmetric version exactly
+    # when identifying a > b with b < a in As o P gives back R
+    for name, got in admits.items():
+        p = catalog(name)
+        sym = manin.symmetrize_quotient(manin.white_product_as(p))
+        back = sym.relation_space() == p.relation_space()
+        line_ok = back is got
+        ok &= line_ok
+        print(f"manin {name}: sym(As o P) == R is {str(back).lower()}, "
+              f"admits={str(got).lower()} {'ok' if line_ok else 'MISMATCH'}")
     # three-way dimension agreement
     for name in NC_SYSTEMS:
         for n, g, f, o in _dim_rows(name, args.max_n, args.oracle_max):

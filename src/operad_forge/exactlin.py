@@ -8,10 +8,14 @@ column with a gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968),
 so no Fraction is built while rows are reduced; only rref() goes back to
 the rationals, for the canonical reduced row-echelon form.  The brute-force
 oracle feeds the eliminator directly, and rref, span, intersect and
-nullspace run on it.  They take each row dense, a sequence of ints or
-Fractions, or sparse, a Mapping column -> entry such as arity3.s3_closure
-builds, and return the rows of rref(): dicts column -> Fraction whose pivot
-is the smallest column.  A Subspace is stored as this reduced row-echelon
+nullspace run on it.  The criterion and the white products need only rref
+and span: manin reads R cap (two-outside cosets) off one rref with the
+two-outside columns last and builds As o P by permuting rows, so intersect
+(Zassenhaus) and nullspace are no longer on that path; they stay as
+general tools and as the references the tests compare against.  All four
+take each row dense, a sequence of ints or Fractions, or sparse, a Mapping
+column -> entry such as arity3.s3_orbit_rows builds, and return the rows
+of rref(): dicts column -> Fraction whose pivot is the smallest column.  A Subspace is stored as this reduced row-echelon
 basis, so two subspaces are equal iff their canonical bases are equal as
 sequences, and a row lies in a subspace iff adding it leaves the rank
 unchanged; SparseEliminator.reduce is the one reduction loop.  Subspaces

@@ -7,14 +7,22 @@ obtained by recursively swapping the arguments of every ">" node.  VAR
 tabulates var on the 48 two-operation monomials.
 
 The criterion compares R with the S3-closure F of the part of R lying in
-the "two-outside" cosets: monomials whose lone argument is x1 or x3.
+the "two-outside" cosets: monomials whose lone argument is x1 or x3.  That
+part is a coordinate subspace, so one elimination of the S3-orbit rows of
+the relations, with the two-outside columns last, gives both dim R and the
+RREF basis of R cap (two-outside cosets) (_two_outside_part); no
+intersection is computed.
 
 var maps the planar block, the 8 monomials whose leaves are 1, 2, 3 in
 order, one to one onto the 8 two-outside monomials, so the kernel of
 m -> var(m) mod R on the planar block is R cap (two-outside cosets) pulled
 back along var.  nonsymmetric_version returns that pullback, and
 white_product_as its S3-closure; the map is S3-equivariant and splits by
-leaf word, so this is the whole kernel (its docstring gives the argument).
+leaf word, so this is the whole kernel.  The closure needs no elimination:
+the six permuted copies of the planar kernel's RREF rows lie on disjoint
+blocks of columns, each in the planar block's column order, so sorted by
+pivot they are already its canonical RREF basis (white_product_as gives
+the argument).
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ import json
 from dataclasses import dataclass
 
 from .arity3 import (DOUBLE, SINGLE, Arity3Element, Monomial3,
-                     OperadPresentation, OpSpace, basis3, format_element,
-                     from_vector, s3_closure)
-from .exactlin import Subspace, intersect, span
+                     OperadPresentation, OpSpace, _s3_table, basis3,
+                     format_element, from_vector, s3_closure, s3_orbit_rows)
+from .exactlin import SparseRow, Subspace, rref, span
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,25 @@ def _var(m: Monomial3) -> Monomial3:
 VAR = {m: _var(m) for m in basis3(DOUBLE)}
 
 
+# the planar block: the indices in basis3(DOUBLE) of the 8 monomials whose
+# leaves are 1, 2, 3 in order, and for each the index of its var in
+# basis3(SINGLE), the position it takes among the planar columns
+_PLANAR = [i for i, m in enumerate(basis3(DOUBLE)) if m.leaves == (1, 2, 3)]
+_PLANAR_COLUMN = {basis3(SINGLE).index(VAR[basis3(DOUBLE)[i]]): k
+                  for k, i in enumerate(_PLANAR)}
+
+
+def _planar_kernel(p: OperadPresentation) -> list[SparseRow]:
+    """The RREF rows of the kernel of m -> var(m) mod R on the planar block,
+    over the indices of basis3(DOUBLE)."""
+    if p.opspace != SINGLE:
+        raise ValueError("expected a presentation over a single paired operation")
+    _, inter = _two_outside_part(p)
+    ker = span(({_PLANAR_COLUMN[j]: c for j, c in r.items()} for r in inter.basis),
+               len(_PLANAR))
+    return [{_PLANAR[k]: c for k, c in r.items()} for r in ker.basis]
+
+
 def nonsymmetric_version(p: OperadPresentation) -> OperadPresentation:
     """The nonsymmetric version Nc P over the split pair of operations <, >.
 
@@ -72,15 +99,8 @@ def nonsymmetric_version(p: OperadPresentation) -> OperadPresentation:
     is one to one from this block onto the two-outside monomials, so the
     kernel is R cap (two-outside cosets) read through var.
     """
-    if p.opspace != SINGLE:
-        raise ValueError("expected a presentation over a single paired operation")
-    _, inter = _two_outside_part(p)
-    v_basis = basis3(SINGLE)
-    planar = [m for m in basis3(DOUBLE) if m.leaves == (1, 2, 3)]
-    column = {v_basis.index(VAR[m]): k for k, m in enumerate(planar)}
-    ker = span(({column[j]: c for j, c in r.items()} for r in inter.basis),
-               len(planar))
-    rels = tuple(from_vector(r, planar, DOUBLE) for r in ker.basis)
+    w_basis = basis3(DOUBLE)
+    rels = tuple(from_vector(r, w_basis, DOUBLE) for r in _planar_kernel(p))
     return OperadPresentation(f"Nc{p.name}", DOUBLE, rels)
 
 
@@ -94,12 +114,26 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
     permutation sigma carries the planar block (word 123) onto the block of
     the word sigma(1)sigma(2)sigma(3); so the kernel on that block is sigma
     applied to the planar kernel, and As o P(3) is the S3-closure of the
-    relations of nonsymmetric_version(p).  The relations returned are the
-    canonical RREF basis of that closure.
+    relations of nonsymmetric_version(p).
+
+    The relations returned are the canonical RREF basis of that closure,
+    and no elimination builds it: the planar kernel's RREF rows are moved
+    by each sigma through _s3_table(DOUBLE) and sorted by pivot.  Both
+    operations of DOUBLE are paired, so every sign in the table is +1 and
+    each row keeps its leading 1.  The six blocks have disjoint columns, so
+    a row is zero on the pivot of every row from another block.  Within a
+    block sigma changes only the leaves, and basis3(DOUBLE) orders by
+    shape, then leaves, then operations, so sigma keeps the column order of
+    the block: the image of the planar RREF is the RREF of the image.  The
+    sorted union is therefore reduced, with each pivot its row's smallest
+    column, which is the one basis exactlin.span would return.
     """
-    closure = nonsymmetric_version(p).relation_space()
+    ker = _planar_kernel(p)
+    rows = [{perm[j][0]: c for j, c in r.items()}
+            for perm in _s3_table(DOUBLE).values() for r in ker]
+    rows.sort(key=min)
     w_basis = basis3(DOUBLE)
-    rels = tuple(from_vector(r, w_basis, DOUBLE) for r in closure.basis)
+    rels = tuple(from_vector(r, w_basis, DOUBLE) for r in rows)
     return OperadPresentation(f"As.{p.name}", DOUBLE, rels)
 
 
@@ -124,18 +158,35 @@ def two_outside_subspace(v: OpSpace) -> Subspace:
     return span(units, len(basis))
 
 
-def _two_outside_part(p: OperadPresentation) -> tuple[Subspace, Subspace]:
-    """R and R cap (two-outside cosets)."""
-    R = p.relation_space()
-    return R, intersect(R, two_outside_subspace(p.opspace))
+def _two_outside_part(p: OperadPresentation) -> tuple[int, Subspace]:
+    """dim R and R cap (two-outside cosets), from one elimination.
+
+    The two-outside subspace is spanned by basis vectors, so the S3-orbit
+    rows of the relations are reduced once with the other columns first and
+    the two-outside columns after them, each group in its basis order.  The
+    rank is dim R.  A reduced row with its pivot among the two-outside
+    columns is zero on every other column, and a vector of R in the
+    two-outside subspace is zero on the pivots of the remaining rows, so
+    these rows span R cap (two-outside cosets).  Mapped back they keep their
+    relative column order, so they are its canonical RREF basis.
+    """
+    basis = basis3(p.opspace)
+    inside = [i for i, m in enumerate(basis) if m.outside_leaf == 2]
+    order = inside + [i for i, m in enumerate(basis) if m.outside_leaf != 2]
+    position = {i: k for k, i in enumerate(order)}
+    reduced = rref(({position[j]: c for j, c in r.items()}
+                    for r in s3_orbit_rows(p.relations, p.opspace)), len(basis))
+    inter = tuple({order[k]: c for k, c in r.items()}
+                  for r in reduced if min(r) >= len(inside))
+    return len(reduced), Subspace(len(basis), inter)
 
 
 def _criterion(p: OperadPresentation):
-    """R, a basis of R cap (two-outside cosets) as elements, and F."""
+    """dim R, a basis of R cap (two-outside cosets) as elements, and F."""
     basis = basis3(p.opspace)
-    R, inter = _two_outside_part(p)
+    dim_R, inter = _two_outside_part(p)
     gens = tuple(from_vector(r, basis, p.opspace) for r in inter.basis)
-    return R, gens, s3_closure(gens, p.opspace)
+    return dim_R, gens, s3_closure(gens, p.opspace)
 
 
 def compute_F(p: OperadPresentation) -> Subspace:
@@ -143,12 +194,12 @@ def compute_F(p: OperadPresentation) -> Subspace:
 
 
 def admits_nonsymmetric(p: OperadPresentation) -> CriterionReport:
-    R, gens, F = _criterion(p)
+    dim_R, gens, F = _criterion(p)
     return CriterionReport(
         operad_name=p.name,
-        dim_R=R.dim,
+        dim_R=dim_R,
         dim_F=F.dim,
-        dim_P3=R.ambient_dim - R.dim,
-        admits=F.dim == R.dim,
+        dim_P3=F.ambient_dim - dim_R,
+        admits=F.dim == dim_R,
         F_generators=gens,
     )

@@ -73,6 +73,10 @@ def test_certify(capsys):
     code, out = run(capsys, "certify", "--max-n", "5", "--oracle-max", "4")
     assert code == 0
     assert "certify: PASS" in out
+    # the criterion equivalence, one line per operad of the criterion table
+    manin_lines = [l for l in out.splitlines() if l.startswith("manin ")]
+    assert len(manin_lines) == 10 and all(l.endswith(" ok") for l in manin_lines)
+    assert "manin Leib: sym(As o P) == R is false, admits=false ok" in manin_lines
 
 
 def test_usage_error():

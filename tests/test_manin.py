@@ -7,34 +7,43 @@ from itertools import permutations
 
 import pytest
 
-from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, SINGLE,
-                                 SYMMETRIC, Arity3Element, Monomial3,
+from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, PAIRED,
+                                 SINGLE, SYMMETRIC, Arity3Element, Monomial3,
                                  OperadPresentation, OpSpace, basis3, catalog,
                                  from_vector, parse_element, s3_closure,
                                  quotient_dim3, to_vector)
 from operad_forge.exactlin import intersect, nullspace, span
-from operad_forge.manin import (VAR, admits_nonsymmetric, compute_F,
+from operad_forge.manin import (VAR, CriterionReport, _two_outside_part,
+                                admits_nonsymmetric, compute_F,
                                 nonsymmetric_version, symmetrize_quotient,
                                 two_outside_subspace, white_product_as)
 
 SINGLE_OPERATION = [catalog(n) for n in ("Free",) + tuple(
     n for n in CATALOG_NAMES if not n.startswith("Nc"))]
+NONSYMMETRIC = [catalog(n) for n in CATALOG_NAMES if n.startswith("Nc")]
+# operation spaces with +/-symmetric operations, whose basis monomials are
+# canonical and whose S3 action has signs
+LIE = OpSpace(("b",), (ANTISYMMETRIC,))
+MIXED = OpSpace(("*", "b", "c"), (PAIRED, ANTISYMMETRIC, SYMMETRIC))
 
 
-def _random_operads(count: int, seed: int = 8) -> list[OperadPresentation]:
-    """Seeded random single-operation operads: every other one has its
-    relations inside the two-outside cosets, the rest anywhere."""
+def _random_operads(count: int, seed: int = 8,
+                    v: OpSpace = SINGLE) -> list[OperadPresentation]:
+    """Seeded random operads over v (by default a single operation): every
+    other one has its relations inside the two-outside cosets, the rest
+    anywhere."""
     rng = random.Random(seed)
-    basis = basis3(SINGLE)
+    basis = basis3(v)
     two_outside = [m for m in basis if m.outside_leaf != 2]
     out = []
     for i in range(count):
         pool = two_outside if i % 2 == 0 else basis
+        size = min(4, len(pool))
         rels = tuple(
-            Arity3Element(SINGLE, [(m, Fraction(rng.choice((-2, -1, 1, 2))))
-                                   for m in rng.sample(pool, rng.randint(1, 4))])
+            Arity3Element(v, [(m, Fraction(rng.choice((-2, -1, 1, 2))))
+                              for m in rng.sample(pool, rng.randint(1, size))])
             for _ in range(rng.randint(1, 3)))
-        out.append(OperadPresentation(f"R{i}", SINGLE, rels))
+        out.append(OperadPresentation(f"R{i}", v, rels))
     return out
 
 
@@ -214,6 +223,40 @@ def test_leibniz_internals():
     inter = intersect(leib.relation_space(), two_outside_subspace(SINGLE))
     assert inter.dim == 2
     assert inter == span([vecs[0], vecs[2]], 12)
+
+
+def test_one_elimination_equals_the_zassenhaus_intersection():
+    """One elimination with the two-outside columns last gives dim R and the
+    same canonical basis of R cap (two-outside cosets) as intersect, and so
+    the same report as the former criterion: on one operation, on the 48
+    columns of the Nc presentations and of random ones over <, >, and on
+    spaces with +/-symmetric operations."""
+    assert len(NONSYMMETRIC) == 5
+    cases = (SINGLE_OPERATION + NONSYMMETRIC + _random_operads(80)
+             + _random_operads(40, seed=9, v=DOUBLE)
+             + _random_operads(40, seed=10, v=LIE)
+             + _random_operads(40, seed=11, v=MIXED))
+    for p in cases:
+        R = p.relation_space()
+        inter = intersect(R, two_outside_subspace(p.opspace))
+        assert _two_outside_part(p) == (R.dim, inter), p.name
+        gens = tuple(from_vector(r, basis3(p.opspace), p.opspace)
+                     for r in inter.basis)
+        F = s3_closure(gens, p.opspace)
+        want = CriterionReport(p.name, R.dim, F.dim, R.ambient_dim - R.dim,
+                               F.dim == R.dim, gens)
+        assert admits_nonsymmetric(p) == want, p.name
+    assert all(admits_nonsymmetric(p).admits for p in NONSYMMETRIC)
+
+
+def test_criterion_and_white_product_refuse_a_foreign_relation():
+    # a relation over <, > in a presentation over the single operation *
+    rel = parse_element("+1*(x1<x2)>x3-1*x1<(x2>x3)", DOUBLE)
+    p = OperadPresentation("Foreign", SINGLE, (rel,))
+    for f in (admits_nonsymmetric, white_product_as, nonsymmetric_version,
+              compute_F):
+        with pytest.raises(ValueError, match="generator over operations"):
+            f(p)
 
 
 def test_white_product_equals_the_former_construction():
