@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
 Subcommands: criterion, manin, dims, normal-forms, bijection, confluence,
-certify.  Exit codes: 0 success, 1 failed check, 2 usage error (argparse's
-own convention).  All output is deterministic for fixed flags.
+certify.  Exit codes: 0 success, 1 failed check or a reader that closed
+the output pipe early, 2 usage error (argparse's own convention).  All
+output is deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections, manin, oracle, systems
@@ -210,7 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader (say, `| head`) closed the pipe: send what is still
+        # buffered to devnull, so that the interpreter's flush at exit
+        # raises no second error (the recipe of the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

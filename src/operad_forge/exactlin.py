@@ -1,25 +1,28 @@
 """Exact linear algebra on one sparse, fraction-free elimination kernel.
 
 SparseEliminator does incremental Gaussian elimination over the integers on
-sparse rows (dicts column -> nonzero int).  A rational row is cleared of its
-denominators once on entry, and every stored pivot row is primitive: the gcd
-of its entries is 1 and its leading entry is positive.  Each step clears one
-column with a gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968),
-so no Fraction is built while rows are reduced; only rref() goes back to
-the rationals, for the canonical reduced row-echelon form.  The brute-force
-oracle feeds the eliminator directly, and rref, span, intersect and
-nullspace run on it.  The criterion and the white products need only rref
-and span: manin reads R cap (two-outside cosets) off one rref with the
-two-outside columns last and builds As o P by permuting rows, so intersect
-(Zassenhaus) and nullspace are no longer on that path; they stay as
-general tools and as the references the tests compare against.  All four
-take each row dense, a sequence of ints or Fractions, or sparse, a Mapping
-column -> entry such as arity3.s3_orbit_rows builds, and return the rows
-of rref(): dicts column -> Fraction whose pivot is the smallest column.  A Subspace is stored as this reduced row-echelon
-basis, so two subspaces are equal iff their canonical bases are equal as
-sequences, and a row lies in a subspace iff adding it leaves the rank
-unchanged; SparseEliminator.reduce is the one reduction loop.  Subspaces
-are immutable and the functions are pure.
+sparse rows (dicts column -> nonzero int).  absorb takes such an int row
+over and reduces it in place; add clears a rational row of its
+denominators on a copy and absorbs that, so the row it is given is left as
+it is.  Every stored pivot row is primitive: the gcd of its entries is 1
+and its leading entry is positive.  Each step clears one column with a
+gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968), so no
+Fraction is built while rows are reduced; only rref() goes back to the
+rationals, for the canonical reduced row-echelon form.  The brute-force
+oracle hands the int rows it has just built straight to absorb, and rref,
+span, intersect and nullspace run on add.  The criterion and the white
+products need only rref and span: manin reads R cap (two-outside cosets)
+off one rref with the two-outside columns last and builds As o P by
+permuting rows, so intersect (Zassenhaus) and nullspace are no longer on
+that path; they stay as general tools and as the references the tests
+compare against.  All four take each row dense, a sequence of ints or
+Fractions, or sparse, a Mapping column -> entry such as
+arity3.s3_orbit_rows builds, and return the rows of rref(): dicts column
+-> Fraction whose pivot is the smallest column.  A Subspace is stored as
+this reduced row-echelon basis, so two subspaces are equal iff their
+canonical bases are equal as sequences, and a row lies in a subspace iff
+adding it leaves the rank unchanged; SparseEliminator.absorb is the one
+reduction loop.  Subspaces are immutable and the functions are pure.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ def _integral(row: Mapping) -> IntRow:
             for j, c in row.items() if c}
 
 
-def _primitive(row: IntRow) -> IntRow:
-    """row divided by the gcd of its entries, with a positive leading entry."""
+def _primitive(row: IntRow, lead: int) -> IntRow:
+    """row divided by the gcd of its entries, with a positive entry in its
+    smallest column lead."""
     g = gcd(*row.values())
-    if row[min(row)] < 0:
+    if row[lead] < 0:
         g = -g
     return row if g == 1 else {j: c // g for j, c in row.items()}
 
@@ -78,26 +82,25 @@ class SparseEliminator:
     def __init__(self):
         self.pivots: dict[int, IntRow] = {}
 
-    def reduce(self, row: Mapping) -> IntRow:
-        """The residual of row after elimination by the pivot rows, as a
-        primitive int row (a nonzero rational multiple of the true residual),
-        or {} if row lies in their span."""
-        row = _integral(row)
+    def absorb(self, row: IntRow) -> bool:
+        """Reduce row, a dict column -> nonzero int, by the pivot rows, in
+        place; if a residual is left, keep it, made primitive, as the pivot
+        row of its smallest column.  Returns True if the rank grew.  row
+        belongs to the eliminator afterwards: the caller must not use it."""
+        pivots = self.pivots
         while row:
             p = min(row)
-            piv = self.pivots.get(p)
+            piv = pivots.get(p)
             if piv is None:
-                return _primitive(row)
+                pivots[p] = _primitive(row, p)
+                return True
             _cancel(row, p, piv)
-        return row
+        return False
 
     def add(self, row: Mapping) -> bool:
-        """Reduce and absorb; returns True if the rank grew."""
-        row = self.reduce(row)
-        if not row:
-            return False
-        self.pivots[min(row)] = row
-        return True
+        """absorb a copy of row, a Mapping column -> int or Fraction, cleared
+        of its denominators; row itself is left as it is."""
+        return self.absorb(_integral(row))
 
     @property
     def rank(self) -> int:
@@ -124,7 +127,7 @@ class SparseEliminator:
             # pass over the pivot columns present in row clears them all
             for q in [q for q in row if q != p and q in done]:
                 _cancel(row, q, done[q])
-            done[p] = _primitive(row)
+            done[p] = _primitive(row, p)
         out = []
         for p in sorted(done):
             row = done[p]

@@ -9,8 +9,11 @@ so each column is computed from the context and the inner trees.  Each
 relation is cleared of its denominators once, so every row has int entries
 and no Fraction is built per row.  The span's rank is computed by incremental
 fraction-free sparse elimination over the integers, on the package's one
-exact kernel, exactlin.SparseEliminator.  The free trees come from
-treeterm.generate; nothing here uses treeterm's grafting or rewriting.
+exact kernel, exactlin.SparseEliminator: each fresh row goes straight to
+its absorb, which reduces it in place with no copy and no denominator
+clearing (add, the rational entry, clears denominators on a copy).  The
+free trees come from treeterm.generate; nothing here uses treeterm's
+grafting or rewriting.
 This module is deliberately unclever; it is the trust anchor for the
 Groebner-basis claims.
 """
@@ -153,6 +156,8 @@ def consequences(rels: Iterable[NsElement], n: int,
     # one int object per column: the eliminator's dict lookups then match
     # equal columns by identity, several per cent faster than by value
     column = list(range(free_dim(n, ops)))
+    # the inner trees' index ranges by arity, checked and counted once
+    trees = [range(0)] + [range(free_dim(k, ops)) for k in range(1, n - 1)]
     out = []
     for rel in rels:
         den = lcm(*(c.denominator for c in rel.values()))
@@ -162,9 +167,9 @@ def consequences(rels: Iterable[NsElement], n: int,
             for a, b, c in _compositions3(m):
                 places = [(position(s, (a, b, c), ops), coeff)
                           for s, coeff in terms]
-                for r1 in range(free_dim(a, ops)):
-                    for r2 in range(free_dim(b, ops)):
-                        for r3 in range(free_dim(c, ops)):
+                for r1 in trees[a]:
+                    for r2 in trees[b]:
+                        for r3 in trees[c]:
                             elem = {}
                             for (k, (w1, w2, w3)), coeff in places:
                                 j = k + w1 * r1 + w2 * r2 + w3 * r3
@@ -187,9 +192,13 @@ def consequences(rels: Iterable[NsElement], n: int,
 
 def ideal_rank(rels: Iterable[NsElement], n: int,
                ops: tuple[str, ...] = ("x", "y")) -> int:
+    rows = consequences(rels, n, ops)
+    rows.reverse()
     elim = SparseEliminator()
-    for row in consequences(rels, n, ops):
-        elim.add(row)
+    while rows:
+        # popped, so that a row absorb reduced to zero is freed at once: its
+        # dict keeps the table its fill-in grew
+        elim.absorb(rows.pop())
     return elim.rank
 
 

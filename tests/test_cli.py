@@ -1,9 +1,14 @@
 """Command-line front end: exit codes and output shape."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import operad_forge
 from operad_forge.cli import main
 
 
@@ -77,6 +82,19 @@ def test_certify(capsys):
     manin_lines = [l for l in out.splitlines() if l.startswith("manin ")]
     assert len(manin_lines) == 10 and all(l.endswith(" ok") for l in manin_lines)
     assert "manin Leib: sym(As o P) == R is false, admits=false ok" in manin_lines
+
+
+def test_closed_pipe_exits_1_quietly():
+    # the reader is gone before the command writes, so its first write
+    # meets a closed pipe, as when `| head` has already exited
+    env = {**os.environ, "PYTHONPATH": str(Path(operad_forge.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "operad_forge", "normal-forms", "Zin", "6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_usage_error():

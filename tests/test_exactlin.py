@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,3 +209,50 @@ def test_sparse_row_column_out_of_range():
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             rref([{0: entry}], 1)
     assert rref([[0.5]], 1) == [{0: F(1)}]
+
+
+# int rows as the oracle builds them: no zero entries, mostly +-1, some
+# larger, so that pivots with leading entries other than 1 occur
+_int_rows = st.lists(st.dictionaries(
+    st.integers(0, 7),
+    st.one_of(st.sampled_from((-1, 1)), st.integers(-40, 40).filter(bool)),
+    min_size=1, max_size=5), max_size=12)
+
+
+def _state(elim):
+    return (elim.pivots, elim.rank, elim.nonzeros, elim.max_bits, elim.rref())
+
+
+@given(_int_rows)
+@settings(max_examples=100, deadline=None)
+def test_absorb_is_add_on_integral_rows(rows):
+    by_add, by_absorb = SparseEliminator(), SparseEliminator()
+    assert [by_add.add(dict(r)) for r in rows] \
+        == [by_absorb.absorb(dict(r)) for r in rows]
+    assert _state(by_absorb) == _state(by_add)
+    _assert_pivot_rows_primitive(by_absorb)
+
+
+def test_add_leaves_its_row_as_it_is():
+    elim = SparseEliminator()
+    elim.add({0: 1, 1: 2})
+    row = {0: 3, 1: Fraction(1, 2), 2: 5}
+    view = MappingProxyType(dict(row))
+    for given_row in (row, view):
+        snapshot = dict(given_row)
+        elim.add(given_row)
+        assert given_row == snapshot
+    assert all(row is not p and view is not p for p in elim.pivots.values())
+
+
+def test_absorb_takes_over_its_row():
+    elim = SparseEliminator()
+    first = {0: 2, 1: 4}
+    assert elim.absorb(first)
+    assert elim.pivots == {0: {0: 1, 1: 2}}
+    second = {0: 1, 1: 3}
+    assert elim.absorb(second)
+    assert second == {1: 1} and elim.pivots[1] is second
+    dependent = {0: -1, 1: -5}
+    assert not elim.absorb(dependent)
+    assert dependent == {}

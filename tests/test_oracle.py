@@ -221,6 +221,30 @@ def test_rows_come_by_descending_leading_column():
     assert elim.nonzeros <= 20_000
 
 
+@pytest.mark.parametrize("name", NC_NAMES)
+def test_ideal_rank_absorbs_rows_as_add_would(name, monkeypatch):
+    # ideal_rank hands its freshly built int rows to absorb; add, which
+    # clears denominators on a copy, must reach the very same pivot rows
+    used = []
+
+    class Recording(SparseEliminator):
+        def __init__(self):
+            super().__init__()
+            used.append(self)
+
+    monkeypatch.setattr(oracle, "SparseEliminator", Recording)
+    rels = systems.nc_relations(name)
+    for n in range(3, 8):
+        rank = ideal_rank(rels, n)
+        elim = used.pop()
+        ref = SparseEliminator()
+        for row in consequences(rels, n):
+            ref.add(dict(row))
+        assert (rank, elim.rank, elim.nonzeros, elim.max_bits) \
+            == (ref.rank, ref.rank, ref.nonzeros, ref.max_bits), (name, n)
+        assert elim.pivots == ref.pivots, (name, n)
+
+
 @pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 19_485),
                                                 ("NcNov", 7524, 22_349)])
 def test_fill_in_does_not_depend_on_the_relations_order(name, rank, nonzeros):
