@@ -8,13 +8,16 @@ a permutation of (1,2,3) and an operation at each internal node.  The
 symmetric group S3 acts by relabelling leaves.
 
 Basis monomials are canonical under the +/-symmetric identifications
-(canonicalize), so sigma maps each basis monomial to a signed basis
-monomial: sigma.basis[i] = +/-basis[j].  The action is tabulated once per
-OpSpace as this signed permutation of basis indices (_s3_table, built from
-canonicalize, which alone fixes the signs of +/-symmetric operations).
-act applies it to an element, and s3_orbit_rows to the generators of an
-S3-closure, giving sparse index rows that go straight to exactlin.span
-(s3_closure) or, in another column order, to exactlin.rref (manin).
+(canonicalize), and an element is a sparse row over basis3(v): basis index
+-> nonzero Fraction.  The constructor canonicalizes Monomial3 terms into
+such a row; from_row takes a row of exactlin or act as it is.  sigma maps
+each basis monomial to a signed one, sigma.basis[i] = +/-basis[j], and
+this signed permutation of indices is tabulated once per OpSpace
+(_s3_table, built from canonicalize, which alone fixes the signs of
++/-symmetric operations).  act alone applies it; s3_orbit_rows reads the
+rows act gives for the generators of an S3-closure, which go straight to
+exactlin.span (s3_closure) or, in another column order, to exactlin.rref
+(manin).
 
 Convention (normative): the tensor g (x) h of two basis operations denotes
 the monomial g(h(x1,x2), x3), and permutations act by substituting
@@ -29,7 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .exactlin import SparseRow, Subspace, span
 
@@ -112,13 +116,15 @@ def canonicalize(m: Monomial3, v: OpSpace) -> tuple[Monomial3, int]:
 
 
 class Arity3Element:
-    """Sparse rational combination of canonical arity-3 monomials."""
+    """A sparse row over basis3(opspace): row maps a basis index to its
+    nonzero Fraction coefficient, and terms reads it by monomial."""
 
-    __slots__ = ("opspace", "terms")
+    __slots__ = ("opspace", "row")
 
     def __init__(self, opspace: OpSpace, terms: Iterable[tuple[Monomial3, Fraction]] = ()):
         self.opspace = opspace
-        acc: dict[Monomial3, Fraction] = {}
+        index = _index(opspace)
+        acc: dict[int, Fraction] = {}
         for m, coeff in terms:
             if m.shape not in ("L", "R") or tuple(m.leaves) not in _LEAF_ORDERS:
                 raise ValueError(f"not an arity-3 monomial (shape L or R, leaves "
@@ -130,31 +136,37 @@ class Arity3Element:
                 coeff = Fraction(coeff)
             if sign < 0:
                 coeff = -coeff
-            old = acc.get(cm)
-            acc[cm] = coeff if old is None else old + coeff
-        self.terms = {m: c for m, c in acc.items() if c}
+            j = index[cm]
+            old = acc.get(j)
+            acc[j] = coeff if old is None else old + coeff
+        self.row = {j: c for j, c in acc.items() if c}
 
-    def __add__(self, other: "Arity3Element") -> "Arity3Element":
-        return Arity3Element(self.opspace,
-                             list(self.terms.items()) + list(other.terms.items()))
+    @classmethod
+    def from_row(cls, opspace: OpSpace, row: Mapping[int, Fraction]) -> "Arity3Element":
+        """The element with this row of nonzero coefficients, such as exactlin
+        or act returns, taken over without canonicalizing it again."""
+        e = cls.__new__(cls)
+        e.opspace, e.row = opspace, row
+        return e
 
-    def __neg__(self) -> "Arity3Element":
-        return Arity3Element(self.opspace, [(m, -c) for m, c in self.terms.items()])
-
-    def __sub__(self, other: "Arity3Element") -> "Arity3Element":
-        return self + (-other)
+    @property
+    def terms(self) -> Mapping[Monomial3, Fraction]:
+        """The row read by monomial, in the row's order."""
+        basis = basis3(self.opspace)
+        return MappingProxyType({basis[j]: c for j, c in self.row.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Arity3Element) and self.terms == other.terms
+        return (isinstance(other, Arity3Element)
+                and (self.opspace, self.row) == (other.opspace, other.row))
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.opspace, frozenset(self.row.items())))
 
     def __repr__(self):
         return f"Arity3Element({format_element(self)!r})"
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row
 
 
 @lru_cache(maxsize=None)
@@ -198,47 +210,26 @@ def _s3_table(v: OpSpace) -> dict[tuple[int, int, int], tuple[tuple[int, int], .
     return table
 
 
-def to_vector(e: Arity3Element, basis: Sequence[Monomial3]) -> dict[int, Fraction]:
-    """e as a sparse row: the position in basis of each term -> its coefficient."""
-    index = {m: i for i, m in enumerate(basis)}
-    return {index[m]: c for m, c in e.terms.items()}
-
-
-def from_vector(row: Mapping[int, Fraction], basis: Sequence[Monomial3],
-                opspace: OpSpace) -> Arity3Element:
-    """The sum of row[j] * basis[j] over a sparse row such as exactlin's."""
-    return Arity3Element(opspace, [(basis[j], c) for j, c in row.items()])
-
-
 def act(sigma: tuple[int, int, int], e: Arity3Element) -> Arity3Element:
     """Substitute x_i -> x_sigma(i); sigma[i-1] is the image of i."""
     perm = _s3_table(e.opspace).get(tuple(sigma))
     if perm is None:
         raise ValueError(f"{sigma!r} is not a permutation of (1, 2, 3)")
-    basis, index = basis3(e.opspace), _index(e.opspace)
-    terms = []
-    for m, c in e.terms.items():
-        j, sign = perm[index[m]]
-        terms.append((basis[j], c if sign > 0 else -c))
-    return Arity3Element(e.opspace, terms)
+    row = {}
+    for i, c in e.row.items():
+        j, sign = perm[i]
+        row[j] = c if sign > 0 else -c
+    return Arity3Element.from_row(e.opspace, row)
 
 
 def s3_orbit_rows(gens: Iterable[Arity3Element], v: OpSpace) -> list[SparseRow]:
-    """The sparse index rows of sigma.g over g in gens and sigma in S3 (in
-    S3's order), permuted by _s3_table(v)."""
-    index, table = _index(v), _s3_table(v)
+    """The rows of sigma.g over g in gens and sigma in S3 (in S3's order)."""
     rows = []
     for g in gens:
         if g.opspace != v:
             raise ValueError(f"generator over operations {g.opspace.ops} "
                              f"{g.opspace.sym} in an S3-closure over {v.ops} {v.sym}")
-        terms = [(index[m], c) for m, c in g.terms.items()]
-        for perm in table.values():
-            row = {}
-            for i, c in terms:
-                j, sign = perm[i]
-                row[j] = c if sign > 0 else -c
-            rows.append(row)
+        rows += (act(sigma, g).row for sigma in S3)
     return rows
 
 
@@ -275,13 +266,13 @@ def format_monomial(m: Monomial3) -> str:
 
 
 def format_element(e: Arity3Element) -> str:
-    if not e.terms:
+    if not e.row:
         return "0"
+    basis = basis3(e.opspace)
     parts = []
-    for m in sorted(e.terms, key=_index(e.opspace).__getitem__):
-        c = e.terms[m]
+    for j, c in sorted(e.row.items()):
         sign = "+" if c > 0 else "-"
-        parts.append(f"{sign}{abs(c)}*{format_monomial(m)}")
+        parts.append(f"{sign}{abs(c)}*{format_monomial(basis[j])}")
     return "".join(parts)
 
 
@@ -302,13 +293,16 @@ def parse_element(text: str, opspace: OpSpace) -> Arity3Element:
         m = _TERM.match(text, pos)
         if not m:
             raise ValueError(f"bad term at {text[pos:]!r}")
-        coeff = Fraction(m.group(2))
-        if m.group(1) == "-":
-            coeff = -coeff
         end = len(text)
         nxt = _TERM.search(text, m.end())
         if nxt:
             end = nxt.start()
+        try:
+            coeff = Fraction(m.group(2))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {text[pos:end]!r}") from None
+        if m.group(1) == "-":
+            coeff = -coeff
         terms.append((parse_monomial(text[m.end():end], opspace), coeff))
         pos = end
     return Arity3Element(opspace, terms)

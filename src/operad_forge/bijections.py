@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .treeterm import LEAF, Tree, arity, is_normal
+from .treeterm import LEAF, RewriteSystem, Tree, arity, is_normal
 from . import systems
 
 # --- planar binary trees (bullet notation) ---------------------------------
@@ -55,6 +55,17 @@ def _parse_pbt(s: str) -> tuple[PBT, str]:
     return (left, right), s[1:]
 
 
+def _labelled_by(t: Tree, ops: tuple[str, str]) -> bool:
+    return t == LEAF or t[0] in ops and _labelled_by(t[1], ops) and _labelled_by(t[2], ops)
+
+
+def _refuse_unless_normal(t: Tree, sys: RewriteSystem, ops: tuple[str, str]) -> None:
+    """is_normal finds no redex at a label outside sys, so the labels of t
+    are checked against ops first."""
+    if not (_labelled_by(t, ops) and is_normal(t, sys)):
+        raise ValueError(f"not a normal {sys.name} monomial")
+
+
 _ZIN = systems.system("Zin")
 
 
@@ -62,8 +73,7 @@ def zin_to_pbt(t: Tree) -> PBT:
     """Normal Zin monomial of arity n -> planar binary tree, n internal vertices."""
     if t == LEAF:
         return (BULLET, BULLET)
-    if not is_normal(t, _ZIN):
-        raise ValueError("not a normal Zin monomial")
+    _refuse_unless_normal(t, _ZIN, ("x", "y"))
     op, u, v = t
     if op == "x" and v == LEAF:
         return (zin_to_pbt(u), BULLET)
@@ -117,8 +127,8 @@ def _comb_unword(w: str, op: str) -> Tree:
 
 
 def bicom_to_word(t: Tree) -> str:
-    if not is_normal(t, systems.system("Bicom", max_arity=max(arity(t), 3))):
-        raise ValueError("not a normal Bicom monomial")
+    _refuse_unless_normal(t, systems.system("Bicom", max_arity=max(arity(t), 3)),
+                          ("x", "y"))
     return _bicom_word(t)
 
 
@@ -183,12 +193,10 @@ def _relabel(t: Tree, table: dict, cls: str) -> Tree:
 
 
 def flex_to_L(t: Tree) -> Tree:
-    if not is_normal(t, _FLEX):
-        raise ValueError("not a normal Flex monomial")
+    _refuse_unless_normal(t, _FLEX, ("x", "y"))
     return _relabel(t, _TO_L, "N")
 
 
 def L_to_flex(s: Tree) -> Tree:
-    if not is_normal(s, _LSYS):
-        raise ValueError("not a normal L monomial")
+    _refuse_unless_normal(s, _LSYS, ("z", "t"))
     return _relabel(s, _TO_FLEX, "N")

@@ -16,13 +16,14 @@ off one rref with the two-outside columns last and builds As o P by
 permuting rows, so intersect (Zassenhaus) and nullspace are no longer on
 that path; they stay as general tools and as the references the tests
 compare against.  All four take each row dense, a sequence of ints or
-Fractions, or sparse, a Mapping column -> entry such as
-arity3.s3_orbit_rows builds, and return the rows of rref(): dicts column
--> Fraction whose pivot is the smallest column.  A Subspace is stored as
-this reduced row-echelon basis, so two subspaces are equal iff their
-canonical bases are equal as sequences, and a row lies in a subspace iff
-adding it leaves the rank unchanged; SparseEliminator.absorb is the one
-reduction loop.  Subspaces are immutable and the functions are pure.
+Fractions, or sparse, a Mapping column -> entry such as the row of an
+arity3 element, and return the rows of rref(), which arity3 takes as
+elements: dicts column -> Fraction whose pivot is the smallest column.  A
+Subspace is stored as this reduced row-echelon basis, so two subspaces are
+equal iff their canonical bases are equal as sequences, and a row lies in
+a subspace iff adding it leaves the rank unchanged; SparseEliminator.absorb
+is the one reduction loop.  Subspaces are immutable and the functions are
+pure.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ m -> var(m) mod R on the planar block is R cap (two-outside cosets) pulled
 back along var.  nonsymmetric_version returns that pullback, and
 white_product_as its S3-closure; the map is S3-equivariant and splits by
 leaf word, so this is the whole kernel.  The closure needs no elimination:
-the six permuted copies of the planar kernel's RREF rows lie on disjoint
+the images under act of the planar kernel's RREF rows lie on disjoint
 blocks of columns, each in the planar block's column order, so sorted by
 pivot they are already its canonical RREF basis (white_product_as gives
 the argument).
@@ -30,9 +30,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arity3 import (DOUBLE, SINGLE, Arity3Element, Monomial3,
-                     OperadPresentation, OpSpace, _s3_table, basis3,
-                     format_element, from_vector, s3_closure, s3_orbit_rows)
+from .arity3 import (DOUBLE, S3, SINGLE, Arity3Element, Monomial3,
+                     OperadPresentation, OpSpace, act, basis3,
+                     format_element, s3_closure, s3_orbit_rows)
 from .exactlin import SparseRow, Subspace, rref, span
 
 
@@ -99,8 +99,7 @@ def nonsymmetric_version(p: OperadPresentation) -> OperadPresentation:
     is one to one from this block onto the two-outside monomials, so the
     kernel is R cap (two-outside cosets) read through var.
     """
-    w_basis = basis3(DOUBLE)
-    rels = tuple(from_vector(r, w_basis, DOUBLE) for r in _planar_kernel(p))
+    rels = tuple(Arity3Element.from_row(DOUBLE, r) for r in _planar_kernel(p))
     return OperadPresentation(f"Nc{p.name}", DOUBLE, rels)
 
 
@@ -118,9 +117,9 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
 
     The relations returned are the canonical RREF basis of that closure,
     and no elimination builds it: the planar kernel's RREF rows are moved
-    by each sigma through _s3_table(DOUBLE) and sorted by pivot.  Both
-    operations of DOUBLE are paired, so every sign in the table is +1 and
-    each row keeps its leading 1.  The six blocks have disjoint columns, so
+    by each sigma through act and sorted by pivot.  Both operations of
+    DOUBLE are paired, so every sign act applies is +1 and each row keeps
+    its leading 1.  The six blocks have disjoint columns, so
     a row is zero on the pivot of every row from another block.  Within a
     block sigma changes only the leaves, and basis3(DOUBLE) orders by
     shape, then leaves, then operations, so sigma keeps the column order of
@@ -128,13 +127,10 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
     sorted union is therefore reduced, with each pivot its row's smallest
     column, which is the one basis exactlin.span would return.
     """
-    ker = _planar_kernel(p)
-    rows = [{perm[j][0]: c for j, c in r.items()}
-            for perm in _s3_table(DOUBLE).values() for r in ker]
-    rows.sort(key=min)
-    w_basis = basis3(DOUBLE)
-    rels = tuple(from_vector(r, w_basis, DOUBLE) for r in rows)
-    return OperadPresentation(f"As.{p.name}", DOUBLE, rels)
+    ker = nonsymmetric_version(p).relations
+    rels = sorted((act(sigma, r) for sigma in S3 for r in ker),
+                  key=lambda e: min(e.row))
+    return OperadPresentation(f"As.{p.name}", DOUBLE, tuple(rels))
 
 
 def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
@@ -183,9 +179,8 @@ def _two_outside_part(p: OperadPresentation) -> tuple[int, Subspace]:
 
 def _criterion(p: OperadPresentation):
     """dim R, a basis of R cap (two-outside cosets) as elements, and F."""
-    basis = basis3(p.opspace)
     dim_R, inter = _two_outside_part(p)
-    gens = tuple(from_vector(r, basis, p.opspace) for r in inter.basis)
+    gens = tuple(Arity3Element.from_row(p.opspace, r) for r in inter.basis)
     return dim_R, gens, s3_closure(gens, p.opspace)
 
 

@@ -92,12 +92,12 @@ def position(pattern: Tree, arities: Sequence[int],
     _distinct(ops)
     try:
         _, c, w = _walk(pattern, iter(arities), ops)
+        if len(w) == len(arities):
+            return c, w
     except (StopIteration, ValueError):
-        w = ()
-    if len(w) != len(arities):
-        raise ValueError(f"{pattern!r} is not a tree over {ops} "
-                         f"with {len(arities)} leaves")
-    return c, w
+        pass
+    raise ValueError(f"{pattern!r} is not a tree over {ops} "
+                     f"with {len(arities)} leaves")
 
 
 def _walk(t: Tree, leaves, ops: tuple[str, ...]):

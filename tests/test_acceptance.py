@@ -12,9 +12,8 @@ from itertools import combinations
 import pytest
 
 from operad_forge import bijections as bj, manin, oracle, systems
-from operad_forge.arity3 import (SINGLE, DOUBLE, basis3, catalog,
-                                 parse_element, quotient_dim3, s3_closure,
-                                 to_vector)
+from operad_forge.arity3 import (SINGLE, DOUBLE, catalog, parse_element,
+                                 quotient_dim3, s3_closure)
 from operad_forge.exactlin import intersect, span
 from operad_forge.treeterm import (LEAF, RewriteSystem, check_confluence,
                                    format_tree, parse_tree, rule)
@@ -42,11 +41,10 @@ def test_criterion_1_classification():
 
 def test_criterion_2_leibniz_internals():
     leib = catalog("Leib")
-    b = basis3(SINGLE)
     sums = ["+1*(x1*x2)*x3+1*(x2*x1)*x3",
             "+1*(x1*x3)*x2+1*(x3*x1)*x2",
             "+1*(x2*x3)*x1+1*(x3*x2)*x1"]
-    vecs = [to_vector(parse_element(s, SINGLE), b) for s in sums]
+    vecs = [parse_element(s, SINGLE).row for s in sums]
     f = manin.compute_F(leib)
     ok = (leib.relation_space().dim == 6 and f.dim == 3
           and f == span(vecs, 12))

@@ -11,8 +11,7 @@ from operad_forge.arity3 import (ANTISYMMETRIC, DOUBLE, PAIRED, SINGLE, S3,
                                  OperadPresentation, OpSpace, act, basis3,
                                  canonicalize, catalog, format_element,
                                  format_monomial, parse_element,
-                                 parse_monomial, s3_closure, quotient_dim3,
-                                 to_vector)
+                                 parse_monomial, s3_closure, quotient_dim3)
 from operad_forge.exactlin import span
 
 LIE = OpSpace(("b",), (ANTISYMMETRIC,))
@@ -41,6 +40,17 @@ def test_element_text_roundtrip():
 def test_empty_element_is_refused(text):
     with pytest.raises(ValueError, match="empty"):
         parse_element(text, SINGLE)
+
+
+@pytest.mark.parametrize("text", ["+1/0*(x1*x2)*x3", "+1*x1*(x2*x3)-2/00*(x1*x2)*x3"])
+def test_zero_denominator_is_refused(text):
+    with pytest.raises(ValueError, match=re.escape("zero denominator in term '")):
+        parse_element(text, SINGLE)
+
+
+def test_elements_over_different_opspaces_differ():
+    assert Arity3Element(SINGLE) != Arity3Element(DOUBLE)
+    assert len({Arity3Element(SINGLE), Arity3Element(DOUBLE)}) == 2
 
 
 def test_left_comb_outside_leaf():
@@ -110,10 +120,9 @@ def test_relation_space_is_s3_stable():
     for name in ("Zin", "Leib", "Flex", "Alt"):
         p = catalog(name)
         r = p.relation_space()
-        b = basis3(p.opspace)
         for rel in p.relations:
             for sigma in S3:
-                assert r.contains(to_vector(act(sigma, rel), b))
+                assert r.contains(act(sigma, rel).row)
 
 
 def test_basis3_is_one_cached_tuple():
@@ -236,3 +245,11 @@ def test_act_matches_reference_and_composes(e):
         for tau in S3:
             comp = tuple(sigma[tau[i] - 1] for i in range(3))
             assert act(sigma, act(tau, e)).terms == act(comp, e).terms
+
+
+@given(st.sampled_from(SPACES).flatmap(_element))
+@settings(max_examples=150, deadline=None)
+def test_from_row_round_trip(e):
+    back = Arity3Element.from_row(e.opspace, e.row)
+    assert back == e
+    assert list(back.terms.items()) == list(e.terms.items())

@@ -185,6 +185,18 @@ def test_flex_to_l_rejects_non_normal():
         bj.flex_to_L(parse_tree("y(1,y(1,y(1,1)))"))
 
 
+@pytest.mark.parametrize("convert, tree, kind", [
+    (bj.bicom_to_word, ("z", 1, 1), "Bicom"),
+    (bj.zin_to_pbt, ("y", 1, ("z", 1, 1)), "Zin"),
+    (bj.zin_to_pbt, ("z", 1, 1), "Zin"),
+    (bj.flex_to_L, ("z", 1, 1), "Flex"),
+    (bj.L_to_flex, ("x", 1, 1), "L"),
+])
+def test_labels_outside_the_system_are_refused(convert, tree, kind):
+    with pytest.raises(ValueError, match=f"not a normal {kind} monomial"):
+        convert(tree)
+
+
 def test_pbt_parse_format():
     for s in ("*", "(**)", "((**)(*(**)))"):
         assert bj.format_pbt(bj.parse_pbt(s), unicode_bullet=False) == s

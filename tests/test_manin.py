@@ -10,8 +10,7 @@ import pytest
 from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, PAIRED,
                                  SINGLE, SYMMETRIC, Arity3Element, Monomial3,
                                  OperadPresentation, OpSpace, basis3, catalog,
-                                 from_vector, parse_element, s3_closure,
-                                 quotient_dim3, to_vector)
+                                 parse_element, s3_closure, quotient_dim3)
 from operad_forge.exactlin import intersect, nullspace, span
 from operad_forge.manin import (VAR, CriterionReport, _two_outside_part,
                                 admits_nonsymmetric, compute_F,
@@ -96,18 +95,18 @@ def _white_product_reference(p: OperadPresentation):
     words = sorted(permutations((1, 2, 3)))
     R = p.relation_space()
     nv = R.ambient_dim
-    v_basis, w_basis = basis3(SINGLE), basis3(DOUBLE)
+    w_basis = basis3(DOUBLE)
     rows = []
     for m in w_basis:
         t = _tree(m)
         var = Arity3Element(SINGLE, [(_monomial_of_tree(_swap_greater(t)), 1)])
         w = words.index(_leaf_word(t))
         row = [Fraction(0)] * (len(words) * nv)
-        for j, c in _residual(R, to_vector(var, v_basis)).items():
+        for j, c in _residual(R, var.row).items():
             row[w * nv + j] = c
         rows.append(row)
     ker = nullspace(list(zip(*rows)), len(w_basis))
-    return tuple(from_vector(r, w_basis, DOUBLE) for r in ker.basis)
+    return tuple(Arity3Element.from_row(DOUBLE, r) for r in ker.basis)
 
 
 def _nonsymmetric_reference(p: OperadPresentation):
@@ -122,7 +121,8 @@ def _nonsymmetric_reference(p: OperadPresentation):
         for j, c in _residual(R, {v_basis.index(var): 1}).items():
             transpose.setdefault(j, {})[i] = c
     ker = nullspace(transpose.values(), len(planar))
-    return tuple(from_vector(r, planar, DOUBLE) for r in ker.basis)
+    return tuple(Arity3Element(DOUBLE, [(planar[j], c) for j, c in r.items()])
+                 for r in ker.basis)
 
 
 def closure(texts):
@@ -178,15 +178,13 @@ def test_alt_arity3_dimension():
 
 
 def test_two_outside_subspace_contains_both_comb_shapes():
-    from operad_forge.arity3 import SINGLE, basis3, to_vector
     u = two_outside_subspace(SINGLE)
-    b = basis3(SINGLE)
     left = parse_element("+1*(x1*x2)*x3", SINGLE)
     right = parse_element("+1*x1*(x2*x3)", SINGLE)
     mid = parse_element("+1*(x1*x3)*x2", SINGLE)
-    assert u.contains(to_vector(left, b))
-    assert u.contains(to_vector(right, b))
-    assert not u.contains(to_vector(mid, b))
+    assert u.contains(left.row)
+    assert u.contains(right.row)
+    assert not u.contains(mid.row)
     assert u.dim == 8
 
 
@@ -209,16 +207,14 @@ def test_criterion_report_fields():
 
 
 def test_leibniz_internals():
-    from operad_forge.arity3 import SINGLE, basis3, to_vector
     leib = catalog("Leib")
-    b = basis3(SINGLE)
     assert leib.relation_space().dim == 6
     f = compute_F(leib)
     assert f.dim == 3
     sums = ["+1*(x1*x2)*x3+1*(x2*x1)*x3",
             "+1*(x1*x3)*x2+1*(x3*x1)*x2",
             "+1*(x2*x3)*x1+1*(x3*x2)*x1"]
-    vecs = [to_vector(parse_element(s, SINGLE), b) for s in sums]
+    vecs = [parse_element(s, SINGLE).row for s in sums]
     assert f == span(vecs, 12)
     inter = intersect(leib.relation_space(), two_outside_subspace(SINGLE))
     assert inter.dim == 2
@@ -240,8 +236,7 @@ def test_one_elimination_equals_the_zassenhaus_intersection():
         R = p.relation_space()
         inter = intersect(R, two_outside_subspace(p.opspace))
         assert _two_outside_part(p) == (R.dim, inter), p.name
-        gens = tuple(from_vector(r, basis3(p.opspace), p.opspace)
-                     for r in inter.basis)
+        gens = tuple(Arity3Element.from_row(p.opspace, r) for r in inter.basis)
         F = s3_closure(gens, p.opspace)
         want = CriterionReport(p.name, R.dim, F.dim, R.ambient_dim - R.dim,
                                F.dim == R.dim, gens)

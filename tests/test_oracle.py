@@ -1,6 +1,7 @@
 """Brute-force dimension oracle: the trust anchor for the rewriting claims."""
 
 import gc
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -62,6 +63,17 @@ def test_position_is_affine_in_the_grafted_trees(ops):
                     tree = graft(pattern, [t for _, t in subs])
                     assert index[tree] == c + sum(
                         wj * i for wj, (i, _) in zip(w, subs))
+
+
+@pytest.mark.parametrize("pattern, arities", [
+    (LEAF, ()),
+    ("junk", ()),
+    (LEAF, (1, 1)),
+    (("q", LEAF, LEAF), (1, 1)),
+])
+def test_position_refuses_what_is_no_tree_with_those_leaves(pattern, arities):
+    with pytest.raises(ValueError, match=re.escape(f"{pattern!r} is not a tree")):
+        position(pattern, arities)
 
 
 def test_position_leaves_no_reference_cycle():
