@@ -17,7 +17,8 @@ this signed permutation of indices is tabulated once per OpSpace
 +/-symmetric operations).  act alone applies it; s3_orbit_rows reads the
 rows act gives for the generators of an S3-closure, which go straight to
 exactlin.span (s3_closure) or, in another column order, to exactlin.rref
-(manin).
+(OperadPresentation.two_outside_part, the criterion's one elimination,
+cached on the frozen presentation).
 
 Convention (normative): the tensor g (x) h of two basis operations denotes
 the monomial g(h(x1,x2), x3), and permutations act by substituting
@@ -30,12 +31,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .exactlin import SparseRow, Subspace, span
+from .exactlin import SparseRow, Subspace, rref, span
 
 PAIRED = "paired"
 SYMMETRIC = "symmetric"
@@ -246,6 +247,34 @@ class OperadPresentation:
 
     def relation_space(self) -> Subspace:
         return s3_closure(self.relations, self.opspace)
+
+    @cached_property
+    def two_outside_part(self) -> tuple[int, Subspace]:
+        """dim R and R cap (two-outside cosets), from one elimination, made
+        once per presentation and shared by every reader (manin's criterion
+        and white product).  A relation over other operations raises, and
+        then nothing is stored.
+
+        The two-outside subspace is spanned by basis vectors, so the S3-orbit
+        rows of the relations are reduced once with the other columns first
+        and the two-outside columns after them, each group in its basis
+        order.  The rank is dim R.  A reduced row with its pivot among the
+        two-outside columns is zero on every other column, and a vector of R
+        in the two-outside subspace is zero on the pivots of the remaining
+        rows, so these rows span R cap (two-outside cosets).  Mapped back
+        they keep their relative column order, so they are its canonical
+        RREF basis.
+        """
+        basis = basis3(self.opspace)
+        inside = [i for i, m in enumerate(basis) if m.outside_leaf == 2]
+        order = inside + [i for i, m in enumerate(basis) if m.outside_leaf != 2]
+        position = {i: k for k, i in enumerate(order)}
+        reduced = rref(({position[j]: c for j, c in r.items()}
+                        for r in s3_orbit_rows(self.relations, self.opspace)),
+                       len(basis))
+        inter = tuple({order[k]: c for k, c in r.items()}
+                      for r in reduced if min(r) >= len(inside))
+        return len(reduced), Subspace(len(basis), inter)
 
 
 def quotient_dim3(p: OperadPresentation) -> int:

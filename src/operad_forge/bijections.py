@@ -59,11 +59,15 @@ def _labelled_by(t: Tree, ops: tuple[str, str]) -> bool:
     return t == LEAF or t[0] in ops and _labelled_by(t[1], ops) and _labelled_by(t[2], ops)
 
 
+def _refuse(sys: RewriteSystem) -> ValueError:
+    return ValueError(f"not a normal {sys.name} monomial")
+
+
 def _refuse_unless_normal(t: Tree, sys: RewriteSystem, ops: tuple[str, str]) -> None:
     """is_normal finds no redex at a label outside sys, so the labels of t
     are checked against ops first."""
     if not (_labelled_by(t, ops) and is_normal(t, sys)):
-        raise ValueError(f"not a normal {sys.name} monomial")
+        raise _refuse(sys)
 
 
 _ZIN = systems.system("Zin")
@@ -71,17 +75,23 @@ _ZIN = systems.system("Zin")
 
 def zin_to_pbt(t: Tree) -> PBT:
     """Normal Zin monomial of arity n -> planar binary tree, n internal vertices."""
+    _refuse_unless_normal(t, _ZIN, ("x", "y"))
+    return _zin_to_pbt(t)
+
+
+def _zin_to_pbt(t: Tree) -> PBT:
+    """zin_to_pbt on a tree already known to be a normal Zin monomial; its
+    subtrees are normal Zin monomials too."""
     if t == LEAF:
         return (BULLET, BULLET)
-    _refuse_unless_normal(t, _ZIN, ("x", "y"))
     op, u, v = t
     if op == "x" and v == LEAF:
-        return (zin_to_pbt(u), BULLET)
+        return (_zin_to_pbt(u), BULLET)
     if op == "y" and v == LEAF:
-        return (BULLET, zin_to_pbt(u))
+        return (BULLET, _zin_to_pbt(u))
     # the remaining normal shape is y(u, x(w, 1))
     _, w, _one = v
-    return (zin_to_pbt(w), zin_to_pbt(u))
+    return (_zin_to_pbt(w), _zin_to_pbt(u))
 
 
 def pbt_to_zin(b: PBT) -> Tree:
@@ -192,11 +202,21 @@ def _relabel(t: Tree, table: dict, cls: str) -> Tree:
     return (op, _relabel(t[1], table, lc), _relabel(t[2], table, rc))
 
 
+def _relabel_normal(t: Tree, sys: RewriteSystem, table: dict) -> Tree:
+    """_relabel from class N, refusing t unless it is normal in sys.  The
+    tables have a key for every label of sys at every class where a normal
+    tree can carry it, so a label outside sys fails the lookup."""
+    if not is_normal(t, sys):
+        raise _refuse(sys)
+    try:
+        return _relabel(t, table, "N")
+    except KeyError:
+        raise _refuse(sys) from None
+
+
 def flex_to_L(t: Tree) -> Tree:
-    _refuse_unless_normal(t, _FLEX, ("x", "y"))
-    return _relabel(t, _TO_L, "N")
+    return _relabel_normal(t, _FLEX, _TO_L)
 
 
 def L_to_flex(s: Tree) -> Tree:
-    _refuse_unless_normal(s, _LSYS, ("z", "t"))
-    return _relabel(s, _TO_FLEX, "N")
+    return _relabel_normal(s, _LSYS, _TO_FLEX)

@@ -28,10 +28,10 @@ pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 IntRow = dict[int, int]
 SparseRow = dict[int, Fraction]

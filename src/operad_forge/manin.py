@@ -10,8 +10,11 @@ The criterion compares R with the S3-closure F of the part of R lying in
 the "two-outside" cosets: monomials whose lone argument is x1 or x3.  That
 part is a coordinate subspace, so one elimination of the S3-orbit rows of
 the relations, with the two-outside columns last, gives both dim R and the
-RREF basis of R cap (two-outside cosets) (_two_outside_part); no
-intersection is computed.
+RREF basis of R cap (two-outside cosets); no intersection is computed.
+The elimination runs once per presentation: it is the cached property
+OperadPresentation.two_outside_part, which the criterion, nonsymmetric_version
+and white_product_as all read, so As o P after the criterion eliminates only
+on the 8 planar columns.
 
 var maps the planar block, the 8 monomials whose leaves are 1, 2, 3 in
 order, one to one onto the 8 two-outside monomials, so the kernel of
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 
 from .arity3 import (DOUBLE, S3, SINGLE, Arity3Element, Monomial3,
                      OperadPresentation, OpSpace, act, basis3,
-                     format_element, s3_closure, s3_orbit_rows)
-from .exactlin import SparseRow, Subspace, rref, span
+                     format_element, s3_closure)
+from .exactlin import SparseRow, Subspace, span
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,15 @@ def _var(m: Monomial3) -> Monomial3:
 
 VAR = {m: _var(m) for m in basis3(DOUBLE)}
 
+# VAR by index: basis3(DOUBLE) index -> basis3(SINGLE) index.  The one
+# operation of SINGLE is paired, so every image is canonical with sign +1.
+_VAR_INDEX = tuple(basis3(SINGLE).index(VAR[m]) for m in basis3(DOUBLE))
 
 # the planar block: the indices in basis3(DOUBLE) of the 8 monomials whose
 # leaves are 1, 2, 3 in order, and for each the index of its var in
 # basis3(SINGLE), the position it takes among the planar columns
 _PLANAR = [i for i, m in enumerate(basis3(DOUBLE)) if m.leaves == (1, 2, 3)]
-_PLANAR_COLUMN = {basis3(SINGLE).index(VAR[basis3(DOUBLE)[i]]): k
-                  for k, i in enumerate(_PLANAR)}
+_PLANAR_COLUMN = {_VAR_INDEX[i]: k for k, i in enumerate(_PLANAR)}
 
 
 def _planar_kernel(p: OperadPresentation) -> list[SparseRow]:
@@ -85,7 +90,7 @@ def _planar_kernel(p: OperadPresentation) -> list[SparseRow]:
     over the indices of basis3(DOUBLE)."""
     if p.opspace != SINGLE:
         raise ValueError("expected a presentation over a single paired operation")
-    _, inter = _two_outside_part(p)
+    _, inter = p.two_outside_part
     ker = span(({_PLANAR_COLUMN[j]: c for j, c in r.items()} for r in inter.basis),
                len(_PLANAR))
     return [{_PLANAR[k]: c for k, c in r.items()} for r in ker.basis]
@@ -134,12 +139,24 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
 
 
 def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
-    """Identify a > b with b < a, i.e. map a>b to b.a and a<b to a.b."""
+    """Identify a > b with b < a, i.e. map a>b to b.a and a<b to a.b.
+
+    Each relation's row is read through _VAR_INDEX, its coefficients summed
+    per image in row order and the zeros dropped; a relation that vanishes
+    is left out.
+    """
     if q.opspace != DOUBLE:
         raise ValueError("symmetrize_quotient expects the two split operations")
-    rels = (Arity3Element(SINGLE, [(VAR[m], c) for m, c in rel.terms.items()])
-            for rel in q.relations)
-    rels = [r for r in rels if not r.is_zero()]
+    rels = []
+    for rel in q.relations:
+        acc = {}
+        for i, c in rel.row.items():
+            j = _VAR_INDEX[i]
+            old = acc.get(j)
+            acc[j] = c if old is None else old + c
+        row = {j: c for j, c in acc.items() if c}
+        if row:
+            rels.append(Arity3Element.from_row(SINGLE, row))
     return OperadPresentation(f"{q.name}/sym", SINGLE, tuple(rels))
 
 
@@ -155,32 +172,15 @@ def two_outside_subspace(v: OpSpace) -> Subspace:
 
 
 def _two_outside_part(p: OperadPresentation) -> tuple[int, Subspace]:
-    """dim R and R cap (two-outside cosets), from one elimination.
-
-    The two-outside subspace is spanned by basis vectors, so the S3-orbit
-    rows of the relations are reduced once with the other columns first and
-    the two-outside columns after them, each group in its basis order.  The
-    rank is dim R.  A reduced row with its pivot among the two-outside
-    columns is zero on every other column, and a vector of R in the
-    two-outside subspace is zero on the pivots of the remaining rows, so
-    these rows span R cap (two-outside cosets).  Mapped back they keep their
-    relative column order, so they are its canonical RREF basis.
-    """
-    basis = basis3(p.opspace)
-    inside = [i for i, m in enumerate(basis) if m.outside_leaf == 2]
-    order = inside + [i for i, m in enumerate(basis) if m.outside_leaf != 2]
-    position = {i: k for k, i in enumerate(order)}
-    reduced = rref(({position[j]: c for j, c in r.items()}
-                    for r in s3_orbit_rows(p.relations, p.opspace)), len(basis))
-    inter = tuple({order[k]: c for k, c in r.items()}
-                  for r in reduced if min(r) >= len(inside))
-    return len(reduced), Subspace(len(basis), inter)
+    """dim R and R cap (two-outside cosets): p.two_outside_part."""
+    return p.two_outside_part
 
 
 def _criterion(p: OperadPresentation):
     """dim R, a basis of R cap (two-outside cosets) as elements, and F."""
-    dim_R, inter = _two_outside_part(p)
-    gens = tuple(Arity3Element.from_row(p.opspace, r) for r in inter.basis)
+    dim_R, inter = p.two_outside_part
+    # copies, so that no caller can change the rows cached on p
+    gens = tuple(Arity3Element.from_row(p.opspace, dict(r)) for r in inter.basis)
     return dim_R, gens, s3_closure(gens, p.opspace)
 
 

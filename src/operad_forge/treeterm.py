@@ -262,6 +262,13 @@ def _exact(c: Fraction):
     return c.numerator if c.denominator == 1 else c
 
 
+@lru_cache(maxsize=256)
+def _fraction(n: int) -> Fraction:
+    """Fraction(n), shared: a Fraction is immutable, and normalize's integral
+    output coefficients are nearly all small, so a few objects serve them."""
+    return Fraction(n)
+
+
 def _reader(path: tuple[int, ...]) -> Callable[[Tree], Tree]:
     """The function u -> the subtree of u at a non-empty child path."""
     i, rest = path[0], path[1:]
@@ -529,7 +536,7 @@ def normalize(e: NsElement, sys: RewriteSystem, step_cap: int = 10_000) -> NsEle
                     del work[u]
     out = NsElement()
     for t, c in work.items():
-        out[t] = c if type(c) is Fraction else Fraction(c)
+        out[t] = c if type(c) is Fraction else _fraction(c)
     return out
 
 

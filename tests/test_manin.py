@@ -10,7 +10,8 @@ import pytest
 from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, PAIRED,
                                  SINGLE, SYMMETRIC, Arity3Element, Monomial3,
                                  OperadPresentation, OpSpace, basis3, catalog,
-                                 parse_element, s3_closure, quotient_dim3)
+                                 format_element, parse_element, s3_closure,
+                                 quotient_dim3)
 from operad_forge.exactlin import intersect, nullspace, span
 from operad_forge.manin import (VAR, CriterionReport, _two_outside_part,
                                 admits_nonsymmetric, compute_F,
@@ -248,10 +249,32 @@ def test_criterion_and_white_product_refuse_a_foreign_relation():
     # a relation over <, > in a presentation over the single operation *
     rel = parse_element("+1*(x1<x2)>x3-1*x1<(x2>x3)", DOUBLE)
     p = OperadPresentation("Foreign", SINGLE, (rel,))
+    # twice each: a failed elimination leaves nothing cached on p
     for f in (admits_nonsymmetric, white_product_as, nonsymmetric_version,
-              compute_F):
+              compute_F) * 2:
         with pytest.raises(ValueError, match="generator over operations"):
             f(p)
+    assert "two_outside_part" not in vars(p)
+
+
+def test_the_cached_elimination_changes_no_result():
+    """The criterion's elimination is made once per presentation and shared
+    with the white product: either order of the two calls, and a fresh equal
+    presentation, give the same report and the same As o P, and a caller
+    that changes a report's rows does not change the cached ones."""
+    for p in SINGLE_OPERATION + _random_operads(40, seed=12):
+        first = OperadPresentation(p.name, p.opspace, p.relations)
+        report = admits_nonsymmetric(first)
+        product = white_product_as(first)
+        assert admits_nonsymmetric(first) == report, p.name
+        assert first.two_outside_part is first.two_outside_part
+        fresh = OperadPresentation(p.name, p.opspace, p.relations)
+        assert fresh == first and "two_outside_part" not in vars(fresh)
+        assert white_product_as(fresh) == product, p.name
+        assert admits_nonsymmetric(fresh) == report, p.name
+        for g in report.F_generators:
+            g.row.clear()
+        assert admits_nonsymmetric(first) == admits_nonsymmetric(fresh), p.name
 
 
 def test_white_product_equals_the_former_construction():
@@ -318,6 +341,26 @@ def test_white_product_refuses_a_symmetric_operation():
         nonsymmetric_version(p)
     with pytest.raises(ValueError, match="single paired operation"):
         white_product_as(p)
+
+
+def test_symmetrize_quotient_by_index_equals_the_constructor():
+    """Reading each relation's row through the index table gives the terms,
+    in the same order, that the validating constructor builds from the VAR
+    images; a relation that vanishes is left out by both."""
+    for p in SINGLE_OPERATION + _random_operads(150, seed=13):
+        q = white_product_as(p)
+        want = [Arity3Element(SINGLE, [(VAR[m], c) for m, c in rel.terms.items()])
+                for rel in q.relations]
+        want = [r for r in want if not r.is_zero()]
+        got = symmetrize_quotient(q).relations
+        assert ([list(r.terms.items()) for r in got]
+                == [list(r.terms.items()) for r in want]), p.name
+    # the two terms of the first relation have one image and cancel
+    q = OperadPresentation("Q", DOUBLE, (
+        parse_element("+1*(x1<x2)<x3-1*x3>(x2>x1)", DOUBLE),
+        parse_element("+1*(x1<x2)<x3-1*x3>(x1>x2)", DOUBLE)))
+    sym = symmetrize_quotient(q).relations
+    assert [format_element(r) for r in sym] == ["+1*(x1*x2)*x3-1*(x2*x1)*x3"]
 
 
 def test_symmetrize_quotient_refuses_antisymmetric_split_operations():
