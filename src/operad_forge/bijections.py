@@ -27,11 +27,10 @@ def internal_vertices(b: PBT) -> int:
     return 1 + internal_vertices(b[0]) + internal_vertices(b[1])
 
 
-def format_pbt(b: PBT, unicode_bullet: bool = True) -> str:
-    dot = "•" if unicode_bullet else "*"
+def format_pbt(b: PBT) -> str:
     if b == BULLET:
-        return dot
-    return f"({format_pbt(b[0], unicode_bullet)}{format_pbt(b[1], unicode_bullet)})"
+        return "•"
+    return f"({format_pbt(b[0])}{format_pbt(b[1])})"
 
 
 def parse_pbt(text: str) -> PBT:
@@ -55,19 +54,17 @@ def _parse_pbt(s: str) -> tuple[PBT, str]:
     return (left, right), s[1:]
 
 
-def _labelled_by(t: Tree, ops: tuple[str, str]) -> bool:
-    return t == LEAF or t[0] in ops and _labelled_by(t[1], ops) and _labelled_by(t[2], ops)
+def _refuse(name: str) -> ValueError:
+    return ValueError(f"not a normal {name} monomial")
 
 
-def _refuse(sys: RewriteSystem) -> ValueError:
-    return ValueError(f"not a normal {sys.name} monomial")
-
-
-def _refuse_unless_normal(t: Tree, sys: RewriteSystem, ops: tuple[str, str]) -> None:
-    """is_normal finds no redex at a label outside sys, so the labels of t
-    are checked against ops first."""
-    if not (_labelled_by(t, ops) and is_normal(t, sys)):
-        raise _refuse(sys)
+def _refuse_unless_normal(t: Tree, sys: RewriteSystem) -> None:
+    """is_normal finds no redex at a label outside sys; each map refuses such
+    a label where its own recursion meets it: _zin_to_pbt outside its normal
+    shapes, _bicom_word on the spine, _comb_word in a comb, _relabel_normal
+    at the failed table lookup."""
+    if not is_normal(t, sys):
+        raise _refuse(sys.name)
 
 
 _ZIN = systems.system("Zin")
@@ -75,13 +72,13 @@ _ZIN = systems.system("Zin")
 
 def zin_to_pbt(t: Tree) -> PBT:
     """Normal Zin monomial of arity n -> planar binary tree, n internal vertices."""
-    _refuse_unless_normal(t, _ZIN, ("x", "y"))
+    _refuse_unless_normal(t, _ZIN)
     return _zin_to_pbt(t)
 
 
 def _zin_to_pbt(t: Tree) -> PBT:
-    """zin_to_pbt on a tree already known to be a normal Zin monomial; its
-    subtrees are normal Zin monomials too."""
+    """zin_to_pbt on a tree that is_normal passed: a node outside the normal
+    shapes x(u,1), y(u,1) and y(u,x(w,1)) carries a foreign label."""
     if t == LEAF:
         return (BULLET, BULLET)
     op, u, v = t
@@ -89,9 +86,9 @@ def _zin_to_pbt(t: Tree) -> PBT:
         return (_zin_to_pbt(u), BULLET)
     if op == "y" and v == LEAF:
         return (BULLET, _zin_to_pbt(u))
-    # the remaining normal shape is y(u, x(w, 1))
-    _, w, _one = v
-    return (_zin_to_pbt(w), _zin_to_pbt(u))
+    if op == "y" and v[0] == "x" and v[2] == LEAF:
+        return (_zin_to_pbt(v[1]), _zin_to_pbt(u))
+    raise _refuse("Zin")
 
 
 def pbt_to_zin(b: PBT) -> Tree:
@@ -120,6 +117,8 @@ def _comb_word(t: Tree, op: str) -> str:
     """x-combs to Dyck words: E w(left) N w(right); y-combs mirrored."""
     if t == LEAF:
         return ""
+    if t[0] != op:
+        raise _refuse("Bicom")
     first, second = ("E", "N") if op == "x" else ("N", "E")
     return first + _comb_word(t[1], op) + second + _comb_word(t[2], op)
 
@@ -137,8 +136,7 @@ def _comb_unword(w: str, op: str) -> Tree:
 
 
 def bicom_to_word(t: Tree) -> str:
-    _refuse_unless_normal(t, systems.system("Bicom", max_arity=max(arity(t), 3)),
-                          ("x", "y"))
+    _refuse_unless_normal(t, systems.system("Bicom", max_arity=max(arity(t), 3)))
     return _bicom_word(t)
 
 
@@ -152,7 +150,9 @@ def _bicom_word(t: Tree) -> str:
     op, u, a = t
     if op == "x":
         return _bicom_word(u) + "E" + _comb_word(a, "x") + "N"
-    return _bicom_word(u) + "N" + _comb_word(a, "y") + "E"
+    if op == "y":
+        return _bicom_word(u) + "N" + _comb_word(a, "y") + "E"
+    raise _refuse("Bicom")
 
 
 def word_to_bicom(w: str) -> Tree:
@@ -188,11 +188,10 @@ _LSYS = systems.system("L")
 
 # Both directions walk the Flex grammar's classes N, R, Q (R: the right
 # child of a y, Q: the right child of an x at an R position).  Each table
-# maps (class, op) to (new op, left class, right class).
+# maps (class, op) to (new op, left class, right class); _TO_FLEX inverts _TO_L.
 _TO_L = {("N", "x"): ("z", "N", "N"), ("N", "y"): ("t", "N", "R"),
          ("R", "x"): ("t", "N", "Q"), ("Q", "y"): ("t", "N", "R")}
-_TO_FLEX = {("N", "z"): ("x", "N", "N"), ("N", "t"): ("y", "N", "R"),
-            ("R", "t"): ("x", "N", "Q"), ("Q", "t"): ("y", "N", "R")}
+_TO_FLEX = {(cls, new): (op, lc, rc) for (cls, op), (new, lc, rc) in _TO_L.items()}
 
 
 def _relabel(t: Tree, table: dict, cls: str) -> Tree:
@@ -205,13 +204,12 @@ def _relabel(t: Tree, table: dict, cls: str) -> Tree:
 def _relabel_normal(t: Tree, sys: RewriteSystem, table: dict) -> Tree:
     """_relabel from class N, refusing t unless it is normal in sys.  The
     tables have a key for every label of sys at every class where a normal
-    tree can carry it, so a label outside sys fails the lookup."""
-    if not is_normal(t, sys):
-        raise _refuse(sys)
+    tree can carry it, so a label outside sys is refused at the lookup."""
+    _refuse_unless_normal(t, sys)
     try:
         return _relabel(t, table, "N")
     except KeyError:
-        raise _refuse(sys) from None
+        raise _refuse(sys.name) from None
 
 
 def flex_to_L(t: Tree) -> Tree:

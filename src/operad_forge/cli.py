@@ -67,9 +67,9 @@ def _cmd_manin(args) -> int:
 def _dim_rows(name: str, max_n: int, oracle_max: int):
     """(n, grammar count, formula, oracle dimension or None) for n <= max_n."""
     rels = systems.nc_relations("Nc" + name)
-    cap = max(oracle_max, oracle.DEFAULT_CAP)
     for n in range(1, max_n + 1):
-        o = oracle.bruteforce_dim(rels, n, cap=cap) if 3 <= n <= oracle_max else None
+        o = (oracle.bruteforce_dim(rels, n, cap=oracle_max)
+             if 3 <= n <= oracle_max else None)
         yield (n, len(systems.normal_forms(name, n)), systems.dim_formula(name, n), o)
 
 

@@ -171,11 +171,6 @@ def two_outside_subspace(v: OpSpace) -> Subspace:
     return span(units, len(basis))
 
 
-def _two_outside_part(p: OperadPresentation) -> tuple[int, Subspace]:
-    """dim R and R cap (two-outside cosets): p.two_outside_part."""
-    return p.two_outside_part
-
-
 def _criterion(p: OperadPresentation):
     """dim R, a basis of R cap (two-outside cosets) as elements, and F."""
     dim_R, inter = p.two_outside_part

@@ -20,7 +20,6 @@ Groebner-basis claims.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
@@ -32,19 +31,6 @@ from .treeterm import LEAF, NsElement, Tree, generate
 DEFAULT_CAP = 7
 
 
-def oracle_cap() -> int:
-    """The largest arity the oracle computes, from OPERAD_FORGE_ORACLE_CAP."""
-    text = os.environ.get("OPERAD_FORGE_ORACLE_CAP", str(DEFAULT_CAP))
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(
-            f"OPERAD_FORGE_ORACLE_CAP must be a positive integer, got {text!r}")
-    return cap
-
-
 def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
@@ -54,7 +40,6 @@ def _distinct(ops: Sequence[str]) -> None:
         raise ValueError(f"ops {tuple(ops)} repeat a label")
 
 
-@lru_cache(maxsize=None)
 def free_trees(n: int, ops: tuple[str, ...] = ("x", "y")) -> tuple[Tree, ...]:
     """All planar binary trees of arity n with node labels from ops.
 
@@ -204,11 +189,11 @@ def ideal_rank(rels: Iterable[NsElement], n: int,
 
 def bruteforce_dim(rels: Iterable[NsElement], n: int,
                    ops: tuple[str, ...] = ("x", "y"),
-                   cap: int | None = None) -> int:
-    """dim of the arity-n component of the quotient by the ideal of rels."""
+                   cap: int = DEFAULT_CAP) -> int:
+    """dim of the arity-n component of the quotient by the ideal of rels;
+    arities above cap are refused."""
     if n < 1:
         raise ValueError("arity must be at least 1")
-    cap = oracle_cap() if cap is None else cap
     if n > cap:
         raise ValueError(f"arity {n} exceeds the oracle cap {cap}")
     if n < 3:

@@ -191,6 +191,13 @@ def test_flex_to_l_rejects_non_normal():
     (bj.zin_to_pbt, ("z", 1, 1), "Zin"),
     (bj.flex_to_L, ("z", 1, 1), "Flex"),
     (bj.L_to_flex, ("x", 1, 1), "L"),
+    # foreign labels below the root, met inside each map's own recursion
+    (bj.zin_to_pbt, ("x", 1, ("z", 1, 1)), "Zin"),
+    (bj.zin_to_pbt, ("y", 1, ("x", ("z", 1, 1), 1)), "Zin"),
+    (bj.bicom_to_word, ("x", 1, ("x", ("z", 1, 1), 1)), "Bicom"),
+    (bj.bicom_to_word, ("z", ("x", 1, 1), ("y", 1, 1)), "Bicom"),
+    (bj.bicom_to_word, ("x", ("z", 1, 1), ("x", 1, 1)), "Bicom"),
+    (bj.flex_to_L, ("x", 1, ("z", 1, 1)), "Flex"),
 ])
 def test_labels_outside_the_system_are_refused(convert, tree, kind):
     with pytest.raises(ValueError, match=f"not a normal {kind} monomial"):
@@ -199,5 +206,5 @@ def test_labels_outside_the_system_are_refused(convert, tree, kind):
 
 def test_pbt_parse_format():
     for s in ("*", "(**)", "((**)(*(**)))"):
-        assert bj.format_pbt(bj.parse_pbt(s), unicode_bullet=False) == s
+        assert bj.format_pbt(bj.parse_pbt(s)).replace("•", "*") == s
     assert bj.format_pbt(bj.parse_pbt("(••)")) == "(••)"

@@ -13,10 +13,10 @@ from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, PAIRED,
                                  format_element, parse_element, s3_closure,
                                  quotient_dim3)
 from operad_forge.exactlin import intersect, nullspace, span
-from operad_forge.manin import (VAR, CriterionReport, _two_outside_part,
-                                admits_nonsymmetric, compute_F,
-                                nonsymmetric_version, symmetrize_quotient,
-                                two_outside_subspace, white_product_as)
+from operad_forge.manin import (VAR, CriterionReport, admits_nonsymmetric,
+                                compute_F, nonsymmetric_version,
+                                symmetrize_quotient, two_outside_subspace,
+                                white_product_as)
 
 SINGLE_OPERATION = [catalog(n) for n in ("Free",) + tuple(
     n for n in CATALOG_NAMES if not n.startswith("Nc"))]
@@ -236,7 +236,7 @@ def test_one_elimination_equals_the_zassenhaus_intersection():
     for p in cases:
         R = p.relation_space()
         inter = intersect(R, two_outside_subspace(p.opspace))
-        assert _two_outside_part(p) == (R.dim, inter), p.name
+        assert p.two_outside_part == (R.dim, inter), p.name
         gens = tuple(Arity3Element.from_row(p.opspace, r) for r in inter.basis)
         F = s3_closure(gens, p.opspace)
         want = CriterionReport(p.name, R.dim, F.dim, R.ambient_dim - R.dim,

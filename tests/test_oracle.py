@@ -286,21 +286,9 @@ def test_cap_enforced():
         bruteforce_dim(systems.nc_relations("NcZin"), 30)
 
 
-def test_cap_override(monkeypatch):
-    monkeypatch.setenv("OPERAD_FORGE_ORACLE_CAP", "3")
-    assert oracle.oracle_cap() == 3
-    with pytest.raises(ValueError):
-        bruteforce_dim(systems.nc_relations("NcZin"), 4)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_bad_cap_names_the_variable(monkeypatch, value):
-    monkeypatch.setenv("OPERAD_FORGE_ORACLE_CAP", value)
-    with pytest.raises(ValueError, match="OPERAD_FORGE_ORACLE_CAP") as exc:
-        oracle.oracle_cap()
-    assert repr(value) in str(exc.value)
-    with pytest.raises(ValueError, match="OPERAD_FORGE_ORACLE_CAP"):
-        bruteforce_dim(systems.nc_relations("NcZin"), 4)
+def test_cap_argument():
+    with pytest.raises(ValueError, match="exceeds the oracle cap 3"):
+        bruteforce_dim(systems.nc_relations("NcZin"), 4, cap=3)
 
 
 def test_oracle_uses_the_exactlin_kernel():
