@@ -6,14 +6,28 @@
   Pure x-combs map to Dyck words and pure y-combs to reflected Dyck words
   via the comb encodings; mixed monomials peel factors off the root spine.
 * Flex normal forms  <->  normal forms of the auxiliary L system over z, t.
+
+Each map is one recursion over its system's normal-form grammar, and that
+recursion is its only membership check: it refuses every tree outside the
+grammar, and the grammar generates exactly the trees with no redex.
+
+* Zin.  zin1 and zin2 forbid an x-node with an internal right child, and
+  zin3 forbids y(., y(., .)).  What remains are the shapes x(u,1), y(u,1)
+  and y(u,x(w,1)) that _zin_to_pbt matches.
+* Bicom.  f_n matches x(a, v) exactly when v's left spine reaches a
+  y-node, for every n >= 0; g_n is the mirror image.  By induction, the
+  right child of an x-node is then a pure x-comb, which is what _comb_word
+  demands (mirrored for y).
+* Flex and L.  flex1, flex2 and L's one rule are the (class, label) keys
+  missing from _TO_L and _TO_FLEX.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Union
 
-from .treeterm import LEAF, RewriteSystem, Tree, arity, is_normal
-from . import systems
+from .treeterm import LEAF, Tree
 
 # --- planar binary trees (bullet notation) ---------------------------------
 
@@ -54,31 +68,22 @@ def _parse_pbt(s: str) -> tuple[PBT, str]:
     return (left, right), s[1:]
 
 
-def _refuse(name: str) -> ValueError:
-    return ValueError(f"not a normal {name} monomial")
-
-
-def _refuse_unless_normal(t: Tree, sys: RewriteSystem) -> None:
-    """is_normal finds no redex at a label outside sys; each map refuses such
-    a label where its own recursion meets it: _zin_to_pbt outside its normal
-    shapes, _bicom_word on the spine, _comb_word in a comb, _relabel_normal
-    at the failed table lookup."""
-    if not is_normal(t, sys):
-        raise _refuse(sys.name)
-
-
-_ZIN = systems.system("Zin")
+def _map_or_refuse(name: str, walk, *args):
+    """walk(*args), refusing what it cannot map: a node that is not
+    (op, left, right), a foreign label or a shape outside the grammar ends
+    walk with a KeyError, TypeError or ValueError."""
+    try:
+        return walk(*args)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"not a normal {name} monomial") from None
 
 
 def zin_to_pbt(t: Tree) -> PBT:
     """Normal Zin monomial of arity n -> planar binary tree, n internal vertices."""
-    _refuse_unless_normal(t, _ZIN)
-    return _zin_to_pbt(t)
+    return _map_or_refuse("Zin", _zin_to_pbt, t)
 
 
 def _zin_to_pbt(t: Tree) -> PBT:
-    """zin_to_pbt on a tree that is_normal passed: a node outside the normal
-    shapes x(u,1), y(u,1) and y(u,x(w,1)) carries a foreign label."""
     if t == LEAF:
         return (BULLET, BULLET)
     op, u, v = t
@@ -86,9 +91,10 @@ def _zin_to_pbt(t: Tree) -> PBT:
         return (_zin_to_pbt(u), BULLET)
     if op == "y" and v == LEAF:
         return (BULLET, _zin_to_pbt(u))
-    if op == "y" and v[0] == "x" and v[2] == LEAF:
-        return (_zin_to_pbt(v[1]), _zin_to_pbt(u))
-    raise _refuse("Zin")
+    x, w, one = v
+    if op == "y" and x == "x" and one == LEAF:
+        return (_zin_to_pbt(w), _zin_to_pbt(u))
+    raise ValueError("outside the Zin grammar")
 
 
 def pbt_to_zin(b: PBT) -> Tree:
@@ -106,27 +112,24 @@ def pbt_to_zin(b: PBT) -> Tree:
 
 # --- Bicom <-> lattice words ------------------------------------------------
 
-
-def _is_pure(t: Tree, op: str) -> bool:
-    if t == LEAF:
-        return True
-    return t[0] == op and _is_pure(t[1], op) and _is_pure(t[2], op)
+_STEPS = {"x": ("E", "N"), "y": ("N", "E")}
 
 
 def _comb_word(t: Tree, op: str) -> str:
     """x-combs to Dyck words: E w(left) N w(right); y-combs mirrored."""
     if t == LEAF:
         return ""
-    if t[0] != op:
-        raise _refuse("Bicom")
-    first, second = ("E", "N") if op == "x" else ("N", "E")
-    return first + _comb_word(t[1], op) + second + _comb_word(t[2], op)
+    label, left, right = t
+    if label != op:
+        raise ValueError("not a comb")
+    first, second = _STEPS[op]
+    return first + _comb_word(left, op) + second + _comb_word(right, op)
 
 
 def _comb_unword(w: str, op: str) -> Tree:
     if not w:
         return LEAF
-    first = "E" if op == "x" else "N"
+    first = _STEPS[op][0]
     depth = 0
     for i, ch in enumerate(w):
         depth += 1 if ch == first else -1
@@ -136,23 +139,22 @@ def _comb_unword(w: str, op: str) -> Tree:
 
 
 def bicom_to_word(t: Tree) -> str:
-    _refuse_unless_normal(t, systems.system("Bicom", max_arity=max(arity(t), 3)))
-    return _bicom_word(t)
+    return _map_or_refuse("Bicom", _bicom_word, t)[0]
 
 
-def _bicom_word(t: Tree) -> str:
+def _bicom_word(t: Tree) -> tuple[str, str]:
+    """t's word, and the labels of which t is a pure comb ("xy" for the
+    leaf, "" for a mixed tree).  A pure comb maps by _comb_word; a mixed
+    op(u, a) maps to u's word, then a's comb word between op's two steps."""
     if t == LEAF:
-        return ""
-    if _is_pure(t, "x"):
-        return _comb_word(t, "x")
-    if _is_pure(t, "y"):
-        return _comb_word(t, "y")
+        return "", "xy"
     op, u, a = t
-    if op == "x":
-        return _bicom_word(u) + "E" + _comb_word(a, "x") + "N"
-    if op == "y":
-        return _bicom_word(u) + "N" + _comb_word(a, "y") + "E"
-    raise _refuse("Bicom")
+    first, second = _STEPS[op]
+    word, combs = _bicom_word(u)
+    tail = _comb_word(a, op)
+    if op in combs:
+        return first + word + second + tail, op
+    return word + first + tail + second, ""
 
 
 def word_to_bicom(w: str) -> Tree:
@@ -164,27 +166,18 @@ def word_to_bicom(w: str) -> Tree:
 def _unword(w: str) -> Tree:
     if not w:
         return LEAF
-    heights = []
-    h = 0
-    for ch in w:
-        h += 1 if ch == "E" else -1
-        heights.append(h)
+    heights = list(accumulate(1 if ch == "E" else -1 for ch in w))
     if min(heights) >= 0:
         return _comb_unword(w, "x")
     if max(heights) <= 0:
         return _comb_unword(w, "y")
     # peel the last first-return factor off the diagonal
     start = max(i for i in range(len(w) - 1) if heights[i] == 0) + 1
-    prefix, factor = w[:start], w[start:]
-    if factor[0] == "E":
-        return ("x", _unword(prefix), _comb_unword(factor[1:-1], "x"))
-    return ("y", _unword(prefix), _comb_unword(factor[1:-1], "y"))
+    op = "x" if w[start] == "E" else "y"
+    return (op, _unword(w[:start]), _comb_unword(w[start + 1:-1], op))
 
 
 # --- Flex <-> L-operad ------------------------------------------------------
-
-_FLEX = systems.system("Flex")
-_LSYS = systems.system("L")
 
 # Both directions walk the Flex grammar's classes N, R, Q (R: the right
 # child of a y, Q: the right child of an x at an R position).  Each table
@@ -197,24 +190,14 @@ _TO_FLEX = {(cls, new): (op, lc, rc) for (cls, op), (new, lc, rc) in _TO_L.items
 def _relabel(t: Tree, table: dict, cls: str) -> Tree:
     if t == LEAF:
         return LEAF
-    op, lc, rc = table[cls, t[0]]
-    return (op, _relabel(t[1], table, lc), _relabel(t[2], table, rc))
-
-
-def _relabel_normal(t: Tree, sys: RewriteSystem, table: dict) -> Tree:
-    """_relabel from class N, refusing t unless it is normal in sys.  The
-    tables have a key for every label of sys at every class where a normal
-    tree can carry it, so a label outside sys is refused at the lookup."""
-    _refuse_unless_normal(t, sys)
-    try:
-        return _relabel(t, table, "N")
-    except KeyError:
-        raise _refuse(sys.name) from None
+    op, left, right = t
+    new, lc, rc = table[cls, op]
+    return (new, _relabel(left, table, lc), _relabel(right, table, rc))
 
 
 def flex_to_L(t: Tree) -> Tree:
-    return _relabel_normal(t, _FLEX, _TO_L)
+    return _map_or_refuse("Flex", _relabel, t, _TO_L, "N")
 
 
 def L_to_flex(s: Tree) -> Tree:
-    return _relabel_normal(s, _LSYS, _TO_FLEX)
+    return _map_or_refuse("L", _relabel, s, _TO_FLEX, "N")

@@ -138,23 +138,20 @@ class SparseEliminator:
 
 
 def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
-    """The nonzero entries of a row of width ncols.  A Mapping (column ->
-    int or Fraction) is taken as it is, once its columns are checked to lie
-    in range(ncols) and its entries to be ints or Fractions.  In a dense
-    row, ints and Fractions are kept as they are and anything else goes
-    through Fraction."""
-    if isinstance(v, Mapping):
-        cols = range(ncols)
-        for j, x in v.items():
-            if j not in cols:
-                raise ValueError(f"sparse row has a column outside range({ncols})")
-            if not isinstance(x, (int, Fraction)):
-                raise ValueError(f"sparse row entry {x!r} is not an int or a Fraction")
-        return v
-    if len(v) != ncols:
-        raise ValueError("ambient dimension mismatch")
-    return {j: x if isinstance(x, (int, Fraction)) else Fraction(x)
-            for j, x in enumerate(v) if x}
+    """The entries of a row of width ncols: a Mapping column -> entry as it
+    is, a dense row (a sequence of length ncols) by column.  Either way its
+    columns must lie in range(ncols) and its entries be ints or Fractions."""
+    if not isinstance(v, Mapping):
+        if len(v) != ncols:
+            raise ValueError("ambient dimension mismatch")
+        v = dict(enumerate(v))
+    cols = range(ncols)
+    for j, x in v.items():
+        if j not in cols:
+            raise ValueError(f"sparse row has a column outside range({ncols})")
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"sparse row entry {x!r} is not an int or a Fraction")
+    return v
 
 
 def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[SparseRow]:

@@ -3,7 +3,8 @@
 import pytest
 
 from operad_forge import bijections as bj, systems
-from operad_forge.treeterm import LEAF, parse_tree
+from operad_forge.oracle import free_trees
+from operad_forge.treeterm import LEAF, arity, is_normal, parse_tree
 
 # --- Zin normal forms <-> planar binary trees ------------------------------
 
@@ -120,11 +121,15 @@ def test_bicom_golden_tables(pairs):
         assert bj.word_to_bicom(word) == tree, word
 
 
+def _labels(t):
+    return set() if t == LEAF else {t[0]} | _labels(t[1]) | _labels(t[2])
+
+
 def test_bicom_pure_combs_hit_dyck_words():
     # x-only normal forms map to Dyck words (never dip below the diagonal)
     for t in systems.normal_forms("Bicom", 5):
         w = bj.bicom_to_word(t)
-        if bj._is_pure(t, "x"):
+        if _labels(t) == {"x"}:
             h = 0
             for ch in w:
                 h += 1 if ch == "E" else -1
@@ -151,6 +156,19 @@ def test_bicom_surjective_onto_lattice_words():
                  for pos in combinations(range(length), n - 1)}
     got = {bj.bicom_to_word(t) for t in systems.normal_forms("Bicom", n)}
     assert got == all_words
+
+
+def test_bicom_above_the_default_cap():
+    # arity 12 lies above the default Bicom system's cap of 10
+    sys12 = systems.system("Bicom", max_arity=12)
+    w = "ENNE" * 5 + "EN"
+    t = bj.word_to_bicom(w)
+    assert arity(t) == 12 and is_normal(t, sys12)
+    assert bj.bicom_to_word(t) == w
+    (f9,) = [r for r in sys12.rules if r.name == "f9"]
+    assert arity(f9.lhs) == 12 and not is_normal(f9.lhs, sys12)
+    with pytest.raises(ValueError, match="not a normal Bicom monomial"):
+        bj.bicom_to_word(f9.lhs)
 
 
 def test_word_to_bicom_rejects_unbalanced():
@@ -208,3 +226,42 @@ def test_pbt_parse_format():
     for s in ("*", "(**)", "((**)(*(**)))"):
         assert bj.format_pbt(bj.parse_pbt(s)).replace("•", "*") == s
     assert bj.format_pbt(bj.parse_pbt("(••)")) == "(••)"
+
+
+@pytest.mark.parametrize("convert, tree, kind", [
+    (convert, tree, kind)
+    for convert, kind in ((bj.zin_to_pbt, "Zin"), (bj.bicom_to_word, "Bicom"),
+                          (bj.flex_to_L, "Flex"))
+    for tree in (("x", 1), ("y", 1, ("x", 1)), ("y", 1, ("x", 1, 1, 1)))
+] + [
+    (bj.L_to_flex, tree, "L")
+    for tree in (("z", 1), ("t", 1, ("z", 1)), ("t", 1, ("z", 1, 1, 1)))
+])
+def test_malformed_nodes_are_refused(convert, tree, kind):
+    with pytest.raises(ValueError, match=f"not a normal {kind} monomial"):
+        convert(tree)
+
+
+@pytest.mark.parametrize("convert, back, kind, labels, accepted", [
+    (bj.zin_to_pbt, bj.pbt_to_zin, "Zin", ("x", "y", "xy"), 196),
+    (bj.bicom_to_word, bj.word_to_bicom, "Bicom", ("x", "y", "xy"), 351),
+    (bj.flex_to_L, bj.L_to_flex, "Flex", ("x", "y", "xy"), 911),
+    (bj.L_to_flex, bj.flex_to_L, "L", ("z", "t", "zt"), 911),
+])
+def test_each_map_accepts_exactly_the_normal_forms(
+        convert, back, kind, labels, accepted):
+    # every tree through arity 6 over the system's two labels and a foreign
+    # one; is_normal meets no redex at the foreign label, the map refuses it
+    sys = systems.system(kind)
+    own = set(labels[:2])
+    seen = 0
+    for n in range(1, 7):
+        for t in free_trees(n, labels):
+            seen += 1
+            if _labels(t) <= own and is_normal(t, sys):
+                assert back(convert(t)) == t
+                accepted -= 1
+            else:
+                with pytest.raises(ValueError, match=f"not a normal {kind} monomial"):
+                    convert(t)
+    assert (seen, accepted) == (11_497, 0)

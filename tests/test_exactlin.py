@@ -21,9 +21,11 @@ def test_rref_identity():
 
 
 def test_rref_accepts_what_vec_accepts():
-    # dense entries are taken as Fraction() takes them
-    assert rref([(0.5, "1/4"), (1, 2)], 2) == [{0: F(1)}, {1: F(1)}]
-    assert rref([(0.5, "1/4")], 2) == [{0: F(1), 1: Fraction(1, 2)}]
+    # a dense entry must be an int or a Fraction, as a sparse one must
+    for row in ((0.5, "1/4"), (1, "1/4"), (Fraction(1, 2), 0.25)):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            rref([row], 2)
+    assert rref([(Fraction(1, 2), Fraction(1, 4)), (1, 2)], 2) == [{0: F(1)}, {1: F(1)}]
 
 
 def test_rref_dependent_rows():
@@ -203,12 +205,12 @@ def test_sparse_row_column_out_of_range():
             span([row], 4)
     with pytest.raises(ValueError, match="mismatch"):
         span([(F(1), F(0))], 4)
-    # a sparse entry must be an int or a Fraction; a dense one goes through
-    # Fraction
+    # an entry must be an int or a Fraction, sparse or dense
     for entry in (0.5, "1/2"):
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             rref([{0: entry}], 1)
-    assert rref([[0.5]], 1) == [{0: F(1)}]
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        rref([[0.5]], 1)
 
 
 # int rows as the oracle builds them: no zero entries, mostly +-1, some
