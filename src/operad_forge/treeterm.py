@@ -15,31 +15,39 @@ RewriteSystem compiles its left-hand sides into a deterministic bottom-up
 tree automaton (LhsAutomaton, a cached property of the system): the state of
 a subtree is the set of lhs subpatterns it matches, so one post-order pass
 tells at which nodes which rules match.  is_normal() leaves that pass at the
-first match; rewrite_once() takes the lowest rule that matches anywhere,
-then its first preorder node.  The transition table is filled lazily.  A
-state is a set of lhs subpatterns and only lhs labels are stored, so the
-table is bounded by the rules alone, whatever trees are fed to it: 6 states
-for Zin and Flex, 113 for Bicom at cap 9 and 313 at cap 14.
+first match.  The transition table is filled lazily.  A state is a set of
+lhs subpatterns and only lhs labels are stored, so the table is bounded by
+the rules alone, whatever trees are fed to it: 6 states for Zin and Flex,
+113 for Bicom at cap 9 and 313 at cap 14.
 
-Each rule compiles its right-hand sides once (RewriteRule.reducts, a cached
-property): per rhs term a coefficient and a function that builds the term
-from a redex, reading the wildcard subtrees through the lhs's fixed child
-paths, so a rewrite step neither matches nor grafts generically.
+rewrite_once() and normalize() rewrite annotated nodes: a subtree carries
+its automaton state, so an unchanged subtree is never walked again.  An
+annotated node is the tuple (1, op, left, right, state, bits, tree, arity)
+with left and right annotated, bits the OR of the rule masks
+(LhsAutomaton.masks) over the subtree and tree the plain tree; the leaf is
+the one constant (0, "", None, None, 0, 0, LEAF, 1).  A term is normal iff
+bits == 0.  Otherwise low = bits & -bits is the first rule that matches
+somewhere, and one descent from the root finds its first preorder match.
+The system's compiled reducts (RewriteSystem.reducts, per rule and rhs term
+a coefficient and a builder) build the annotated rhs from the redex's
+annotated wildcard subtrees, and the spine above the redex is re-wrapped
+around it: only new nodes cost an automaton lookup.  The reducts are
+compiled per system, not per rule, because a rule can sit in systems whose
+automata differ.
 
 A system truncated at an arity cap (Bicom) holds a prefix of its family's
 rule order, so a redex it finds above the cap is exactly the one the whole
 family would pick; only a verdict "normal" above the cap is refused, with a
 ValueError.  normalize() rewrites the smallest non-normal term (by tree_key)
 first; its pending terms sit in a heap, pushed when they enter and tested
-once per appearance.  A term is walked once, when it enters: the matching
-pass also lists its preorder tokens (a node's label, "" for a leaf), and
-that list is its heap key.  A full binary tree's preorder code is
-prefix-free, so the list sorts exactly like tree_key as long as every label
-is a non-empty string, as in every tree parse_tree builds.  Inside the loop
-integral coefficients are ints and the others Fractions; the result holds
-Fractions only.  No tree or result is memoized across calls: a normal-form
-memo is sound only for a system already certified confluent, and
-check_confluence() runs on this engine.
+once per appearance.  An annotated node is its own heap key: its first four
+fields compare exactly like tree_key (a leaf below any node, then op, then
+the children), whatever the labels.  The working set maps plain trees to
+coefficients, since hashing nested annotated nodes costs far more.  Inside
+the loop integral coefficients are ints and the others Fractions; the
+result holds Fractions only.  No tree or result is memoized across calls: a
+normal-form memo is sound only for a system already certified confluent,
+and check_confluence() runs on this engine.
 
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
@@ -56,6 +64,9 @@ from typing import Callable, Iterable, Optional
 
 Tree = object  # 1 | (op, Tree, Tree)
 LEAF: Tree = 1
+# (1, op, left, right, state, bits, tree, arity) | the leaf _LEAF
+Node = tuple
+_LEAF: Node = (0, "", None, None, 0, 0, LEAF, 1)
 Addr = tuple[int, ...]
 
 
@@ -236,26 +247,6 @@ class RewriteRule:
             e.add(p, -c)
         return e
 
-    @cached_property
-    def reducts(self) -> tuple[tuple[object, Callable[[Tree], Tree]], ...]:
-        """(coefficient, build) per nonzero rhs term: build(redex) is the
-        term with the redex's wildcard subtrees grafted in, read through the
-        lhs's child paths.  An integral coefficient is an int."""
-        paths: list[tuple[int, ...]] = []
-        stack = [(self.lhs, ())]
-        while stack:
-            p, path = stack.pop()
-            if p == LEAF:
-                paths.append(path)
-            else:
-                stack += ((p[2], path + (2,)), (p[1], path + (1,)))
-        return tuple((_exact(c), _builder(p, iter(map(_reader, paths))))
-                     for c, p in self.rhs if c)
-
-    def __getstate__(self):
-        """The fields without the compiled reducts, which do not pickle."""
-        return {k: v for k, v in self.__dict__.items() if k != "reducts"}
-
 
 def _exact(c: Fraction):
     """c as an int when it is integral, else c."""
@@ -269,8 +260,9 @@ def _fraction(n: int) -> Fraction:
     return Fraction(n)
 
 
-def _reader(path: tuple[int, ...]) -> Callable[[Tree], Tree]:
-    """The function u -> the subtree of u at a non-empty child path."""
+def _reader(path: tuple[int, ...]) -> Callable[[Node], Node]:
+    """The function u -> the node below the annotated node u at a non-empty
+    path of child fields (2 left, 3 right)."""
     i, rest = path[0], path[1:]
     if not rest:
         return itemgetter(i)
@@ -278,15 +270,15 @@ def _reader(path: tuple[int, ...]) -> Callable[[Tree], Tree]:
     return lambda u: inner(u[i])
 
 
-def _builder(p: Tree, readers) -> Callable[[Tree], Tree]:
-    """The function redex -> p with its leaves, left to right, replaced by
-    what the next readers return."""
+def _builder(p: Tree, readers, auto: LhsAutomaton) -> Callable[[Node], Node]:
+    """The function redex -> the annotated node of p with its leaves, left
+    to right, replaced by what the next readers return."""
     if p == LEAF:
         return next(readers)
     op = p[0]
-    left = _builder(p[1], readers)
-    right = _builder(p[2], readers)
-    return lambda u: (op, left(u), right(u))
+    left = _builder(p[1], readers, auto)
+    right = _builder(p[2], readers, auto)
+    return lambda u: _node(auto, op, left(u), right(u))
 
 
 def rule(name: str, lhs: str, rhs: list[tuple[int, str]] | str) -> RewriteRule:
@@ -361,6 +353,33 @@ class RewriteSystem:
     def automaton(self) -> LhsAutomaton:
         return LhsAutomaton(self.rules)
 
+    @cached_property
+    def reducts(self) -> tuple[tuple[tuple[object, Callable[[Node], Node]], ...], ...]:
+        """Per rule, (coefficient, build) per nonzero rhs term: build(redex)
+        is the annotated rhs term with the annotated redex's wildcard
+        subtrees grafted in, read through the lhs's child paths.  An
+        integral coefficient is an int.  Compiled per system, not per rule:
+        the builders look up this system's automaton, and one rule can sit
+        in systems whose automata differ."""
+        auto, out = self.automaton, []
+        for r in self.rules:
+            paths: list[tuple[int, ...]] = []
+            stack = [(r.lhs, ())]
+            while stack:
+                p, path = stack.pop()
+                if p == LEAF:
+                    paths.append(path)
+                else:
+                    stack += ((p[2], path + (3,)), (p[1], path + (2,)))
+            out.append(tuple(
+                (_exact(c), _builder(p, iter(map(_reader, paths)), auto))
+                for c, p in r.rhs if c))
+        return tuple(out)
+
+    def __getstate__(self):
+        """The fields without the compiled reducts, which do not pickle."""
+        return {k: v for k, v in self.__dict__.items() if k != "reducts"}
+
 
 def match_at(t: Tree, r: RewriteRule, addr: Addr) -> Optional[list[Tree]]:
     """Bindings of r.lhs wildcards against the subtree at addr, or None."""
@@ -382,24 +401,10 @@ def _match(t: Tree, pattern: Tree) -> Optional[list[Tree]]:
 
 
 def apply_rule_at(t: Tree, r: RewriteRule, addr: Addr) -> NsElement:
-    if match_at(t, r, addr) is None:
+    subs = match_at(t, r, addr)
+    if subs is None:
         raise ValueError(f"rule {r.name} does not match at {addr}")
-    return NsElement(_rewrite_at(t, r, addr))
-
-
-def _rewrite_at(t: Tree, r: RewriteRule, addr: Addr) -> list[tuple[Tree, object]]:
-    """(tree, coefficient) per rhs term of r, applied where r matches at addr."""
-    spine = []
-    for side in addr:
-        spine.append(t)
-        t = t[1 + side]
-    out = []
-    for c, build in r.reducts:
-        u = build(t)
-        for node, side in zip(reversed(spine), reversed(addr)):
-            u = (node[0], node[1], u) if side else (node[0], u, node[2])
-        out.append((u, c))
-    return out
+    return NsElement((replace(t, addr, graft(p, subs)), c) for c, p in r.rhs)
 
 
 def _refuse_above_cap(sys: RewriteSystem, n: int) -> None:
@@ -410,70 +415,56 @@ def _refuse_above_cap(sys: RewriteSystem, n: int) -> None:
                          f"{sys.arity_cap} of system {sys.name}")
 
 
-def _scan(u: Tree, path: int, auto: LhsAutomaton, hits: list,
-          key: list[str]) -> int:
-    """The automaton state of u, the node at path; appends u's preorder
-    tokens to key and, if some rule matches at u, (position of u's label in
-    key, state, path) to hits."""
-    k = len(key)
-    op, l, r = u
-    key.append(op)
-    if l == LEAF:
-        key.append("")
-        a = 0
-    else:
-        a = _scan(l, 2 * path, auto, hits, key)
-    if r == LEAF:
-        key.append("")
-        b = 0
-    else:
-        b = _scan(r, 2 * path + 1, auto, hits, key)
-    s = auto[op, a, b]
+def _node(auto: LhsAutomaton, op: str, l: Node, r: Node) -> Node:
+    """The annotated node op(l, r): one automaton lookup."""
+    s = auto[op, l[4], r[4]]
+    bits = l[5] | r[5]
     if s < 0:
-        hits.append((k, s, path))
-    return s
+        bits |= auto.masks[s]
+    return (1, op, l, r, s, bits, (op, l[6], r[6]), l[7] + r[7])
 
 
-def _entry(t: Tree, auto: LhsAutomaton) -> tuple[list[str], Tree, list]:
-    """(key, t, hits) from one post-order pass of the automaton.
-
-    key is t's preorder code (a node's label, "" for a leaf), which sorts
-    like tree_key because the code is prefix-free and labels are non-empty;
-    t has len(key) // 2 internal nodes.  A path is an int: 1 at the root,
-    2p and 2p + 1 at the children of p.
-    """
-    key: list[str] = []
-    hits: list = []
+def _annotate(t: Tree, auto: LhsAutomaton) -> Node:
+    """The annotated node of t, built bottom-up."""
     if t == LEAF:
-        key.append("")
-    else:
-        _scan(t, 1, auto, hits, key)
-    return key, t, hits
+        return _LEAF
+    return _node(auto, t[0], _annotate(t[1], auto), _annotate(t[2], auto))
 
 
-def _redex(sys: RewriteSystem, hits: list) -> tuple[RewriteRule, Addr]:
-    """The first (rule, address) in rule order, then preorder, among hits.
+def _rewrite(u: Node, sys: RewriteSystem) -> list[tuple[Node, object]]:
+    """(annotated term, coefficient) per rhs term of the first rule that
+    matches in the non-normal annotated node u, at its first preorder node.
 
-    A truncated system's rules are a prefix of its family's order, so a
-    match found above the cap is the one the whole family would pick.
+    low is that rule's bit.  One descent from the root finds the node: it
+    stops where the node's own state holds low, else goes left if the left
+    subtree's bits hold low, else right.  Only the rhs and the spine above
+    the redex are built anew.
     """
-    masks = sys.automaton.masks
-    bits = 0
-    for _, s, _ in hits:
-        bits |= masks[s]
-    low = bits & -bits
-    path = min(h for h in hits if masks[h[1]] & low)[2]
-    return sys.rules[low.bit_length() - 1], tuple(
-        (path >> i) & 1 for i in range(path.bit_length() - 2, -1, -1))
+    auto = sys.automaton
+    masks = auto.masks
+    low = u[5] & -u[5]
+    spine = []
+    while u[4] >= 0 or not masks[u[4]] & low:
+        left = u[2][5] & low
+        spine.append((u, left))
+        u = u[2] if left else u[3]
+    spine.reverse()
+    out = []
+    for c, build in sys.reducts[low.bit_length() - 1]:
+        v = build(u)
+        for w, left in spine:
+            v = _node(auto, w[1], v, w[3]) if left else _node(auto, w[1], w[2], v)
+        out.append((v, c))
+    return out
 
 
 def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
     """First match in rule order, then preorder position; None iff t is normal."""
-    key, _, hits = _entry(t, sys.automaton)
-    if not hits:
-        _refuse_above_cap(sys, len(key) // 2 + 1)
+    u = _annotate(t, sys.automaton)
+    if not u[5]:
+        _refuse_above_cap(sys, u[7])
         return None
-    return NsElement(_rewrite_at(t, *_redex(sys, hits)))
+    return NsElement((v[6], c) for v, c in _rewrite(u, sys))
 
 
 def _normal_state(u: Tree, auto: LhsAutomaton) -> int:
@@ -500,40 +491,42 @@ def is_normal(t: Tree, sys: RewriteSystem) -> bool:
 def normalize(e: NsElement, sys: RewriteSystem, step_cap: int = 10_000) -> NsElement:
     """Rewrite the smallest non-normal term until none is left.
 
-    Each term is scanned once, when it enters the working set, and its heap
-    entry keeps the scan, so a popped term is not walked again.  Integral
-    coefficients are ints until the result is returned.
+    The heap holds annotated nodes, which are their own keys; work maps
+    each pending plain tree to its coefficient.  Integral coefficients are
+    ints until the result is returned.
     """
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
     auto = sys.automaton
     work = {t: _exact(c) for t, c in NsElement(e.items()).items()}
-    heap = [_entry(t, auto) for t in work]
+    heap = [_annotate(t, auto) for t in work]
     heapify(heap)
     steps = 0
     while heap:
-        key, t, hits = heappop(heap)
+        u = heappop(heap)
+        t = u[6]
         if t not in work:
             continue  # cancelled
-        if not hits:
-            _refuse_above_cap(sys, len(key) // 2 + 1)
+        if not u[5]:
+            _refuse_above_cap(sys, u[7])
             continue
         steps += 1
         if steps > step_cap:
             raise StepCapExceeded(
                 f"no fixed point within {step_cap} steps in system {sys.name}")
         c = work.pop(t)
-        for u, d in _rewrite_at(t, *_redex(sys, hits)):
-            old = work.get(u)
+        for v, d in _rewrite(u, sys):
+            t = v[6]
+            old = work.get(t)
             if old is None:
-                heappush(heap, _entry(u, auto))
-                work[u] = c * d
+                heappush(heap, v)
+                work[t] = c * d
             else:
-                v = old + c * d
-                if v:
-                    work[u] = v
+                d = old + c * d
+                if d:
+                    work[t] = d
                 else:
-                    del work[u]
+                    del work[t]
     out = NsElement()
     for t, c in work.items():
         out[t] = c if type(c) is Fraction else _fraction(c)

@@ -213,6 +213,16 @@ def test_sparse_row_column_out_of_range():
         rref([[0.5]], 1)
 
 
+def test_a_row_is_taken_as_any_mapping_or_as_a_dense_sequence():
+    row = {0: F(1), 2: -2}
+    want = rref([row], 3)
+    for given_row in (MappingProxyType(row), [F(1), 0, -2], (1, F(0), -2)):
+        assert rref([given_row], 3) == want
+    for bad in ({0: 0.5}, MappingProxyType({0: 0.5}), [0.5, 0, 0], (1, 0, 0.5)):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            rref([bad], 3)
+
+
 # int rows as the oracle builds them: no zero entries, mostly +-1, some
 # larger, so that pivots with leading entries other than 1 occur
 _int_rows = st.lists(st.dictionaries(

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from operad_forge.oracle import free_trees
 from operad_forge.treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem,
-                                   StepCapExceeded, _entry, apply_rule_at,
+                                   StepCapExceeded, _annotate, apply_rule_at,
                                    arity, check_confluence, format_element,
                                    format_tree, generate, graft, is_normal,
                                    match_at, normalize, overlaps, parse_tree,
@@ -240,7 +240,8 @@ def test_normalize_converts_its_input_like_ns_element():
     assert all(type(c) is Fraction for c in got.values())
 
 
-_LABELS = ("x", "y", "z", "t", "xy")
+# "xy" and "" too: an annotated node sorts like tree_key whatever its labels
+_LABELS = ("x", "y", "z", "t", "xy", "")
 
 
 @st.composite
@@ -258,8 +259,8 @@ def _trees(draw, n=None):
 @settings(max_examples=200, deadline=None)
 def test_heap_key_sorts_like_tree_key(trees):
     auto = systems.system("Zin").automaton
-    assert sorted(trees, key=lambda u: _entry(u, auto)[0]) == \
-        sorted(trees, key=tree_key)
+    nodes = sorted(_annotate(u, auto) for u in trees)
+    assert [u[6] for u in nodes] == sorted(trees, key=tree_key)
 
 
 # --- the engine before one-walk matching, kept as a reference ----------------
@@ -344,23 +345,43 @@ _REFERENCE_SYSTEMS = {
 @pytest.mark.parametrize("name", ["Zin", "ZinHalf", "Bicom"])
 def test_reducts_graft_the_redex_wildcards_into_the_rhs(name):
     pool = [LEAF, t("x(1,1)"), t("y(1,x(1,1))")]
-    for r in _REFERENCE_SYSTEMS[name][0].rules:
-        assert [c for c, _ in r.reducts] == [c for c, _ in r.rhs]
+    sys = _REFERENCE_SYSTEMS[name][0]
+    auto = sys.automaton
+    for r, reducts in zip(sys.rules, sys.reducts, strict=True):
+        assert [c for c, _ in reducts] == [c for c, _ in r.rhs]
         assert all(type(c) is (int if c.denominator == 1 else Fraction)
-                   for c, _ in r.reducts)
+                   for c, _ in reducts)
         for i in range(3):
             subs = [pool[(i + j) % 3] for j in range(r.arity)]
-            redex = graft(r.lhs, subs)
-            assert [build(redex) for _, build in r.reducts] == \
-                [graft(p, subs) for _, p in r.rhs]
+            redex = _annotate(graft(r.lhs, subs), auto)
+            assert [build(redex) for _, build in reducts] == \
+                [_annotate(graft(p, subs), auto) for _, p in r.rhs]
 
 
-def test_a_rule_with_compiled_reducts_still_pickles():
-    r = _zin_half().rules[2]
-    assert r.reducts
-    copy = pickle.loads(pickle.dumps(r))
-    assert copy == r and "reducts" not in vars(copy)
-    assert [c for c, _ in copy.reducts] == [c for c, _ in r.reducts]
+def test_a_system_with_compiled_reducts_still_pickles():
+    sys = _zin_half()
+    assert sys.reducts
+    copy = pickle.loads(pickle.dumps(sys))
+    assert copy == sys and "reducts" not in vars(copy)
+    assert [[c for c, _ in rs] for rs in copy.reducts] == \
+        [[c for c, _ in rs] for rs in sys.reducts]
+
+
+def test_a_rule_shared_by_two_systems_rewrites_by_each_automaton():
+    # ZinBad reuses zin1 and zin2, whose builders must read ZinBad's states
+    zin, bad = systems.system("Zin"), _zin_bad()
+    assert bad.rules[0] is zin.rules[0] and bad.rules[1] is zin.rules[1]
+    trees = [tree for n in range(1, 7) for tree in free_trees(n, ("x", "y"))]
+    for tree in trees:
+        e = NsElement([(tree, Fraction(1))])
+        for sys in (bad, zin):
+            assert normalize(e, sys) == _reference_normalize(e, sys)[0]
+    for sys in (bad, zin):
+        copy = pickle.loads(pickle.dumps(sys))
+        assert copy == sys and "reducts" not in vars(copy)
+        for tree in trees:
+            e = NsElement([(tree, Fraction(1))])
+            assert normalize(e, copy) == normalize(e, sys)
 
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_SYSTEMS))
