@@ -1,21 +1,34 @@
 """Brute-force dimensions of nonsymmetric operads given by arity-3 relations.
 
-The degree-n component of the operadic ideal generated by the relations is
-spanned by all graftings: inner trees into the three slots of a relation,
-and the result into one leaf of an outer context tree.  No grafted tree is
-built: the free trees of arity n are listed in a fixed order, in which the
-position of a grafting is an affine function of the positions of its parts,
-so each column is computed from the context and the inner trees.  Each
-relation is cleared of its denominators once, so every row has int entries
-and no Fraction is built per row.  The span's rank is computed by incremental
-fraction-free sparse elimination over the integers, on the package's one
-exact kernel, exactlin.SparseEliminator: each fresh row goes straight to
-its absorb, which reduces it in place with no copy and no denominator
-clearing (add, the rational entry, clears denominators on a copy).  The
-free trees come from treeterm.generate; nothing here uses treeterm's
-grafting or rewriting.
-This module is deliberately unclever; it is the trust anchor for the
-Groebner-basis claims.
+F(k) is the free component of arity k and I(k) the ideal's part in it; the
+dimension is dim F(n) - dim I(n).  I(3), ..., I(n) are built in turn, one
+elimination per arity, on three elementary facts (Bremner-Dotsenko,
+Algebraic Operads, 2016), where N(k) is spanned by the trees whose column
+is no pivot of I(k)'s echelon rows:
+
+1. I(m) = sum of op(I(k), F) + op(F, I(m-k)) + r(F, F, F) over labels op,
+   splits k and relations r.  I(m) is spanned by graftings of a relation
+   into a context with inner trees in its leaves, and the relation either
+   contains the root or lies inside one child.
+2. F(k) = I(k) (+) N(k), as the echelon rows have distinct smallest
+   columns.  So op(I(k), F) + op(F, I(m-k)) = op(I(k), F) (+) op(N(k),
+   I(m-k)), op(I(k), I(m-k)) lying in the first summand.  It is spanned
+   by op(p, e_j) and op(e_i, q) for echelon rows p, q, trees e_j
+   and normal trees e_i.  Their leading columns (pivot of p, j) and (i,
+   pivot of q) are pairwise distinct: these grafted rows enter the
+   elimination as pivots, with no cancellation and no sort.
+3. If an inner tree t_i lies in I, every term s(t1, t2, t3) of r(t1, t2,
+   t3) is op(X, Y) with t_i grafted into X or Y, so it lies in the grafted
+   part.  As r is linear in each inner tree, the root rows need only run
+   over normal inner trees.
+
+No tree is grafted: in the fixed order of the free trees the position of a
+grafting is affine in the positions of its parts (position).  Every row
+has int entries and goes straight to absorb of the one exact kernel.
+The free trees come from treeterm.generate; nothing here uses treeterm's
+grafting or rewriting.  The module stays unclever: it rests on its own
+lower eliminations alone, and spans each I(m) by every grafting the three
+facts keep; it is the trust anchor for the Groebner-basis claims.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from typing import Iterable, Sequence
 from .exactlin import SparseEliminator
 from .treeterm import LEAF, NsElement, Tree, generate
 
-DEFAULT_CAP = 7
+DEFAULT_CAP = 8
 
 
 def catalan(m: int) -> int:
@@ -101,89 +114,76 @@ def _walk(t: Tree, leaves, ops: tuple[str, ...]):
     return nl + nr, c, tuple(x * dr for x in wl) + wr
 
 
-def _slots(n: int, m: int, ops: tuple[str, ...]) -> list[tuple[int, int]]:
-    """(A, B) for each context of arity n - m + 1, in free_trees order, and
-    each of its leaves: the context with tree number j of arity m in that
-    leaf, and bare leaves elsewhere, is tree number A + B*j of arity n."""
-    by_arity = [[], [[(0, 1)]]]  # [k][t]: context t of arity k, leaf by leaf
-    for k in range(2, n - m + 2):
-        trees = []
-        for op in ops:
-            node = (op, LEAF, LEAF)
-            for kl in range(1, k):
-                cl, (ul, vl) = position(node, (kl - 1 + m, k - kl), ops)
-                cr, (ur, vr) = position(node, (kl, k - kl - 1 + m), ops)
-                for l, left in enumerate(by_arity[kl]):
-                    for r, right in enumerate(by_arity[k - kl]):
-                        trees.append([(cl + ul * a + vl * r, ul * b) for a, b in left]
-                                     + [(cr + ur * l + vr * a, vr * b) for a, b in right])
-        by_arity.append(trees)
-    return [slot for t in by_arity[n - m + 1] for slot in t]
-
-
 def _compositions3(m: int):
     for a in range(1, m - 1):
         for b in range(1, m - a):
             yield a, b, m - a - b
 
 
-def consequences(rels: Iterable[NsElement], n: int,
+def consequences(rels: Sequence[NsElement], m: int,
+                 bases: Sequence[dict[int, dict[int, int]]],
                  ops: tuple[str, ...] = ("x", "y")) -> list[dict[int, int]]:
-    """Sparse int vectors spanning the degree-n component of the ideal,
-    sorted by descending leading column, sparsest first among equals.
-
-    Columns are computed, not looked up: relation term s with trees number
-    r1, r2, r3 in its leaves is tree j = K + w1*r1 + w2*r2 + w3*r3 of arity
-    m (position), and that in a context's leaf is tree A + B*j (_slots)."""
-    if n < 3:
-        raise ValueError("relations live in arity 3")
-    slots = {m: _slots(n, m, ops) for m in range(3, n + 1)}
+    """Sparse int rows spanning I(m), given bases[k], the echelon rows of
+    I(k) by pivot column, for 0 < k < m: the grafted rows of fact 2, then
+    the root rows of fact 3.  op(tree i, tree j) is tree c + w*i + j, and
+    s(r1, r2, r3) is tree K + w1*r1 + w2*r2 + w3*r3 (position)."""
     # one int object per column: the eliminator's dict lookups then match
     # equal columns by identity, several per cent faster than by value
-    column = list(range(free_dim(n, ops)))
-    # the inner trees' index ranges by arity, checked and counted once
-    trees = [range(0)] + [range(free_dim(k, ops)) for k in range(1, n - 1)]
+    column = list(range(free_dim(m, ops)))
+    normal = [None] + [[i for i in range(free_dim(k, ops)) if i not in bases[k]]
+                       for k in range(1, m - 1)]
     out = []
+    for op in ops:
+        for k in range(1, m):
+            c, (w, _) = position((op, LEAF, LEAF), (k, m - k), ops)
+            # fresh dicts: absorb takes its row over
+            for row in bases[k].values():
+                at = [(c + w * i, x) for i, x in row.items()]
+                out.extend({column[a + j]: x for a, x in at} for j in range(w))
+            for row in bases[m - k].values():
+                for i in normal[k]:
+                    a = c + w * i
+                    out.append({column[a + j]: x for j, x in row.items()})
+    root = []
     for rel in rels:
-        den = lcm(*(c.denominator for c in rel.values()))
-        terms = [(s, c.numerator * (den // c.denominator)) for s, c in rel.items()]
-        for m in range(3, n + 1):
-            inner = []
-            for a, b, c in _compositions3(m):
-                places = [(position(s, (a, b, c), ops), coeff)
-                          for s, coeff in terms]
-                for r1 in trees[a]:
-                    for r2 in trees[b]:
-                        for r3 in trees[c]:
-                            elem = {}
-                            for (k, (w1, w2, w3)), coeff in places:
-                                j = k + w1 * r1 + w2 * r2 + w3 * r3
-                                elem[j] = elem.get(j, 0) + coeff
-                            elem = [(j, x) for j, x in elem.items() if x]
-                            if elem:
-                                inner.append(elem)
-            # j -> A + B*j is one to one, so no two columns of a row merge
-            for a, b in slots[m]:
-                out.extend({column[a + b * j]: x for j, x in elem}
-                           for elem in inner)
-    # largest leading column first: the same span, far less fill-in; among
-    # equal leading columns the sparsest first (the second sort is stable),
-    # so that the fill-in does not depend on the order or the basis of the
-    # relations
-    out.sort(key=len)
-    out.sort(key=min, reverse=True)
+        den = lcm(*(x.denominator for x in rel.values()))
+        terms = [(s, x.numerator * (den // x.denominator)) for s, x in rel.items()]
+        for a, b, c in _compositions3(m):
+            places = [(position(s, (a, b, c), ops), x) for s, x in terms]
+            for r1 in normal[a]:
+                for r2 in normal[b]:
+                    for r3 in normal[c]:
+                        row = {}
+                        for (k, (w1, w2, w3)), x in places:
+                            j = column[k + w1 * r1 + w2 * r2 + w3 * r3]
+                            row[j] = row.get(j, 0) + x
+                        row = {j: x for j, x in row.items() if x}
+                        if row:
+                            root.append(row)
+    # largest leading column first, less fill-in; the sparsest first among
+    # equals (a stable sort), so the relations' order and basis do not count
+    root.sort(key=len)
+    root.sort(key=min, reverse=True)
+    out += root
     return out
 
 
 def ideal_rank(rels: Iterable[NsElement], n: int,
                ops: tuple[str, ...] = ("x", "y")) -> int:
-    rows = consequences(rels, n, ops)
-    rows.reverse()
-    elim = SparseEliminator()
-    while rows:
-        # popped, so that a row absorb reduced to zero is freed at once: its
-        # dict keeps the table its fill-in grew
-        elim.absorb(rows.pop())
+    """dim I(n), by one elimination for each arity from 3 to n."""
+    if n < 3:
+        raise ValueError("relations live in arity 3")
+    rels = list(rels)  # read once per arity
+    bases = [{}, {}, {}]  # I(1) = I(2) = 0
+    for m in range(3, n + 1):
+        rows = consequences(rels, m, bases, ops)
+        rows.reverse()
+        elim = SparseEliminator()
+        while rows:
+            # popped, so that a row absorb reduced to zero is freed at
+            # once: its dict keeps the table its fill-in grew
+            elim.absorb(rows.pop())
+        bases.append(elim.pivots)
     return elim.rank
 
 

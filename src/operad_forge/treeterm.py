@@ -502,31 +502,36 @@ def normalize(e: NsElement, sys: RewriteSystem, step_cap: int = 10_000) -> NsEle
     heap = [_annotate(t, auto) for t in work]
     heapify(heap)
     steps = 0
+    cap = sys.arity_cap
+    # a tuple does not cache its hash, so each visit looks a term up once
     while heap:
         u = heappop(heap)
-        t = u[6]
-        if t not in work:
-            continue  # cancelled
         if not u[5]:
-            _refuse_above_cap(sys, u[7])
+            if cap is not None and u[7] > cap and u[6] in work:
+                _refuse_above_cap(sys, u[7])
             continue
+        c = work.pop(u[6], None)
+        if c is None:
+            continue  # cancelled
         steps += 1
         if steps > step_cap:
             raise StepCapExceeded(
                 f"no fixed point within {step_cap} steps in system {sys.name}")
-        c = work.pop(t)
         for v, d in _rewrite(u, sys):
             t = v[6]
-            old = work.get(t)
-            if old is None:
+            d *= c
+            size = len(work)
+            old = work.setdefault(t, d)
+            # t is new iff work grew: an equal small int is one object, so
+            # old is d does not tell
+            if len(work) > size:
                 heappush(heap, v)
-                work[t] = c * d
+                continue
+            d += old
+            if d:
+                work[t] = d
             else:
-                d = old + c * d
-                if d:
-                    work[t] = d
-                else:
-                    del work[t]
+                del work[t]
     out = NsElement()
     for t, c in work.items():
         out[t] = c if type(c) is Fraction else _fraction(c)

@@ -7,6 +7,7 @@ from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operad_forge import oracle, systems
 from operad_forge.oracle import (SparseEliminator, bruteforce_dim, catalan,
@@ -104,7 +105,9 @@ def test_eliminator_rank():
 
 
 def _consequences_by_grafting(rels, n, ops=("x", "y")):
-    """The former construction: graft every tree, look up its column."""
+    """The flat construction: graft every relation, with every inner tree
+    in its leaves, into every leaf of every context, and look up the
+    column of each grafted tree."""
     index = {t: i for i, t in enumerate(free_trees(n, ops))}
     out = []
     for rel in rels:
@@ -133,21 +136,56 @@ def _consequences_by_grafting(rels, n, ops=("x", "y")):
                         row = {j: c for j, c in row.items() if c}
                         if row:
                             out.append(row)
-    out.sort(key=len)
-    out.sort(key=min, reverse=True)
     return out
+
+
+def _rank(*row_lists):
+    elim = SparseEliminator()
+    for rows in row_lists:
+        for row in rows:
+            elim.add(row)
+    return elim.rank
+
+
+def _eliminations(rels, n, ops=("x", "y")):
+    """The eliminators ideal_rank(rels, n, ops) fills, one per arity from 3
+    to n, keyed by arity."""
+    used = []
+
+    class Recording(SparseEliminator):
+        def __init__(self):
+            super().__init__()
+            used.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "SparseEliminator", Recording)
+        rank = ideal_rank(rels, n, ops)
+    assert len(used) == n - 2 and rank == used[-1].rank
+    return dict(zip(range(3, n + 1), used))
+
+
+def _bases(elims, m):
+    """The lower bases consequences(rels, m, ...) takes: I(k) by pivot."""
+    return [{}, {}, {}] + [elims[k].pivots for k in range(3, m)]
+
+
+def _flipped(rels):
+    return [NsElement((t, -c) for t, c in r.items()) for r in reversed(rels)]
 
 
 @pytest.mark.parametrize("name", NC_NAMES)
 def test_consequences_match_the_grafting_construction(name):
+    # the rows of each arity, built on ideal_rank's own lower eliminations,
+    # span exactly what the flat grafting construction spans
     rels = systems.nc_relations(name)
-    flipped = [NsElement((t, -c) for t, c in r.items()) for r in reversed(rels)]
-    for given in (rels, flipped):
+    for given in (rels, _flipped(rels)):
+        elims = _eliminations(given, 7)
         for n in range(3, 8):
-            got = consequences(given, n)
+            got = consequences(given, n, _bases(elims, n))
             want = _consequences_by_grafting(given, n)
-            assert got == want, (name, n)
-            assert [list(r) for r in got] == [list(r) for r in want]
+            rank = _rank(want)
+            assert _rank(got) == rank == _rank(got, want), (name, n)
+            assert elims[n].rank == rank, (name, n)
 
 
 @pytest.mark.parametrize("term", [
@@ -160,16 +198,18 @@ def test_consequences_match_the_grafting_construction(name):
 def test_malformed_relation_terms_are_refused(term):
     good = systems.nc_relations("NcZin")[0]
     rel = NsElement(list(good.items()) + [(term, Fraction(1))])
-    with pytest.raises(ValueError) as exc:
-        consequences([rel], 4)
-    assert repr(term) in str(exc.value)
-    assert repr(("x", "y")) in str(exc.value)
+    for call in (ideal_rank, bruteforce_dim):
+        with pytest.raises(ValueError) as exc:
+            call([rel], 4)
+        assert repr(term) in str(exc.value)
+        assert repr(("x", "y")) in str(exc.value)
 
 
 def test_terms_over_other_labels_are_refused():
     rels = systems.nc_relations("NcZin")
-    with pytest.raises(ValueError, match=r"\('z', 't'\)"):
-        consequences(rels, 4, ("z", "t"))
+    for call in (ideal_rank, bruteforce_dim):
+        with pytest.raises(ValueError, match=r"\('z', 't'\)"):
+            call(rels, 4, ("z", "t"))
 
 
 @pytest.mark.parametrize("call", [
@@ -187,11 +227,8 @@ def test_repeated_labels_are_refused(call, ops):
 
 def test_relations_themselves_are_consequences():
     rels = systems.nc_relations("NcZin")
-    rows = consequences(rels, 3)
-    elim = SparseEliminator()
-    for row in rows:
-        elim.add(row)
-    assert elim.rank == len(rels)
+    assert _rank(consequences(rels, 3, [{}, {}, {}])) == len(rels)
+    assert ideal_rank(rels, 3) == len(rels)
 
 
 @pytest.mark.parametrize("name,dims", [
@@ -215,58 +252,88 @@ def test_bruteforce_arity_8(name, want):
 
 
 def test_nc_nov_pivots_grow_beyond_one():
-    elim = SparseEliminator()
-    for row in consequences(systems.nc_relations("NcNov"), 6):
-        elim.add(row)
-    assert elim.max_bits > 1
+    elims = _eliminations(systems.nc_relations("NcNov"), 6)
+    assert elims[6].max_bits > 1
 
 
 def test_rows_come_by_descending_leading_column():
-    # the order keeps NcZin's fill-in at arity 7 near 19.5k pivot nonzeros;
-    # in generation order it was 35k, with the same rank
-    rows = consequences(systems.nc_relations("NcZin"), 7)
-    assert [min(r) for r in rows] == sorted((min(r) for r in rows), reverse=True)
+    # the grafted rows have pairwise distinct leading columns and enter as
+    # pivots unchanged; the root rows follow by descending leading column,
+    # which keeps NcZin's fill-in at arity 7 at 21,212 pivot nonzeros (in
+    # generation order it was 37,200, with the same rank)
+    rels = systems.nc_relations("NcZin")
+    elims = _eliminations(rels, 7)
+    bases = _bases(elims, 7)
+    # op(I(k), F) and op(N(k), I(7 - k)) for each of the two labels
+    grafted = 2 * sum(len(bases[k]) * free_dim(7 - k)
+                      + (free_dim(k) - len(bases[k])) * len(bases[7 - k])
+                      for k in range(1, 7))
+    rows = consequences(rels, 7, bases)
+    lead = [min(r) for r in rows[:grafted]]
+    assert len(set(lead)) == len(lead) == grafted
+    root = rows[grafted:]
+    assert [(-min(r), len(r)) for r in root] == sorted((-min(r), len(r)) for r in root)
     elim = SparseEliminator()
-    for row in rows:
+    for row in rows[:grafted]:
+        assert elim.add(row) and elim.pivots[min(row)] == row
+    for row in root:
         elim.add(row)
     assert elim.rank == 8019 == free_dim(7) - catalan(7)
-    assert elim.nonzeros <= 20_000
+    assert elim.nonzeros == elims[7].nonzeros <= 21_212
 
 
 @pytest.mark.parametrize("name", NC_NAMES)
-def test_ideal_rank_absorbs_rows_as_add_would(name, monkeypatch):
+def test_ideal_rank_absorbs_rows_as_add_would(name):
     # ideal_rank hands its freshly built int rows to absorb; add, which
     # clears denominators on a copy, must reach the very same pivot rows
-    used = []
-
-    class Recording(SparseEliminator):
-        def __init__(self):
-            super().__init__()
-            used.append(self)
-
-    monkeypatch.setattr(oracle, "SparseEliminator", Recording)
     rels = systems.nc_relations(name)
+    elims = _eliminations(rels, 7)
     for n in range(3, 8):
-        rank = ideal_rank(rels, n)
-        elim = used.pop()
+        elim = elims[n]
         ref = SparseEliminator()
-        for row in consequences(rels, n):
+        for row in consequences(rels, n, _bases(elims, n)):
             ref.add(dict(row))
-        assert (rank, elim.rank, elim.nonzeros, elim.max_bits) \
+        assert (ideal_rank(rels, n), elim.rank, elim.nonzeros, elim.max_bits) \
             == (ref.rank, ref.rank, ref.nonzeros, ref.max_bits), (name, n)
         assert elim.pivots == ref.pivots, (name, n)
 
 
-@pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 19_485),
-                                                ("NcNov", 7524, 22_349)])
+@pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 21_212),
+                                                ("NcNov", 7524, 24_889)])
 def test_fill_in_does_not_depend_on_the_relations_order(name, rank, nonzeros):
-    rels = [NsElement((t, -c) for t, c in r.items())
-            for r in reversed(systems.nc_relations(name))]
-    elim = SparseEliminator()
-    for row in consequences(rels, 7):
-        elim.add(row)
-    assert elim.rank == rank
-    assert elim.nonzeros == nonzeros
+    rels = systems.nc_relations(name)
+    for given in (rels, _flipped(rels)):
+        elim = _eliminations(given, 7)[7]
+        assert elim.rank == rank
+        assert elim.nonzeros == nonzeros
+
+
+_ARITY3 = {ops: free_trees(3, ops) for ops in (("x", "y"), ("z", "t"))}
+_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def _presentations(draw):
+    ops = draw(st.sampled_from(sorted(_ARITY3)))
+    rels = draw(st.lists(st.lists(st.tuples(st.sampled_from(_ARITY3[ops]), _COEFFS),
+                                  min_size=1, max_size=4),
+                         min_size=1, max_size=3))
+    return ops, [NsElement(r) for r in rels]
+
+
+@given(_presentations(), st.integers(3, 6))
+@settings(max_examples=40, deadline=None)
+def test_ideal_rank_matches_the_grafting_construction(presentation, n):
+    ops, rels = presentation
+    assert ideal_rank(rels, n, ops) == _rank(_consequences_by_grafting(rels, n, ops))
+
+
+@pytest.mark.parametrize("name", NC_NAMES)
+def test_relations_may_come_as_a_generator(name):
+    rels = systems.nc_relations(name)
+    for n in range(3, 7):
+        assert ideal_rank((r for r in rels), n) == ideal_rank(rels, n)
+        assert bruteforce_dim(iter(rels), n) == bruteforce_dim(rels, n)
 
 
 def test_low_arity_is_free():
