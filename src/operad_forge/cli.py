@@ -66,10 +66,12 @@ def _cmd_manin(args) -> int:
 
 def _dim_rows(name: str, max_n: int, oracle_max: int):
     """(n, grammar count, formula, oracle dimension or None) for n <= max_n."""
-    rels = systems.nc_relations("Nc" + name)
+    top = min(max_n, oracle_max)
+    # the whole oracle sweep is one recursion on the arity
+    ranks = (oracle.ideal_ranks(systems.nc_relations("Nc" + name), top)
+             if top >= 3 else None)
     for n in range(1, max_n + 1):
-        o = (oracle.bruteforce_dim(rels, n, cap=oracle_max)
-             if 3 <= n <= oracle_max else None)
+        o = oracle.free_dim(n) - next(ranks) if 3 <= n <= top else None
         yield (n, len(systems.normal_forms(name, n)), systems.dim_formula(name, n), o)
 
 

@@ -9,7 +9,8 @@ and its leading entry is positive.  Each step clears one column with a
 gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968), so no
 Fraction is built while rows are reduced; only rref() goes back to the
 rationals, for the canonical reduced row-echelon form.  The brute-force
-oracle hands the int rows it has just built straight to absorb, and rref,
+oracle seeds the pivot table with its grafted rows, which are pivot rows
+as they stand, and absorbs only the root rows it has just built; rref,
 span, intersect and nullspace run on add.  The criterion and the white
 products need only rref and span: manin reads R cap (two-outside cosets)
 off one rref with the two-outside columns last and builds As o P by
@@ -78,10 +79,12 @@ class SparseEliminator:
     """Incremental fraction-free sparse Gaussian elimination.
 
     pivots maps each pivot column to its primitive int row, whose smallest
-    column is the pivot."""
+    column is the pivot.  The eliminator takes over the table it is given,
+    if any, as its starting pivots, unchecked: the caller vouches that each
+    row is such a pivot row, and must not use the table afterwards."""
 
-    def __init__(self):
-        self.pivots: dict[int, IntRow] = {}
+    def __init__(self, pivots: dict[int, IntRow] | None = None):
+        self.pivots: dict[int, IntRow] = {} if pivots is None else pivots
 
     def absorb(self, row: IntRow) -> bool:
         """Reduce row, a dict column -> nonzero int, by the pivot rows, in

@@ -15,8 +15,12 @@ is no pivot of I(k)'s echelon rows:
    I(m-k)), op(I(k), I(m-k)) lying in the first summand.  It is spanned
    by op(p, e_j) and op(e_i, q) for echelon rows p, q, trees e_j
    and normal trees e_i.  Their leading columns (pivot of p, j) and (i,
-   pivot of q) are pairwise distinct: these grafted rows enter the
-   elimination as pivots, with no cancellation and no sort.
+   pivot of q) are pairwise distinct, and as copies of primitive rows
+   they are primitive: these grafted rows are the elimination's starting
+   pivot table as they stand, keyed by leading column, with no min, no
+   cancellation and no sort.  The table is counted against the rows
+   placed in it, so two rows at one leading column raise an error
+   instead of losing a row.
 3. If an inner tree t_i lies in I, every term s(t1, t2, t3) of r(t1, t2,
    t3) is op(X, Y) with t_i grafted into X or Y, so it lies in the grafted
    part.  As r is linear in each inner tree, the root rows need only run
@@ -24,11 +28,13 @@ is no pivot of I(k)'s echelon rows:
 
 No tree is grafted: in the fixed order of the free trees the position of a
 grafting is affine in the positions of its parts (position).  Every row
-has int entries and goes straight to absorb of the one exact kernel.
-The free trees come from treeterm.generate; nothing here uses treeterm's
-grafting or rewriting.  The module stays unclever: it rests on its own
-lower eliminations alone, and spans each I(m) by every grafting the three
-facts keep; it is the trust anchor for the Groebner-basis claims.
+has int entries; the root rows of fact 3 go straight to absorb of the one
+exact kernel.  ideal_ranks yields dim I(3), ..., dim I(n) from one
+recursion on the arity, and ideal_rank is its last value.  The free trees
+come from treeterm.generate; nothing here uses treeterm's grafting or
+rewriting.  The module stays unclever: it rests on its own lower
+eliminations alone, and spans each I(m) by every grafting the three facts
+keep; it is the trust anchor for the Groebner-basis claims.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactlin import SparseEliminator
 from .treeterm import LEAF, NsElement, Tree, generate
@@ -82,11 +88,12 @@ def _layout(n: int, ops: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 def position(pattern: Tree, arities: Sequence[int],
-             ops: tuple[str, ...] = ("x", "y")) -> tuple[int, tuple[int, ...]]:
+             ops: Sequence[str] = ("x", "y")) -> tuple[int, tuple[int, ...]]:
     """(c, w) such that, for any trees t_j of the given arities, tree number
     c + sum(w_j * i_j) of free_trees(sum(arities), ops) is
     graft(pattern, [t_1, ...]), where t_j is tree number i_j of
     free_trees(arities[j], ops)."""
+    ops = tuple(ops)
     _distinct(ops)
     try:
         _, c, w = _walk(pattern, iter(arities), ops)
@@ -120,30 +127,56 @@ def _compositions3(m: int):
             yield a, b, m - a - b
 
 
-def consequences(rels: Sequence[NsElement], m: int,
-                 bases: Sequence[dict[int, dict[int, int]]],
-                 ops: tuple[str, ...] = ("x", "y")) -> list[dict[int, int]]:
-    """Sparse int rows spanning I(m), given bases[k], the echelon rows of
-    I(k) by pivot column, for 0 < k < m: the grafted rows of fact 2, then
-    the root rows of fact 3.  op(tree i, tree j) is tree c + w*i + j, and
-    s(r1, r2, r3) is tree K + w1*r1 + w2*r2 + w3*r3 (position)."""
+def _normal(bases: Sequence[dict[int, dict[int, int]]], k: int,
+            ops: tuple[str, ...]) -> list[int]:
+    """The normal trees of arity k: the columns of F(k) that are no pivot
+    of I(k)'s echelon rows bases[k]."""
+    return [i for i in range(free_dim(k, ops)) if i not in bases[k]]
+
+
+def _grafted(m: int, bases: Sequence[dict[int, dict[int, int]]],
+             ops: tuple[str, ...]) -> dict[int, dict[int, int]]:
+    """The grafted rows of fact 2 for arity m by leading column, a table
+    that SparseEliminator takes over as its starting pivots.  op(p, e_j)
+    leads at c + w*pivot(p) + j and op(e_i, q) at c + w*i + pivot(q)
+    (position); as copies of primitive rows they are primitive.  Raises
+    RuntimeError if the table holds fewer rows than were placed in it,
+    that is if two of them share a leading column."""
     # one int object per column: the eliminator's dict lookups then match
     # equal columns by identity, several per cent faster than by value
     column = list(range(free_dim(m, ops)))
-    normal = [None] + [[i for i in range(free_dim(k, ops)) if i not in bases[k]]
-                       for k in range(1, m - 1)]
-    out = []
+    table = {}
+    placed = 0
     for op in ops:
         for k in range(1, m):
             c, (w, _) = position((op, LEAF, LEAF), (k, m - k), ops)
-            # fresh dicts: absorb takes its row over
-            for row in bases[k].values():
+            for p, row in bases[k].items():
                 at = [(c + w * i, x) for i, x in row.items()]
-                out.extend({column[a + j]: x for a, x in at} for j in range(w))
-            for row in bases[m - k].values():
-                for i in normal[k]:
+                a = c + w * p
+                for j in range(w):
+                    table[column[a + j]] = {column[b + j]: x for b, x in at}
+            normal = _normal(bases, k, ops) if bases[m - k] else ()
+            for q, row in bases[m - k].items():
+                for i in normal:
                     a = c + w * i
-                    out.append({column[a + j]: x for j, x in row.items()})
+                    table[column[a + q]] = {column[a + j]: x
+                                            for j, x in row.items()}
+            placed += len(bases[k]) * w + len(normal) * len(bases[m - k])
+    if len(table) != placed:
+        raise RuntimeError(f"{placed - len(table)} grafted rows of arity {m} "
+                           f"share a leading column")
+    return table
+
+
+def consequences(rels: Sequence[NsElement], m: int,
+                 bases: Sequence[dict[int, dict[int, int]]],
+                 ops: Sequence[str] = ("x", "y")) -> list[dict[int, int]]:
+    """The root rows of fact 3 for arity m, sparse int rows that span I(m)
+    together with the grafted rows, given bases[k], the echelon rows of
+    I(k) by pivot column, for 0 < k < m.  s(r1, r2, r3) is tree
+    K + w1*r1 + w2*r2 + w3*r3 (position)."""
+    ops = tuple(ops)
+    normal = [None] + [_normal(bases, k, ops) for k in range(1, m - 1)]
     root = []
     for rel in rels:
         den = lcm(*(x.denominator for x in rel.values()))
@@ -155,7 +188,7 @@ def consequences(rels: Sequence[NsElement], m: int,
                     for r3 in normal[c]:
                         row = {}
                         for (k, (w1, w2, w3)), x in places:
-                            j = column[k + w1 * r1 + w2 * r2 + w3 * r3]
+                            j = k + w1 * r1 + w2 * r2 + w3 * r3
                             row[j] = row.get(j, 0) + x
                         row = {j: x for j, x in row.items() if x}
                         if row:
@@ -164,34 +197,44 @@ def consequences(rels: Sequence[NsElement], m: int,
     # equals (a stable sort), so the relations' order and basis do not count
     root.sort(key=len)
     root.sort(key=min, reverse=True)
-    out += root
-    return out
+    return root
 
 
-def ideal_rank(rels: Iterable[NsElement], n: int,
-               ops: tuple[str, ...] = ("x", "y")) -> int:
-    """dim I(n), by one elimination for each arity from 3 to n."""
+def ideal_ranks(rels: Iterable[NsElement], n: int,
+                ops: Sequence[str] = ("x", "y")) -> Iterator[int]:
+    """dim I(3), ..., dim I(n), by one elimination for each arity: it
+    starts from the grafted rows as its pivot table and absorbs the root
+    rows.  A generator: ValueError for n < 3 comes with the first value."""
     if n < 3:
         raise ValueError("relations live in arity 3")
+    ops = tuple(ops)
     rels = list(rels)  # read once per arity
     bases = [{}, {}, {}]  # I(1) = I(2) = 0
     for m in range(3, n + 1):
+        elim = SparseEliminator(_grafted(m, bases, ops))
         rows = consequences(rels, m, bases, ops)
         rows.reverse()
-        elim = SparseEliminator()
         while rows:
             # popped, so that a row absorb reduced to zero is freed at
             # once: its dict keeps the table its fill-in grew
             elim.absorb(rows.pop())
         bases.append(elim.pivots)
-    return elim.rank
+        yield elim.rank
+
+
+def ideal_rank(rels: Iterable[NsElement], n: int,
+               ops: Sequence[str] = ("x", "y")) -> int:
+    """dim I(n), the last value of ideal_ranks."""
+    *_, rank = ideal_ranks(rels, n, ops)
+    return rank
 
 
 def bruteforce_dim(rels: Iterable[NsElement], n: int,
-                   ops: tuple[str, ...] = ("x", "y"),
+                   ops: Sequence[str] = ("x", "y"),
                    cap: int = DEFAULT_CAP) -> int:
     """dim of the arity-n component of the quotient by the ideal of rels;
     arities above cap are refused."""
+    ops = tuple(ops)
     if n < 1:
         raise ValueError("arity must be at least 1")
     if n > cap:

@@ -268,3 +268,22 @@ def test_absorb_takes_over_its_row():
     dependent = {0: -1, 1: -5}
     assert not elim.absorb(dependent)
     assert dependent == {}
+
+
+@given(_int_rows, _int_rows)
+@settings(max_examples=100, deadline=None)
+def test_a_starting_pivot_table_is_as_adding_its_rows_first(first, rows):
+    # a table of pivot rows, as the oracle's grafted rows are: each row
+    # primitive with a positive entry in its smallest column, its key
+    source = SparseEliminator()
+    for r in first:
+        source.absorb(dict(r))
+    table = {p: dict(r) for p, r in source.pivots.items()}
+    seeded, by_add = SparseEliminator(table), SparseEliminator()
+    assert seeded.pivots is table
+    for r in table.values():
+        assert by_add.add(r)
+    assert [seeded.absorb(dict(r)) for r in rows] \
+        == [by_add.add(dict(r)) for r in rows]
+    assert _state(seeded) == _state(by_add)
+    _assert_pivot_rows_primitive(seeded)

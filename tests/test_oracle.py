@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from operad_forge import oracle, systems
 from operad_forge.oracle import (SparseEliminator, bruteforce_dim, catalan,
                                  consequences, free_dim, free_trees,
-                                 ideal_rank, position)
+                                 ideal_rank, ideal_ranks, position)
 from operad_forge.treeterm import LEAF, NsElement, graft
 
 NC_NAMES = ("NcZin", "NcBicom", "NcFlex", "NcAntiFlex", "NcNov")
@@ -147,19 +147,26 @@ def _rank(*row_lists):
     return elim.rank
 
 
-def _eliminations(rels, n, ops=("x", "y")):
-    """The eliminators ideal_rank(rels, n, ops) fills, one per arity from 3
-    to n, keyed by arity."""
+def _recording(call):
+    """call() with every SparseEliminator the oracle builds recorded: its
+    result and the eliminators in the order they were built."""
     used = []
 
     class Recording(SparseEliminator):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, pivots=None):
+            super().__init__(pivots)
             used.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "SparseEliminator", Recording)
-        rank = ideal_rank(rels, n, ops)
+        result = call()
+    return result, used
+
+
+def _eliminations(rels, n, ops=("x", "y")):
+    """The eliminators ideal_rank(rels, n, ops) fills, one per arity from 3
+    to n, keyed by arity."""
+    rank, used = _recording(lambda: ideal_rank(rels, n, ops))
     assert len(used) == n - 2 and rank == used[-1].rank
     return dict(zip(range(3, n + 1), used))
 
@@ -167,6 +174,17 @@ def _eliminations(rels, n, ops=("x", "y")):
 def _bases(elims, m):
     """The lower bases consequences(rels, m, ...) takes: I(k) by pivot."""
     return [{}, {}, {}] + [elims[k].pivots for k in range(3, m)]
+
+
+def _grafted(m, bases, ops=("x", "y")):
+    """The grafted rows of arity m by leading column, as ideal_rank's
+    eliminator starts from them."""
+    return oracle._grafted(m, bases, ops)
+
+
+def _rows(rels, m, bases, ops=("x", "y")):
+    """Every row of arity m: the grafted rows, then the root rows."""
+    return [*_grafted(m, bases, ops).values(), *consequences(rels, m, bases, ops)]
 
 
 def _flipped(rels):
@@ -181,7 +199,7 @@ def test_consequences_match_the_grafting_construction(name):
     for given in (rels, _flipped(rels)):
         elims = _eliminations(given, 7)
         for n in range(3, 8):
-            got = consequences(given, n, _bases(elims, n))
+            got = _rows(given, n, _bases(elims, n))
             want = _consequences_by_grafting(given, n)
             rank = _rank(want)
             assert _rank(got) == rank == _rank(got, want), (name, n)
@@ -257,10 +275,10 @@ def test_nc_nov_pivots_grow_beyond_one():
 
 
 def test_rows_come_by_descending_leading_column():
-    # the grafted rows have pairwise distinct leading columns and enter as
-    # pivots unchanged; the root rows follow by descending leading column,
-    # which keeps NcZin's fill-in at arity 7 at 21,212 pivot nonzeros (in
-    # generation order it was 37,200, with the same rank)
+    # the grafted rows are keyed by their pairwise distinct leading columns
+    # and are pivot rows as they stand; the root rows follow by descending
+    # leading column, which keeps NcZin's fill-in at arity 7 at 21,212
+    # pivot nonzeros (in generation order it was 37,200, with the same rank)
     rels = systems.nc_relations("NcZin")
     elims = _eliminations(rels, 7)
     bases = _bases(elims, 7)
@@ -268,30 +286,52 @@ def test_rows_come_by_descending_leading_column():
     grafted = 2 * sum(len(bases[k]) * free_dim(7 - k)
                       + (free_dim(k) - len(bases[k])) * len(bases[7 - k])
                       for k in range(1, 7))
-    rows = consequences(rels, 7, bases)
-    lead = [min(r) for r in rows[:grafted]]
-    assert len(set(lead)) == len(lead) == grafted
-    root = rows[grafted:]
+    table = _grafted(7, bases)
+    assert len(table) == grafted
+    for lead, row in table.items():
+        assert min(row) == lead
+        alone = SparseEliminator()
+        assert alone.add(row) and alone.pivots == {lead: row}
+    root = consequences(rels, 7, bases)
     assert [(-min(r), len(r)) for r in root] == sorted((-min(r), len(r)) for r in root)
-    elim = SparseEliminator()
-    for row in rows[:grafted]:
-        assert elim.add(row) and elim.pivots[min(row)] == row
+    elim = SparseEliminator(table)
     for row in root:
         elim.add(row)
     assert elim.rank == 8019 == free_dim(7) - catalan(7)
     assert elim.nonzeros == elims[7].nonzeros <= 21_212
 
 
+def test_grafted_rows_sharing_a_leading_column_are_refused():
+    # were the label y's block reported at the label x's, op(p, e_j) would
+    # come twice for each label, at one leading column; the table would
+    # hold one of each pair and the rank would come out too small
+    position = oracle.position
+
+    def y_at_x(pattern, arities, ops=("x", "y")):
+        if pattern == ("y", LEAF, LEAF):
+            pattern = ("x", LEAF, LEAF)
+        return position(pattern, arities, ops)
+
+    rels = systems.nc_relations("NcZin")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "position", y_at_x)
+        assert ideal_rank(rels, 3) == len(rels)  # nothing grafted yet
+        with pytest.raises(RuntimeError, match="grafted rows of arity 4 "
+                                               "share a leading column"):
+            ideal_rank(rels, 4)
+
+
 @pytest.mark.parametrize("name", NC_NAMES)
 def test_ideal_rank_absorbs_rows_as_add_would(name):
-    # ideal_rank hands its freshly built int rows to absorb; add, which
-    # clears denominators on a copy, must reach the very same pivot rows
+    # ideal_rank starts from the grafted rows as its pivot table and hands
+    # its freshly built root rows to absorb; add on copies of all rows,
+    # which clears denominators, must reach the very same pivot rows
     rels = systems.nc_relations(name)
     elims = _eliminations(rels, 7)
     for n in range(3, 8):
         elim = elims[n]
         ref = SparseEliminator()
-        for row in consequences(rels, n, _bases(elims, n)):
+        for row in _rows(rels, n, _bases(elims, n)):
             ref.add(dict(row))
         assert (ideal_rank(rels, n), elim.rank, elim.nonzeros, elim.max_bits) \
             == (ref.rank, ref.rank, ref.nonzeros, ref.max_bits), (name, n)
@@ -361,3 +401,28 @@ def test_cap_argument():
 def test_oracle_uses_the_exactlin_kernel():
     from operad_forge import exactlin
     assert SparseEliminator is exactlin.SparseEliminator
+
+
+@pytest.mark.parametrize("name", NC_NAMES)
+def test_ideal_ranks_is_one_recursion(name):
+    # the sweep yields what ideal_rank gives at each arity, from one
+    # eliminator per arity: 5 through arity 7, where five calls build 15
+    rels = systems.nc_relations(name)
+    ranks, used = _recording(lambda: list(ideal_ranks(rels, 7)))
+    calls, restarted = _recording(lambda: [ideal_rank(rels, n) for n in range(3, 8)])
+    assert ranks == calls, name
+    assert (len(used), len(restarted)) == (5, 15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rels, ops: bruteforce_dim(rels, 4, ops=ops),
+    lambda rels, ops: ideal_rank(rels, 4, ops),
+    lambda rels, ops: list(ideal_ranks(rels, 4, ops)),
+    lambda rels, ops: consequences(rels, 3, [{}, {}, {}], ops),
+    lambda rels, ops: position(("x", LEAF, ("y", LEAF, LEAF)), (1, 2, 1), ops),
+    lambda rels, ops: free_trees(3, ops),
+    lambda rels, ops: free_dim(3, ops),
+])
+def test_ops_may_be_a_list(call):
+    rels = systems.nc_relations("NcZin")
+    assert call(rels, ["x", "y"]) == call(rels, ("x", "y"))
