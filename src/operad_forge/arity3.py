@@ -20,6 +20,9 @@ exactlin.span (s3_closure) or, in another column order, to exactlin.rref
 (OperadPresentation.two_outside_part, the criterion's one elimination,
 cached on the frozen presentation).
 
+The catalog is one table from each base operad, in the CLI's order, to its
+relations in the text format that format_element prints and parse_element reads.
+
 Convention (normative): the tensor g (x) h of two basis operations denotes
 the monomial g(h(x1,x2), x3), and permutations act by substituting
 x_i -> x_sigma(i).  With e1 = x1.x2 and e2 = x2.x1 this gives
@@ -185,7 +188,8 @@ def basis3(v: OpSpace) -> tuple[Monomial3, ...]:
                     if cm not in seen:
                         seen.add(cm)
                         out.append(cm)
-    assert len(out) == 3 * v.dim ** 2
+    if len(out) != 3 * v.dim ** 2:
+        raise RuntimeError(f"basis3 has {len(out)} monomials, not 3 * (dim V)^2")
     return tuple(out)
 
 
@@ -360,60 +364,29 @@ def parse_monomial(text: str, opspace: OpSpace) -> Monomial3:
 SINGLE = OpSpace.paired("*")
 DOUBLE = OpSpace.paired("<", ">")
 
-
-def _single(name: str, *rels: Arity3Element) -> OperadPresentation:
-    return OperadPresentation(name, SINGLE, tuple(rels))
-
-
-def _L(a, b, c):
-    return Monomial3("L", (a, b, c), "*", "*")
-
-
-def _R(a, b, c):
-    return Monomial3("R", (a, b, c), "*", "*")
-
-
-def _catalog() -> dict[str, OperadPresentation]:
-    E = lambda *terms: Arity3Element(SINGLE, [(m, c) for c, m in terms])
-    cat = {}
-    cat["Free"] = _single("Free")
-    cat["As"] = _single("As", E((1, _L(1, 2, 3)), (-1, _R(1, 2, 3))))
-    cat["Zin"] = _single("Zin", E(
-        (1, _R(1, 2, 3)), (-1, _L(1, 2, 3)), (-1, _L(2, 1, 3))))
-    cat["Bicom"] = _single(
-        "Bicom",
-        E((1, _L(2, 1, 3)), (-1, _L(2, 3, 1))),
-        E((1, _R(1, 3, 2)), (-1, _R(3, 1, 2))))
-    cat["Nov"] = _single(
-        "Nov",
-        E((1, _L(1, 2, 3)), (-1, _R(1, 3, 2)), (-1, _L(3, 2, 1)), (1, _R(3, 1, 2))),
-        E((1, _L(2, 1, 3)), (-1, _L(2, 3, 1))))
-    cat["PreLie"] = _single("PreLie", E(
-        (1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (-1, _L(2, 1, 3)), (1, _R(2, 1, 3))))
-    cat["Leib"] = _single("Leib", E(
-        (1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (1, _R(2, 1, 3))))
-    cat["Flex"] = _single("Flex", E(
-        (1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (1, _L(3, 2, 1)), (-1, _R(3, 2, 1))))
-    cat["AntiFlex"] = _single("AntiFlex", E(
-        (1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (-1, _L(3, 2, 1)), (1, _R(3, 2, 1))))
+_RELATIONS = {
+    "As": ("+1*(x1*x2)*x3-1*x1*(x2*x3)",),
+    "Nov": ("+1*(x1*x2)*x3-1*x1*(x3*x2)-1*(x3*x2)*x1+1*x3*(x1*x2)",
+            "+1*(x2*x1)*x3-1*(x2*x3)*x1"),
+    "Zin": ("+1*x1*(x2*x3)-1*(x1*x2)*x3-1*(x2*x1)*x3",),
+    "Bicom": ("+1*(x2*x1)*x3-1*(x2*x3)*x1", "+1*x1*(x3*x2)-1*x3*(x1*x2)"),
     # Alt and Assosym relations are the standard linearized identities; the
     # literature source is validated against dim Alt(3) = 7 in the tests.
-    cat["Alt"] = _single(
-        "Alt",
-        E((1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (1, _L(2, 1, 3)), (-1, _R(2, 1, 3))),
-        E((1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (1, _L(1, 3, 2)), (-1, _R(1, 3, 2))))
-    cat["Assosym"] = _single(
-        "Assosym",
-        E((1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (-1, _L(2, 1, 3)), (1, _R(2, 1, 3))),
-        E((1, _L(1, 2, 3)), (-1, _R(1, 2, 3)), (-1, _L(1, 3, 2)), (1, _R(1, 3, 2))))
-    return cat
+    "Alt": ("+1*(x1*x2)*x3-1*x1*(x2*x3)+1*(x2*x1)*x3-1*x2*(x1*x3)",
+            "+1*(x1*x2)*x3-1*x1*(x2*x3)+1*(x1*x3)*x2-1*x1*(x3*x2)"),
+    "Flex": ("+1*(x1*x2)*x3-1*x1*(x2*x3)+1*(x3*x2)*x1-1*x3*(x2*x1)",),
+    "AntiFlex": ("+1*(x1*x2)*x3-1*x1*(x2*x3)-1*(x3*x2)*x1+1*x3*(x2*x1)",),
+    "Leib": ("+1*(x1*x2)*x3-1*x1*(x2*x3)+1*x2*(x1*x3)",),
+    "PreLie": ("+1*(x1*x2)*x3-1*x1*(x2*x3)-1*(x2*x1)*x3+1*x2*(x1*x3)",),
+    "Assosym": ("+1*(x1*x2)*x3-1*x1*(x2*x3)-1*(x2*x1)*x3+1*x2*(x1*x3)",
+                "+1*(x1*x2)*x3-1*x1*(x2*x3)-1*(x1*x3)*x2+1*x1*(x3*x2)"),
+}
 
+_CATALOG = {name: OperadPresentation(name, SINGLE,
+                                     tuple(parse_element(r, SINGLE) for r in rels))
+            for name, rels in {"Free": (), **_RELATIONS}.items()}
 
-_CATALOG = _catalog()
-
-CATALOG_NAMES = ("As", "Nov", "Zin", "Bicom", "Alt", "Flex", "AntiFlex",
-                 "Leib", "PreLie", "Assosym",
-                 "NcNov", "NcZin", "NcBicom", "NcFlex", "NcAntiFlex")
+CATALOG_NAMES = (*_RELATIONS, "NcNov", "NcZin", "NcBicom", "NcFlex", "NcAntiFlex")
 
 
 def catalog(name: str) -> OperadPresentation:

@@ -67,18 +67,24 @@ def _derive_flex_rule2(rule1: RewriteRule, name: str) -> RewriteRule:
     (check,) = check_confluence(RewriteSystem("partial", (rule1,)), 4).checks
     diff = dict(check.difference)
     lhs = parse_tree("y(1,x(1,x(1,1)))")
-    assert lhs in diff, "expected leading monomial missing from S-polynomial"
+    if lhs not in diff:
+        raise RuntimeError("expected leading monomial missing from S-polynomial")
     lead = diff.pop(lhs)
     rhs = tuple((-c / lead, t) for t, c in diff.items())
     return RewriteRule(name, lhs, rhs)
 
 
-@lru_cache(maxsize=None)
 def system(name: str, max_arity: int | None = None) -> RewriteSystem:
+    """One object per (name, cap); only Bicom has a cap (10 by default)."""
+    cap = (10 if max_arity is None else max_arity) if name == "Bicom" else None
+    return _system(name, cap)
+
+
+@lru_cache(maxsize=None)
+def _system(name: str, cap: int | None) -> RewriteSystem:
     if name == "Zin":
         return RewriteSystem("Zin", _zin_rules())
     if name == "Bicom":
-        cap = 10 if max_arity is None else max_arity
         if cap < 3:
             raise ValueError("Bicom needs an arity cap of at least 3")
         rules = []

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operad_forge.arity3 import (ANTISYMMETRIC, DOUBLE, PAIRED, SINGLE, S3,
-                                 SYMMETRIC, Arity3Element, Monomial3,
+from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, PAIRED,
+                                 SINGLE, S3, SYMMETRIC, Arity3Element, Monomial3,
                                  OperadPresentation, OpSpace, act, basis3,
                                  canonicalize, catalog, format_element,
                                  format_monomial, parse_element,
@@ -101,6 +101,33 @@ def test_catalog_dimensions():
         p = catalog(name)
         assert p.relation_space().dim == dim_r, name
         assert quotient_dim3(p) == dim_p3, name
+
+
+# Each relation's row over basis3(SINGLE), as (basis index, coefficient)
+# pairs in row order, so a typo in the catalog's text fails here even where
+# dim R happens to agree.
+_CATALOG_ROWS = {
+    "Free": [],
+    "As": [[(0, 1), (6, -1)]],
+    "Nov": [[(0, 1), (7, -1), (5, -1), (10, 1)], [(2, 1), (3, -1)]],
+    "Zin": [[(6, 1), (0, -1), (2, -1)]],
+    "Bicom": [[(2, 1), (3, -1)], [(7, 1), (10, -1)]],
+    "Alt": [[(0, 1), (6, -1), (2, 1), (8, -1)], [(0, 1), (6, -1), (1, 1), (7, -1)]],
+    "Flex": [[(0, 1), (6, -1), (5, 1), (11, -1)]],
+    "AntiFlex": [[(0, 1), (6, -1), (5, -1), (11, 1)]],
+    "Leib": [[(0, 1), (6, -1), (8, 1)]],
+    "PreLie": [[(0, 1), (6, -1), (2, -1), (8, 1)]],
+    "Assosym": [[(0, 1), (6, -1), (2, -1), (8, 1)], [(0, 1), (6, -1), (1, -1), (7, 1)]],
+}
+
+
+def test_catalog_rows_are_pinned():
+    assert list(_CATALOG_ROWS) == ["Free"] + [n for n in CATALOG_NAMES
+                                              if not n.startswith("Nc")]
+    for name, rows in _CATALOG_ROWS.items():
+        p = catalog(name)
+        assert (p.name, p.opspace) == (name, SINGLE)
+        assert [list(r.row.items()) for r in p.relations] == rows, name
 
 
 def test_catalog_nonsymmetric_presentations():

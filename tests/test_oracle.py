@@ -107,7 +107,9 @@ def test_eliminator_rank():
 def _consequences_by_grafting(rels, n, ops=("x", "y")):
     """The flat construction: graft every relation, with every inner tree
     in its leaves, into every leaf of every context, and look up the
-    column of each grafted tree."""
+    column of each grafted tree.  The rows come in the order consequences
+    gives its root rows, by descending leading column and sparsest first
+    among equal ones, which keeps the reference's elimination short."""
     index = {t: i for i, t in enumerate(free_trees(n, ops))}
     out = []
     for rel in rels:
@@ -136,6 +138,8 @@ def _consequences_by_grafting(rels, n, ops=("x", "y")):
                         row = {j: c for j, c in row.items() if c}
                         if row:
                             out.append(row)
+    out.sort(key=len)
+    out.sort(key=min, reverse=True)
     return out
 
 

@@ -1,5 +1,6 @@
 """The concrete rewriting systems, their grammars, and closed formulas."""
 
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -64,6 +65,29 @@ def test_antiflex_rules():
     assert anti.rules[0].rhs != flex.rules[0].rhs
     assert anti.rules[1].lhs == flex.rules[1].lhs
     assert len(anti.rules[1].rhs) == 9
+
+
+def test_flex_rule2_derivation_refuses_a_missing_leading_monomial(monkeypatch):
+    lhs = parse_tree("y(1,x(1,x(1,1)))")
+    real = systems.check_confluence
+
+    def without_lhs(sys, max_arity):
+        report = real(sys, max_arity)
+        (check,) = report.checks
+        diff = tuple((t, c) for t, c in check.difference if t != lhs)
+        return replace(report, checks=(replace(check, difference=diff),))
+
+    monkeypatch.setattr(systems, "check_confluence", without_lhs)
+    with pytest.raises(RuntimeError, match="expected leading monomial missing"):
+        systems._derive_flex_rule2(systems._flex_rule1(1), "flex2")
+
+
+def test_one_system_object_per_name_and_cap():
+    assert (systems.system("Flex") is systems.system("Flex", 6)
+            is systems.system("Flex", max_arity=6))
+    assert (systems.system("Bicom") is systems.system("Bicom", 10)
+            is systems.system("Bicom", max_arity=10))
+    assert systems.system("Bicom", 8) is not systems.system("Bicom")
 
 
 def test_l_system_single_rule():
