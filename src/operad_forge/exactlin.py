@@ -9,9 +9,10 @@ and its leading entry is positive.  Each step clears one column with a
 gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968), so no
 Fraction is built while rows are reduced; only rref() goes back to the
 rationals, for the canonical reduced row-echelon form.  The brute-force
-oracle seeds the pivot table with its grafted rows, which are pivot rows
-as they stand, and absorbs only the root rows it has just built; rref,
-span, intersect and nullspace run on add.  The criterion and the white
+oracle gives the eliminator a graft source, which stands for its grafted
+rows, pivot rows as they stand, and builds each only when absorb first
+reaches its column; it absorbs only the root rows it has just built.
+rref, span, intersect and nullspace run on add.  The criterion and the white
 products need only rref and span: manin reads R cap (two-outside cosets)
 off one rref with the two-outside columns last and builds As o P by
 permuting rows, so intersect (Zassenhaus) and nullspace are no longer on
@@ -81,10 +82,17 @@ class SparseEliminator:
     pivots maps each pivot column to its primitive int row, whose smallest
     column is the pivot.  The eliminator takes over the table it is given,
     if any, as its starting pivots, unchecked: the caller vouches that each
-    row is such a pivot row, and must not use the table afterwards."""
+    row is such a pivot row, and must not use the table afterwards.
 
-    def __init__(self, pivots: dict[int, IntRow] | None = None):
+    graft, if given, stands for further pivot rows that pivots does not
+    hold yet.  graft.row(p), for a column p that pivots lacks, returns the
+    pivot row of column p and stores it in pivots, or returns None if p is
+    no pivot column.  rank, nonzeros and max_bits are then graft's own,
+    which count the rows not built as well; rref is refused."""
+
+    def __init__(self, pivots: dict[int, IntRow] | None = None, graft=None):
         self.pivots: dict[int, IntRow] = {} if pivots is None else pivots
+        self.graft = graft
 
     def absorb(self, row: IntRow) -> bool:
         """Reduce row, a dict column -> nonzero int, by the pivot rows, in
@@ -92,12 +100,16 @@ class SparseEliminator:
         row of its smallest column.  Returns True if the rank grew.  row
         belongs to the eliminator afterwards: the caller must not use it."""
         pivots = self.pivots
+        graft = self.graft
         while row:
             p = min(row)
             piv = pivots.get(p)
             if piv is None:
-                pivots[p] = _primitive(row, p)
-                return True
+                if graft is not None:
+                    piv = graft.row(p)
+                if piv is None:
+                    pivots[p] = _primitive(row, p)
+                    return True
             _cancel(row, p, piv)
         return False
 
@@ -108,22 +120,29 @@ class SparseEliminator:
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.pivots) if self.graft is None else self.graft.rank
 
     @property
     def nonzeros(self) -> int:
         """The total number of nonzero entries in the pivot rows."""
+        if self.graft is not None:
+            return self.graft.nonzeros
         return sum(map(len, self.pivots.values()))
 
     @property
     def max_bits(self) -> int:
         """The bit length of the largest absolute pivot-row entry."""
+        if self.graft is not None:
+            return self.graft.max_bits
         return max((c.bit_length() for row in self.pivots.values()
                     for c in row.values()), default=0)
 
     def rref(self) -> list[SparseRow]:
         """The pivot rows back-substituted into reduced row-echelon form over
         Q, in increasing pivot order."""
+        if self.graft is not None:
+            raise ValueError("rref needs every pivot row stored, "
+                             "and a graft source builds them on demand")
         done: dict[int, IntRow] = {}
         for p in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[p])

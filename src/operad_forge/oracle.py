@@ -16,11 +16,16 @@ is no pivot of I(k)'s echelon rows:
    by op(p, e_j) and op(e_i, q) for echelon rows p, q, trees e_j
    and normal trees e_i.  Their leading columns (pivot of p, j) and (i,
    pivot of q) are pairwise distinct, and as copies of primitive rows
-   they are primitive: these grafted rows are the elimination's starting
-   pivot table as they stand, keyed by leading column, with no min, no
-   cancellation and no sort.  The table is counted against the rows
-   placed in it, so two rows at one leading column raise an error
-   instead of losing a row.
+   they are primitive: these grafted rows are pivot rows as they stand.
+   So column (op, k, i, j) leads one iff i is a pivot of I(k), or i is
+   normal and j is a pivot of I(m-k), and the pivot indicator of F(m), a
+   bytearray, is one slice per (op, k, i): all ones, or I(m-k)'s
+   indicator.  No grafted row is built ahead: absorb asks for one only
+   when a root row reaches its column, and it is then copied from I(k)'s
+   row p or I(m-k)'s row q, themselves built on demand, and kept.  The
+   rank is the indicator's count once the root pivots are marked in it.
+   The filled indicator is counted against the rows placed in it, so two
+   rows at one leading column raise an error instead of losing a row.
 3. If an inner tree t_i lies in I, every term s(t1, t2, t3) of r(t1, t2,
    t3) is op(X, Y) with t_i grafted into X or Y, so it lies in the grafted
    part.  As r is linear in each inner tree, the root rows need only run
@@ -39,6 +44,7 @@ keep; it is the trust anchor for the Groebner-basis claims.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
@@ -134,38 +140,110 @@ def _normal(bases: Sequence[dict[int, dict[int, int]]], k: int,
     return [i for i in range(free_dim(k, ops)) if i not in bases[k]]
 
 
-def _grafted(m: int, bases: Sequence[dict[int, dict[int, int]]],
-             ops: tuple[str, ...]) -> dict[int, dict[int, int]]:
-    """The grafted rows of fact 2 for arity m by leading column, a table
-    that SparseEliminator takes over as its starting pivots.  op(p, e_j)
-    leads at c + w*pivot(p) + j and op(e_i, q) at c + w*i + pivot(q)
-    (position); as copies of primitive rows they are primitive.  Raises
-    RuntimeError if the table holds fewer rows than were placed in it,
-    that is if two of them share a leading column."""
-    # one int object per column: the eliminator's dict lookups then match
-    # equal columns by identity, several per cent faster than by value
-    column = list(range(free_dim(m, ops)))
-    table = {}
-    placed = 0
-    for op in ops:
-        for k in range(1, m):
-            c, (w, _) = position((op, LEAF, LEAF), (k, m - k), ops)
-            for p, row in bases[k].items():
-                at = [(c + w * i, x) for i, x in row.items()]
-                a = c + w * p
-                for j in range(w):
-                    table[column[a + j]] = {column[b + j]: x for b, x in at}
-            normal = _normal(bases, k, ops) if bases[m - k] else ()
-            for q, row in bases[m - k].items():
-                for i in normal:
-                    a = c + w * i
-                    table[column[a + q]] = {column[a + j]: x
-                                            for j, x in row.items()}
-            placed += len(bases[k]) * w + len(normal) * len(bases[m - k])
-    if len(table) != placed:
-        raise RuntimeError(f"{placed - len(table)} grafted rows of arity {m} "
-                           f"share a leading column")
-    return table
+class _Ideal(dict):
+    """I(m)'s echelon rows by pivot column, built on bases[k] = I(k) for
+    k < m: the table ideal_ranks eliminates in, and its graft source.
+
+    lead is the pivot indicator of F(m), a bytearray with 1 at each column
+    that leads a grafted row of fact 2 and, once the root rows are in
+    (settle), at each root pivot.  The table holds the root pivots absorb
+    finds; a grafted row is built the first time it is read (row, or
+    self[p]) and kept.  The slices of lead are filled from the lower
+    indicators alone, and counted against the rows placed in them, so two
+    grafted rows at one leading column raise an error instead of losing a
+    row."""
+
+    def __init__(self, m: int, bases: list, ops: tuple[str, ...]):
+        super().__init__()
+        self.m = m
+        # I(0), ..., I(m-1), a copy: the table refers to no higher one, so
+        # no reference cycle keeps the tables of a finished call alive
+        self.bases = bases[:m]
+        self.built: set[int] = set()  # the grafted rows' columns in the table
+        lead = self.lead = bytearray(free_dim(m, ops))
+        blocks = []
+        placed = 0
+        for op in ops:
+            for k in range(1, m):
+                # op(F(k), F(m - k)): the column of op(e_i, e_j) is c + w*i + j
+                c, (w, _) = position((op, LEAF, LEAF), (k, m - k), ops)
+                inner, outer = bases[k].lead, bases[m - k].lead
+                ones = b"\1" * w
+                a = c
+                for x in inner:
+                    lead[a:a + w] = ones if x else outer
+                    a += w
+                rank = inner.count(1)
+                placed += rank * w + (len(inner) - rank) * outer.count(1)
+                blocks.append((c, w, k))
+        if lead.count(1) != placed:
+            raise RuntimeError(f"{placed - lead.count(1)} grafted rows of "
+                               f"arity {m} share a leading column")
+        self.placed = placed
+        blocks.sort()
+        self._blocks = blocks
+        self._starts = [c for c, _, _ in blocks]
+
+    def row(self, p: int) -> dict[int, int] | None:
+        """The grafted row leading at column p, which the table does not
+        hold yet, now kept in it; None if no grafted row leads at p.
+        op(p_i, e_j) is a copy of I(k)'s row at i, op(e_i, q_j) of I(m-k)'s
+        row at j, both primitive."""
+        if not self.lead[p]:
+            return None
+        c, w, k = self._blocks[bisect_right(self._starts, p) - 1]
+        i, j = divmod(p - c, w)
+        inner = self.bases[k]
+        if inner.lead[i]:
+            row = {c + w * a + j: x for a, x in inner[i].items()}
+        else:
+            c += w * i
+            row = {c + b: x for b, x in self.bases[self.m - k][j].items()}
+        self[p] = row
+        self.built.add(p)
+        return row
+
+    def __missing__(self, p: int) -> dict[int, int]:
+        row = self.row(p)
+        if row is None:
+            raise KeyError(p)
+        return row
+
+    def __contains__(self, p: object) -> bool:
+        """Whether p is a pivot column, its row built yet or not."""
+        return dict.__contains__(self, p) or self.lead[p] == 1
+
+    def settle(self) -> None:
+        """Mark the root pivots in lead, once absorb has had every root row."""
+        lead = self.lead
+        for p in self:
+            lead[p] = 1
+
+    def _roots(self) -> Iterator[dict[int, int]]:
+        """The root pivot rows of arities up to m, the rows every other row
+        is a grafted copy of."""
+        for table in (*self.bases[1:], self):
+            built = table.built
+            for p, row in table.items():
+                if p not in built:
+                    yield row
+
+    @property
+    def rank(self) -> int:
+        """dim I(m): the grafted rows, built or not, and the root pivots."""
+        return self.placed + len(self) - len(self.built)
+
+    @property
+    def nonzeros(self) -> int:
+        """The nonzero entries of the root pivot rows of arities up to m."""
+        return sum(map(len, self._roots()))
+
+    @property
+    def max_bits(self) -> int:
+        """The bit length of the largest absolute entry of a root pivot row
+        of arity up to m, and so of any pivot row of I(m)."""
+        return max((x.bit_length() for row in self._roots()
+                    for x in row.values()), default=0)
 
 
 def consequences(rels: Sequence[NsElement], m: int,
@@ -203,23 +281,27 @@ def consequences(rels: Sequence[NsElement], m: int,
 def ideal_ranks(rels: Iterable[NsElement], n: int,
                 ops: Sequence[str] = ("x", "y")) -> Iterator[int]:
     """dim I(3), ..., dim I(n), by one elimination for each arity: it
-    starts from the grafted rows as its pivot table and absorbs the root
-    rows.  A generator: ValueError for n < 3 comes with the first value."""
+    absorbs the root rows into I(m)'s table, which builds a grafted row
+    when absorb first reaches its column.  A generator: ValueError for
+    n < 3 comes with the first value."""
     if n < 3:
         raise ValueError("relations live in arity 3")
     ops = tuple(ops)
     rels = list(rels)  # read once per arity
-    bases = [{}, {}, {}]  # I(1) = I(2) = 0
-    for m in range(3, n + 1):
-        elim = SparseEliminator(_grafted(m, bases, ops))
-        rows = consequences(rels, m, bases, ops)
-        rows.reverse()
-        while rows:
-            # popped, so that a row absorb reduced to zero is freed at
-            # once: its dict keeps the table its fill-in grew
-            elim.absorb(rows.pop())
-        bases.append(elim.pivots)
-        yield elim.rank
+    bases = [None]
+    for m in range(1, n + 1):
+        table = _Ideal(m, bases, ops)
+        if m >= 3:
+            elim = SparseEliminator(table, graft=table)
+            rows = consequences(rels, m, bases, ops)
+            rows.reverse()
+            while rows:
+                # popped, so that a row absorb reduced to zero is freed at
+                # once: its dict keeps the table its fill-in grew
+                elim.absorb(rows.pop())
+            table.settle()
+            yield elim.rank
+        bases.append(table)
 
 
 def ideal_rank(rels: Iterable[NsElement], n: int,

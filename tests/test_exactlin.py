@@ -274,7 +274,8 @@ def test_absorb_takes_over_its_row():
 @settings(max_examples=100, deadline=None)
 def test_a_starting_pivot_table_is_as_adding_its_rows_first(first, rows):
     # a table of pivot rows, as the oracle's grafted rows are: each row
-    # primitive with a positive entry in its smallest column, its key
+    # primitive with a positive entry in its smallest column, its key;
+    # the oracle's table starts empty and is filled by its graft source
     source = SparseEliminator()
     for r in first:
         source.absorb(dict(r))
@@ -287,3 +288,77 @@ def test_a_starting_pivot_table_is_as_adding_its_rows_first(first, rows):
         == [by_add.add(dict(r)) for r in rows]
     assert _state(seeded) == _state(by_add)
     _assert_pivot_rows_primitive(seeded)
+
+
+class _Hidden:
+    """A graft source over a table of pivot rows held out of sight: row(p)
+    moves the row of p into the eliminator's pivots.  Its statistics count
+    both parts, the rows moved and the rows still hidden."""
+
+    def __init__(self, hidden, pivots):
+        self.hidden, self.pivots, self.reads = hidden, pivots, []
+
+    def row(self, p):
+        assert p not in self.pivots
+        self.reads.append(p)
+        piv = self.hidden.pop(p, None)
+        if piv is not None:
+            self.pivots[p] = piv
+        return piv
+
+    def _rows(self):
+        return [*self.pivots.values(), *self.hidden.values()]
+
+    @property
+    def rank(self):
+        return len(self.pivots) + len(self.hidden)
+
+    @property
+    def nonzeros(self):
+        return sum(map(len, self._rows()))
+
+    @property
+    def max_bits(self):
+        return max((c.bit_length() for r in self._rows() for c in r.values()),
+                   default=0)
+
+
+@given(_int_rows, _int_rows)
+@settings(max_examples=100, deadline=None)
+def test_a_graft_source_is_as_adding_its_rows_first(first, rows):
+    # the pivot rows of a graft source reach the table only when absorb
+    # reaches their columns, and the statistics are the source's, which
+    # count the rows not built; the results are those of adding them first
+    source = SparseEliminator()
+    for r in first:
+        source.absorb(dict(r))
+    hidden = {p: dict(r) for p, r in source.pivots.items()}
+    by_add = SparseEliminator()
+    for r in hidden.values():
+        assert by_add.add(r)
+    pivots = {}
+    graft = _Hidden(hidden, pivots)
+    seeded = SparseEliminator(pivots, graft=graft)
+    assert (seeded.rank, seeded.nonzeros, seeded.max_bits) \
+        == (by_add.rank, by_add.nonzeros, by_add.max_bits)
+    assert [seeded.absorb(dict(r)) for r in rows] \
+        == [by_add.add(dict(r)) for r in rows]
+    assert (seeded.rank, seeded.nonzeros, seeded.max_bits) \
+        == (by_add.rank, by_add.nonzeros, by_add.max_bits)
+    assert {**pivots, **graft.hidden} == by_add.pivots
+    assert len(graft.reads) == len(set(graft.reads))
+    _assert_pivot_rows_primitive(seeded)
+    with pytest.raises(ValueError, match="stored"):
+        seeded.rref()
+
+
+def test_a_graft_source_is_read_only_where_pivots_lack_a_row():
+    pivots = {0: {0: 1, 2: 1}}
+    graft = _Hidden({1: {1: 1, 2: -1}}, pivots)
+    elim = SparseEliminator(pivots, graft=graft)
+    assert (elim.rank, elim.nonzeros, elim.max_bits) == (2, 4, 1)
+    assert not elim.absorb({0: 1, 1: 1})  # (0, 1, -1) by row 0, then row 1
+    assert graft.reads == [1] and pivots[1] == {1: 1, 2: -1}
+    assert elim.absorb({2: 3})            # column 2 leads no row of either
+    assert graft.reads == [1, 2] and pivots[2] == {2: 1}
+    assert (elim.rank, elim.nonzeros, elim.max_bits) == (3, 5, 1)

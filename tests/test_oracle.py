@@ -90,6 +90,20 @@ def test_position_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_ideal_rank_leaves_no_reference_cycle():
+    # each arity's table refers to the lower ones only, so a finished call
+    # frees its tables by reference counting, not at a later collection
+    rels = systems.nc_relations("NcZin")
+    ideal_rank(rels, 6)  # fills the layout cache
+    gc.collect()
+    gc.disable()
+    try:
+        ideal_rank(rels, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_free_trees_are_distinct():
     ts = free_trees(5)
     assert len(set(ts)) == len(ts)
@@ -157,8 +171,8 @@ def _recording(call):
     used = []
 
     class Recording(SparseEliminator):
-        def __init__(self, pivots=None):
-            super().__init__(pivots)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             used.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -176,19 +190,63 @@ def _eliminations(rels, n, ops=("x", "y")):
 
 
 def _bases(elims, m):
-    """The lower bases consequences(rels, m, ...) takes: I(k) by pivot."""
-    return [{}, {}, {}] + [elims[k].pivots for k in range(3, m)]
+    """The lower bases consequences(rels, m, ...) takes, as ideal_rank
+    built them: I(k) by pivot column for k < m."""
+    return elims[m].pivots.bases
+
+
+def _full(table):
+    """Every pivot row of a table of ideal_rank's, each read (and so built)
+    by its column: a plain dict, as an eager elimination holds it."""
+    return {p: table[p] for p in range(len(table.lead)) if p in table}
 
 
 def _grafted(m, bases, ops=("x", "y")):
-    """The grafted rows of arity m by leading column, as ideal_rank's
-    eliminator starts from them."""
-    return oracle._grafted(m, bases, ops)
+    """The grafted rows of fact 2 for arity m by leading column, built in
+    full from bases[k], I(k)'s pivot rows as plain dicts: the eager table
+    the oracle's eliminator once started from.  op(p, e_j) leads at
+    c + w*pivot(p) + j and op(e_i, q) at c + w*i + pivot(q)."""
+    table = {}
+    placed = 0
+    for op in ops:
+        for k in range(1, m):
+            c, (w, _) = position((op, LEAF, LEAF), (k, m - k), ops)
+            for p, row in bases[k].items():
+                at = [(c + w * i, x) for i, x in row.items()]
+                a = c + w * p
+                for j in range(w):
+                    table[a + j] = {b + j: x for b, x in at}
+            normal = ([i for i in range(free_dim(k, ops)) if i not in bases[k]]
+                      if bases[m - k] else ())
+            for q, row in bases[m - k].items():
+                for i in normal:
+                    a = c + w * i
+                    table[a + q] = {a + j: x for j, x in row.items()}
+            placed += len(bases[k]) * w + len(normal) * len(bases[m - k])
+    assert len(table) == placed
+    return table
+
+
+def _reference(rels, n, ops=("x", "y")):
+    """The eager recursion, independent of the oracle's tables: for each
+    arity m from 3 to n, the full grafted table and the eliminator that
+    started from it and absorbed the root rows."""
+    bases = [{}, {}, {}]
+    out = {}
+    for m in range(3, n + 1):
+        grafted = _grafted(m, bases, ops)
+        elim = SparseEliminator(dict(grafted))
+        for row in consequences(rels, m, bases, ops):
+            elim.absorb(row)
+        bases.append(elim.pivots)
+        out[m] = grafted, elim
+    return out
 
 
 def _rows(rels, m, bases, ops=("x", "y")):
-    """Every row of arity m: the grafted rows, then the root rows."""
-    return [*_grafted(m, bases, ops).values(), *consequences(rels, m, bases, ops)]
+    """Every row of arity m: the grafted rows in full, then the root rows."""
+    full = [{}] + [_full(t) for t in bases[1:]]
+    return [*_grafted(m, full, ops).values(), *consequences(rels, m, bases, ops)]
 
 
 def _flipped(rels):
@@ -273,42 +331,64 @@ def test_bruteforce_arity_8(name, want):
     assert bruteforce_dim(systems.nc_relations(name), 8, cap=8) == want
 
 
+def test_bruteforce_arity_9():
+    assert bruteforce_dim(systems.nc_relations("NcFlex"), 9, cap=9) == 120175
+
+
 def test_nc_nov_pivots_grow_beyond_one():
     elims = _eliminations(systems.nc_relations("NcNov"), 6)
     assert elims[6].max_bits > 1
 
 
 def test_rows_come_by_descending_leading_column():
-    # the grafted rows are keyed by their pairwise distinct leading columns
-    # and are pivot rows as they stand; the root rows follow by descending
-    # leading column, which keeps NcZin's fill-in at arity 7 at 21,212
-    # pivot nonzeros (in generation order it was 37,200, with the same rank)
+    # the grafted rows lead at pairwise distinct columns, which the pivot
+    # indicator marks, and are pivot rows as they stand; the root rows
+    # follow by descending leading column, which keeps NcZin's fill-in at
+    # arity 7 at 21,212 nonzeros in all pivot rows (in generation order it
+    # was 37,200, with the same rank) and at 2,576 in the root pivot rows of
+    # arities up to 7, of which every other pivot row is a copy (7,861 in
+    # generation order)
     rels = systems.nc_relations("NcZin")
     elims = _eliminations(rels, 7)
     bases = _bases(elims, 7)
+    ranks = [t.lead.count(1) for t in bases[1:]]
+    assert ranks == [0, 0, 3, 26, 182, 1212]
+    ranks.insert(0, None)
     # op(I(k), F) and op(N(k), I(7 - k)) for each of the two labels
-    grafted = 2 * sum(len(bases[k]) * free_dim(7 - k)
-                      + (free_dim(k) - len(bases[k])) * len(bases[7 - k])
+    grafted = 2 * sum(ranks[k] * free_dim(7 - k)
+                      + (free_dim(k) - ranks[k]) * ranks[7 - k]
                       for k in range(1, 7))
-    table = _grafted(7, bases)
+    implicit = oracle._Ideal(7, bases, ("x", "y"))
+    assert implicit.placed == implicit.lead.count(1) == grafted
+    assert implicit.rank == grafted and len(implicit) == 0
+    table = _grafted(7, [{}] + [_full(t) for t in bases[1:]])
     assert len(table) == grafted
-    for lead, row in table.items():
-        assert min(row) == lead
-        alone = SparseEliminator()
-        assert alone.add(row) and alone.pivots == {lead: row}
+    for lead in range(len(implicit.lead)):
+        if implicit.lead[lead]:
+            row = implicit[lead]
+            assert min(row) == lead and row == table[lead]
+            alone = SparseEliminator()
+            assert alone.add(row) and alone.pivots == {lead: row}
+    assert len(implicit) == len(implicit.built) == grafted
     root = consequences(rels, 7, bases)
     assert [(-min(r), len(r)) for r in root] == sorted((-min(r), len(r)) for r in root)
-    elim = SparseEliminator(table)
+    eager = SparseEliminator(table)
+    elim = SparseEliminator(implicit, graft=implicit)
     for row in root:
+        eager.add(row)
         elim.add(row)
-    assert elim.rank == 8019 == free_dim(7) - catalan(7)
-    assert elim.nonzeros == elims[7].nonzeros <= 21_212
+    implicit.settle()
+    assert elim.rank == eager.rank == 8019 == free_dim(7) - catalan(7)
+    assert elim.rank == implicit.lead.count(1)
+    assert eager.nonzeros <= 21_212
+    assert elim.nonzeros == elims[7].nonzeros <= 2_576
 
 
 def test_grafted_rows_sharing_a_leading_column_are_refused():
     # were the label y's block reported at the label x's, op(p, e_j) would
-    # come twice for each label, at one leading column; the table would
-    # hold one of each pair and the rank would come out too small
+    # come twice for each label, at one leading column; the indicator would
+    # mark one of each pair, and the rank, its count, would come out too
+    # small
     position = oracle.position
 
     def y_at_x(pattern, arities, ops=("x", "y")):
@@ -327,29 +407,61 @@ def test_grafted_rows_sharing_a_leading_column_are_refused():
 
 @pytest.mark.parametrize("name", NC_NAMES)
 def test_ideal_rank_absorbs_rows_as_add_would(name):
-    # ideal_rank starts from the grafted rows as its pivot table and hands
-    # its freshly built root rows to absorb; add on copies of all rows,
-    # which clears denominators, must reach the very same pivot rows
+    # ideal_rank starts from the grafted rows, built as absorb reaches them,
+    # and hands its freshly built root rows to absorb; add on copies of all
+    # rows, the grafted ones in full, which clears denominators, must reach
+    # the very same pivot rows, and the oracle's statistics count the rows
+    # it never built: the rank all of them, nonzeros the root pivot rows of
+    # arities up to n, of which every other pivot row is a copy
     rels = systems.nc_relations(name)
     elims = _eliminations(rels, 7)
+    roots = 0
     for n in range(3, 8):
         elim = elims[n]
+        grafted = _grafted(n, [{}] + [_full(t) for t in _bases(elims, n)[1:]])
         ref = SparseEliminator()
-        for row in _rows(rels, n, _bases(elims, n)):
+        for row in (*grafted.values(), *consequences(rels, n, _bases(elims, n))):
             ref.add(dict(row))
-        assert (ideal_rank(rels, n), elim.rank, elim.nonzeros, elim.max_bits) \
-            == (ref.rank, ref.rank, ref.nonzeros, ref.max_bits), (name, n)
-        assert elim.pivots == ref.pivots, (name, n)
+        roots += sum(len(row) for p, row in ref.pivots.items() if p not in grafted)
+        assert (ideal_rank(rels, n), elim.rank, elim.pivots.lead.count(1),
+                elim.nonzeros, elim.max_bits) \
+            == (ref.rank, ref.rank, ref.rank, roots, ref.max_bits), (name, n)
+        full = _full(elim.pivots)
+        assert full == ref.pivots, (name, n)
+        assert sum(map(len, full.values())) == ref.nonzeros, (name, n)
+        assert elim.nonzeros == roots, (name, n)  # reading built no root
+
+
+@pytest.mark.parametrize("name", ["NcZin", "NcNov"])
+def test_implicit_grafted_rows_are_the_eager_table(name):
+    # the eager recursion builds every grafted row; the oracle marks their
+    # leading columns in its indicator and builds a row when it is read
+    rels = systems.nc_relations(name)
+    elims = _eliminations(rels, 7)
+    eager = _reference(rels, 7)
+    for m in range(3, 8):
+        table, ref = eager[m]
+        implicit = oracle._Ideal(m, _bases(elims, m), ("x", "y"))
+        assert {p for p, x in enumerate(implicit.lead) if x} == table.keys()
+        assert all(implicit[p] == row for p, row in table.items()), (name, m)
+        assert elims[m].rank == ref.rank == elims[m].pivots.lead.count(1)
+        used = elims[m].pivots
+        assert {p for p, x in enumerate(used.lead) if x} == ref.pivots.keys()
+        assert all(used[p] == row for p, row in ref.pivots.items()), (name, m)
 
 
 @pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 21_212),
                                                 ("NcNov", 7524, 24_889)])
 def test_fill_in_does_not_depend_on_the_relations_order(name, rank, nonzeros):
+    # nonzeros counts all pivot rows of I(7), each read; stored counts the
+    # root pivot rows of arities up to 7, of which the others are copies
+    stored = {"NcZin": 2_576, "NcNov": 6_193}[name]
     rels = systems.nc_relations(name)
     for given in (rels, _flipped(rels)):
         elim = _eliminations(given, 7)[7]
         assert elim.rank == rank
-        assert elim.nonzeros == nonzeros
+        assert elim.nonzeros == stored
+        assert sum(map(len, _full(elim.pivots).values())) == nonzeros
 
 
 _ARITY3 = {ops: free_trees(3, ops) for ops in (("x", "y"), ("z", "t"))}
@@ -378,6 +490,17 @@ def test_relations_may_come_as_a_generator(name):
     for n in range(3, 7):
         assert ideal_rank((r for r in rels), n) == ideal_rank(rels, n)
         assert bruteforce_dim(iter(rels), n) == bruteforce_dim(rels, n)
+
+
+def test_no_labels():
+    # with no label there are no trees above arity 1: no relation, no
+    # ideal; a relation's terms are no trees over no labels
+    assert bruteforce_dim([], 4, ops=()) == 0
+    assert list(ideal_ranks([], 6, ())) == [0, 0, 0, 0]
+    rels = systems.nc_relations("NcZin")
+    term = next(iter(rels[0]))
+    with pytest.raises(ValueError, match=re.escape(f"{term!r} is not a tree over ()")):
+        bruteforce_dim(rels, 4, ops=())
 
 
 def test_low_arity_is_free():
