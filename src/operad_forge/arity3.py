@@ -137,6 +137,9 @@ class Arity3Element:
                 raise ValueError(f"monomial uses unknown operation: {m}")
             cm, sign = canonicalize(m, opspace)
             if not isinstance(coeff, Fraction):
+                if not isinstance(coeff, int):
+                    raise ValueError(f"coefficient {coeff!r} is not an int "
+                                     "or a Fraction")
                 coeff = Fraction(coeff)
             if sign < 0:
                 coeff = -coeff

@@ -1,31 +1,30 @@
 """Exact linear algebra on one sparse, fraction-free elimination kernel.
 
-SparseEliminator does incremental Gaussian elimination over the integers on
-sparse rows (dicts column -> nonzero int).  absorb takes such an int row
-over and reduces it in place; add clears a rational row of its
-denominators on a copy and absorbs that, so the row it is given is left as
-it is.  Every stored pivot row is primitive: the gcd of its entries is 1
-and its leading entry is positive.  Each step clears one column with a
-gcd-scaled integer combination (Bareiss, Math. Comp. 22, 1968), so no
-Fraction is built while rows are reduced; only rref() goes back to the
-rationals, for the canonical reduced row-echelon form.  The brute-force
-oracle gives the eliminator a graft source, which stands for its grafted
-rows, pivot rows as they stand, and builds each only when absorb first
-reaches its column; it absorbs only the root rows it has just built.
-rref, span, intersect and nullspace run on add.  The criterion and the white
-products need only rref and span: manin reads R cap (two-outside cosets)
-off one rref with the two-outside columns last and builds As o P by
-permuting rows, so intersect (Zassenhaus) and nullspace are no longer on
-that path; they stay as general tools and as the references the tests
-compare against.  All four take each row dense, a sequence of ints or
-Fractions, or sparse, a Mapping column -> entry such as the row of an
-arity3 element, and return the rows of rref(), which arity3 takes as
-elements: dicts column -> Fraction whose pivot is the smallest column.  A
-Subspace is stored as this reduced row-echelon basis, so two subspaces are
-equal iff their canonical bases are equal as sequences, and a row lies in
-a subspace iff adding it leaves the rank unchanged; SparseEliminator.absorb
-is the one reduction loop.  Subspaces are immutable and the functions are
-pure.
+absorb(pivots, row) is the one reduction loop.  It reduces a sparse int
+row (a dict column -> nonzero int) in place by the pivot rows of pivots, a
+mapping pivot column -> pivot row, and keeps a nonzero residual, made
+primitive, as the pivot row of its smallest column.  Every pivot row is
+primitive: the gcd of its entries is 1 and its leading entry is positive.
+Each step clears one column with a gcd-scaled integer combination
+(Bareiss, Math. Comp. 22, 1968), so no Fraction is built while rows are
+reduced.  absorb looks a column up with pivots.get(p) and, only when that
+is None, asks p in pivots and then reads pivots[p]: a plain dict serves,
+and so does a mapping that builds a pivot row the first time it is read,
+as the brute-force oracle's I(m) table builds its grafted rows.
+SparseEliminator holds a plain dict of pivots; its add clears a rational
+row of its denominators on a copy and absorbs that, so the row it is given
+is left as it is, and only rref() goes back to the rationals, for the
+canonical reduced row-echelon form.  rref, span, intersect and nullspace
+run on add; manin reads R cap (two-outside cosets) off one rref, and
+intersect (Zassenhaus) and nullspace stay as general tools and as the
+references the tests compare against.  All four take each row dense, a
+sequence of ints or Fractions, or sparse, a Mapping column -> entry such
+as the row of an arity3 element, and return the rows of rref(), which
+arity3 takes as elements: dicts column -> Fraction whose pivot is the
+smallest column.  A Subspace is stored as this reduced row-echelon basis,
+so two subspaces are equal iff their canonical bases are equal as
+sequences, and a row lies in a subspace iff adding it leaves the rank
+unchanged.  Subspaces are immutable and the functions are pure.
 """
 
 from __future__ import annotations
@@ -76,73 +75,59 @@ def _cancel(row: IntRow, p: int, piv: IntRow) -> None:
             del row[j]
 
 
-class SparseEliminator:
-    """Incremental fraction-free sparse Gaussian elimination.
+def absorb(pivots, row: IntRow) -> bool:
+    """Reduce row, a dict column -> nonzero int, by the pivot rows of
+    pivots, in place; if a residual is left, keep it, made primitive, as
+    the pivot row of its smallest column.  Returns True if the rank grew.
+    row belongs to pivots afterwards: the caller must not use it.
 
     pivots maps each pivot column to its primitive int row, whose smallest
-    column is the pivot.  The eliminator takes over the table it is given,
-    if any, as its starting pivots, unchecked: the caller vouches that each
-    row is such a pivot row, and must not use the table afterwards.
+    column is the pivot.  A column is looked up by pivots.get(p) and, only
+    when that is None, by p in pivots and pivots[p], so a mapping may hold
+    pivot rows it builds only when they are first read (a dict subclass
+    with __contains__ and __missing__)."""
+    while row:
+        p = min(row)
+        piv = pivots.get(p)
+        if piv is None:
+            if p not in pivots:
+                pivots[p] = _primitive(row, p)
+                return True
+            piv = pivots[p]
+        _cancel(row, p, piv)
+    return False
 
-    graft, if given, stands for further pivot rows that pivots does not
-    hold yet.  graft.row(p), for a column p that pivots lacks, returns the
-    pivot row of column p and stores it in pivots, or returns None if p is
-    no pivot column.  rank, nonzeros and max_bits are then graft's own,
-    which count the rows not built as well; rref is refused."""
 
-    def __init__(self, pivots: dict[int, IntRow] | None = None, graft=None):
-        self.pivots: dict[int, IntRow] = {} if pivots is None else pivots
-        self.graft = graft
+class SparseEliminator:
+    """Incremental fraction-free sparse Gaussian elimination into a plain
+    dict of pivot rows, pivots, by absorb."""
 
-    def absorb(self, row: IntRow) -> bool:
-        """Reduce row, a dict column -> nonzero int, by the pivot rows, in
-        place; if a residual is left, keep it, made primitive, as the pivot
-        row of its smallest column.  Returns True if the rank grew.  row
-        belongs to the eliminator afterwards: the caller must not use it."""
-        pivots = self.pivots
-        graft = self.graft
-        while row:
-            p = min(row)
-            piv = pivots.get(p)
-            if piv is None:
-                if graft is not None:
-                    piv = graft.row(p)
-                if piv is None:
-                    pivots[p] = _primitive(row, p)
-                    return True
-            _cancel(row, p, piv)
-        return False
+    def __init__(self):
+        self.pivots: dict[int, IntRow] = {}
 
     def add(self, row: Mapping) -> bool:
         """absorb a copy of row, a Mapping column -> int or Fraction, cleared
         of its denominators; row itself is left as it is."""
-        return self.absorb(_integral(row))
+        return absorb(self.pivots, _integral(row))
 
     @property
     def rank(self) -> int:
-        return len(self.pivots) if self.graft is None else self.graft.rank
+        return len(self.pivots)
 
     @property
     def nonzeros(self) -> int:
         """The total number of nonzero entries in the pivot rows."""
-        if self.graft is not None:
-            return self.graft.nonzeros
         return sum(map(len, self.pivots.values()))
 
     @property
     def max_bits(self) -> int:
         """The bit length of the largest absolute pivot-row entry."""
-        if self.graft is not None:
-            return self.graft.max_bits
         return max((c.bit_length() for row in self.pivots.values()
                     for c in row.values()), default=0)
 
     def rref(self) -> list[SparseRow]:
         """The pivot rows back-substituted into reduced row-echelon form over
         Q, in increasing pivot order."""
-        if self.graft is not None:
-            raise ValueError("rref needs every pivot row stored, "
-                             "and a graft source builds them on demand")
         done: dict[int, IntRow] = {}
         for p in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[p])

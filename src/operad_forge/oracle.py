@@ -20,10 +20,12 @@ is no pivot of I(k)'s echelon rows:
    So column (op, k, i, j) leads one iff i is a pivot of I(k), or i is
    normal and j is a pivot of I(m-k), and the pivot indicator of F(m), a
    bytearray, is one slice per (op, k, i): all ones, or I(m-k)'s
-   indicator.  No grafted row is built ahead: absorb asks for one only
-   when a root row reaches its column, and it is then copied from I(k)'s
-   row p or I(m-k)'s row q, themselves built on demand, and kept.  The
-   rank is the indicator's count once the root pivots are marked in it.
+   indicator.  No grafted row is built ahead: I(m)'s table is a dict of
+   pivot rows whose __contains__ reads the indicator and whose
+   __missing__ builds a grafted row, so absorb reads one only when a root
+   row reaches its column; it is copied from I(k)'s row p or I(m-k)'s
+   row q, themselves built on demand, and kept.  The rank is the
+   indicator's count once the root pivots are marked in it.
    The filled indicator is counted against the rows placed in it, so two
    rows at one leading column raise an error instead of losing a row.
 3. If an inner tree t_i lies in I, every term s(t1, t2, t3) of r(t1, t2,
@@ -50,7 +52,7 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .exactlin import SparseEliminator
+from .exactlin import absorb
 from .treeterm import LEAF, NsElement, Tree, generate
 
 DEFAULT_CAP = 8
@@ -142,16 +144,16 @@ def _normal(bases: Sequence[dict[int, dict[int, int]]], k: int,
 
 class _Ideal(dict):
     """I(m)'s echelon rows by pivot column, built on bases[k] = I(k) for
-    k < m: the table ideal_ranks eliminates in, and its graft source.
+    k < m: the pivot mapping ideal_ranks absorbs the root rows into.
 
     lead is the pivot indicator of F(m), a bytearray with 1 at each column
     that leads a grafted row of fact 2 and, once the root rows are in
-    (settle), at each root pivot.  The table holds the root pivots absorb
-    finds; a grafted row is built the first time it is read (row, or
-    self[p]) and kept.  The slices of lead are filled from the lower
-    indicators alone, and counted against the rows placed in them, so two
-    grafted rows at one leading column raise an error instead of losing a
-    row."""
+    (settle), at each root pivot.  p in table reads it; the table holds
+    the root pivots absorb finds, and table[p] builds a grafted row the
+    first time it is read (__missing__) and keeps it.  The slices of lead
+    are filled from the lower indicators alone, and counted against the
+    rows placed in them, so two grafted rows at one leading column raise
+    an error instead of losing a row."""
 
     def __init__(self, m: int, bases: list, ops: tuple[str, ...]):
         super().__init__()
@@ -159,7 +161,7 @@ class _Ideal(dict):
         # I(0), ..., I(m-1), a copy: the table refers to no higher one, so
         # no reference cycle keeps the tables of a finished call alive
         self.bases = bases[:m]
-        self.built: set[int] = set()  # the grafted rows' columns in the table
+        self.roots: dict[int, dict[int, int]] = {}  # filled by settle
         lead = self.lead = bytearray(free_dim(m, ops))
         blocks = []
         placed = 0
@@ -179,18 +181,16 @@ class _Ideal(dict):
         if lead.count(1) != placed:
             raise RuntimeError(f"{placed - lead.count(1)} grafted rows of "
                                f"arity {m} share a leading column")
-        self.placed = placed
         blocks.sort()
         self._blocks = blocks
         self._starts = [c for c, _, _ in blocks]
 
-    def row(self, p: int) -> dict[int, int] | None:
-        """The grafted row leading at column p, which the table does not
-        hold yet, now kept in it; None if no grafted row leads at p.
+    def __missing__(self, p: int) -> dict[int, int]:
+        """The grafted row leading at column p, now kept in the table.
         op(p_i, e_j) is a copy of I(k)'s row at i, op(e_i, q_j) of I(m-k)'s
         row at j, both primitive."""
         if not self.lead[p]:
-            return None
+            raise KeyError(p)
         c, w, k = self._blocks[bisect_right(self._starts, p) - 1]
         i, j = divmod(p - c, w)
         inner = self.bases[k]
@@ -200,13 +200,6 @@ class _Ideal(dict):
             c += w * i
             row = {c + b: x for b, x in self.bases[self.m - k][j].items()}
         self[p] = row
-        self.built.add(p)
-        return row
-
-    def __missing__(self, p: int) -> dict[int, int]:
-        row = self.row(p)
-        if row is None:
-            raise KeyError(p)
         return row
 
     def __contains__(self, p: object) -> bool:
@@ -214,24 +207,24 @@ class _Ideal(dict):
         return dict.__contains__(self, p) or self.lead[p] == 1
 
     def settle(self) -> None:
-        """Mark the root pivots in lead, once absorb has had every root row."""
+        """Once absorb has had every root row: keep the root pivot rows, the
+        rows at unmarked columns, in roots, and mark them in lead."""
         lead = self.lead
-        for p in self:
+        self.roots = {p: row for p, row in self.items() if not lead[p]}
+        for p in self.roots:
             lead[p] = 1
 
     def _roots(self) -> Iterator[dict[int, int]]:
         """The root pivot rows of arities up to m, the rows every other row
         is a grafted copy of."""
         for table in (*self.bases[1:], self):
-            built = table.built
-            for p, row in table.items():
-                if p not in built:
-                    yield row
+            yield from table.roots.values()
 
     @property
     def rank(self) -> int:
-        """dim I(m): the grafted rows, built or not, and the root pivots."""
-        return self.placed + len(self) - len(self.built)
+        """dim I(m), once settled: the grafted rows, built or not, and the
+        root pivots."""
+        return self.lead.count(1)
 
     @property
     def nonzeros(self) -> int:
@@ -292,15 +285,14 @@ def ideal_ranks(rels: Iterable[NsElement], n: int,
     for m in range(1, n + 1):
         table = _Ideal(m, bases, ops)
         if m >= 3:
-            elim = SparseEliminator(table, graft=table)
             rows = consequences(rels, m, bases, ops)
             rows.reverse()
             while rows:
                 # popped, so that a row absorb reduced to zero is freed at
                 # once: its dict keeps the table its fill-in grew
-                elim.absorb(rows.pop())
+                absorb(table, rows.pop())
             table.settle()
-            yield elim.rank
+            yield table.rank
         bases.append(table)
 
 

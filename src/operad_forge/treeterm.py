@@ -199,7 +199,10 @@ class NsElement(dict):
             self.add(t, c)
 
     def add(self, t: Tree, c) -> None:
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        if not isinstance(c, Fraction):
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+            c = Fraction(c)
         if t in self:
             c += self[t]
         if not c:

@@ -169,6 +169,15 @@ def test_malformed_monomial_is_refused(m):
         Arity3Element(SINGLE, [(m, 1)])
 
 
+def test_a_float_or_a_str_coefficient_is_refused():
+    # 0.1 would be stored as 3602879701896397/36028797018963968, not 1/10
+    m = basis3(SINGLE)[0]
+    for c in (0.1, "1/2"):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            Arity3Element(SINGLE, [(m, c)])
+    assert Arity3Element(SINGLE, [(m, 2)]).row == {0: Fraction(2)}
+
+
 def test_parse_monomial_refuses_repeated_leaves():
     with pytest.raises(ValueError, match="repeated leaf"):
         parse_monomial("(x1*x1)*x2", SINGLE)

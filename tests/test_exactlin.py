@@ -7,7 +7,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operad_forge.exactlin import (SparseEliminator, Subspace, intersect,
+from operad_forge.exactlin import (SparseEliminator, absorb, intersect,
                                    nullspace, rref, span, subspace_sum)
 
 
@@ -240,7 +240,7 @@ def _state(elim):
 def test_absorb_is_add_on_integral_rows(rows):
     by_add, by_absorb = SparseEliminator(), SparseEliminator()
     assert [by_add.add(dict(r)) for r in rows] \
-        == [by_absorb.absorb(dict(r)) for r in rows]
+        == [absorb(by_absorb.pivots, dict(r)) for r in rows]
     assert _state(by_absorb) == _state(by_add)
     _assert_pivot_rows_primitive(by_absorb)
 
@@ -258,107 +258,71 @@ def test_add_leaves_its_row_as_it_is():
 
 
 def test_absorb_takes_over_its_row():
-    elim = SparseEliminator()
+    pivots = {}
     first = {0: 2, 1: 4}
-    assert elim.absorb(first)
-    assert elim.pivots == {0: {0: 1, 1: 2}}
+    assert absorb(pivots, first)
+    assert pivots == {0: {0: 1, 1: 2}}
     second = {0: 1, 1: 3}
-    assert elim.absorb(second)
-    assert second == {1: 1} and elim.pivots[1] is second
+    assert absorb(pivots, second)
+    assert second == {1: 1} and pivots[1] is second
     dependent = {0: -1, 1: -5}
-    assert not elim.absorb(dependent)
+    assert not absorb(pivots, dependent)
     assert dependent == {}
+
+
+def _pivot_rows(rows):
+    """The pivot rows add makes of rows, by pivot column: each primitive,
+    with a positive entry in its smallest column, its key."""
+    source = SparseEliminator()
+    for r in rows:
+        source.add(dict(r))
+    return source.pivots
 
 
 @given(_int_rows, _int_rows)
 @settings(max_examples=100, deadline=None)
 def test_a_starting_pivot_table_is_as_adding_its_rows_first(first, rows):
-    # a table of pivot rows, as the oracle's grafted rows are: each row
-    # primitive with a positive entry in its smallest column, its key;
-    # the oracle's table starts empty and is filled by its graft source
-    source = SparseEliminator()
-    for r in first:
-        source.absorb(dict(r))
-    table = {p: dict(r) for p, r in source.pivots.items()}
-    seeded, by_add = SparseEliminator(table), SparseEliminator()
-    assert seeded.pivots is table
+    table = {p: dict(r) for p, r in _pivot_rows(first).items()}
+    by_add = SparseEliminator()
     for r in table.values():
         assert by_add.add(r)
-    assert [seeded.absorb(dict(r)) for r in rows] \
+    assert [absorb(table, dict(r)) for r in rows] \
         == [by_add.add(dict(r)) for r in rows]
-    assert _state(seeded) == _state(by_add)
-    _assert_pivot_rows_primitive(seeded)
+    assert table == by_add.pivots
+    _assert_pivot_rows_primitive(by_add)
 
 
-class _Hidden:
-    """A graft source over a table of pivot rows held out of sight: row(p)
-    moves the row of p into the eliminator's pivots.  Its statistics count
-    both parts, the rows moved and the rows still hidden."""
+class _Lazy(dict):
+    """A pivot mapping over pivot rows held out of sight, as the oracle's
+    table holds its grafted rows: p in it sees them all, and reading one
+    that the dict lacks (__missing__) moves it into the dict."""
 
-    def __init__(self, hidden, pivots):
-        self.hidden, self.pivots, self.reads = hidden, pivots, []
+    def __init__(self, hidden):
+        super().__init__()
+        self.hidden, self.reads = hidden, []
 
-    def row(self, p):
-        assert p not in self.pivots
+    def __contains__(self, p):
+        return dict.__contains__(self, p) or p in self.hidden
+
+    def __missing__(self, p):
         self.reads.append(p)
-        piv = self.hidden.pop(p, None)
-        if piv is not None:
-            self.pivots[p] = piv
-        return piv
-
-    def _rows(self):
-        return [*self.pivots.values(), *self.hidden.values()]
-
-    @property
-    def rank(self):
-        return len(self.pivots) + len(self.hidden)
-
-    @property
-    def nonzeros(self):
-        return sum(map(len, self._rows()))
-
-    @property
-    def max_bits(self):
-        return max((c.bit_length() for r in self._rows() for c in r.values()),
-                   default=0)
+        row = self[p] = self.hidden.pop(p)
+        return row
 
 
 @given(_int_rows, _int_rows)
 @settings(max_examples=100, deadline=None)
-def test_a_graft_source_is_as_adding_its_rows_first(first, rows):
-    # the pivot rows of a graft source reach the table only when absorb
-    # reaches their columns, and the statistics are the source's, which
-    # count the rows not built; the results are those of adding them first
-    source = SparseEliminator()
-    for r in first:
-        source.absorb(dict(r))
-    hidden = {p: dict(r) for p, r in source.pivots.items()}
+def test_a_lazy_pivot_mapping_is_as_adding_its_rows_first(first, rows):
+    # absorb reads a hidden row only when it reaches its column, and once;
+    # the results are those of adding the hidden rows first
+    hidden = {p: dict(r) for p, r in _pivot_rows(first).items()}
     by_add = SparseEliminator()
     for r in hidden.values():
         assert by_add.add(r)
-    pivots = {}
-    graft = _Hidden(hidden, pivots)
-    seeded = SparseEliminator(pivots, graft=graft)
-    assert (seeded.rank, seeded.nonzeros, seeded.max_bits) \
-        == (by_add.rank, by_add.nonzeros, by_add.max_bits)
-    assert [seeded.absorb(dict(r)) for r in rows] \
+    lazy = _Lazy(dict(hidden))
+    assert [absorb(lazy, dict(r)) for r in rows] \
         == [by_add.add(dict(r)) for r in rows]
-    assert (seeded.rank, seeded.nonzeros, seeded.max_bits) \
-        == (by_add.rank, by_add.nonzeros, by_add.max_bits)
-    assert {**pivots, **graft.hidden} == by_add.pivots
-    assert len(graft.reads) == len(set(graft.reads))
-    _assert_pivot_rows_primitive(seeded)
-    with pytest.raises(ValueError, match="stored"):
-        seeded.rref()
-
-
-def test_a_graft_source_is_read_only_where_pivots_lack_a_row():
-    pivots = {0: {0: 1, 2: 1}}
-    graft = _Hidden({1: {1: 1, 2: -1}}, pivots)
-    elim = SparseEliminator(pivots, graft=graft)
-    assert (elim.rank, elim.nonzeros, elim.max_bits) == (2, 4, 1)
-    assert not elim.absorb({0: 1, 1: 1})  # (0, 1, -1) by row 0, then row 1
-    assert graft.reads == [1] and pivots[1] == {1: 1, 2: -1}
-    assert elim.absorb({2: 3})            # column 2 leads no row of either
-    assert graft.reads == [1, 2] and pivots[2] == {2: 1}
-    assert (elim.rank, elim.nonzeros, elim.max_bits) == (3, 5, 1)
+    assert {**lazy, **lazy.hidden} == by_add.pivots
+    assert len(lazy.reads) == len(set(lazy.reads))
+    assert all(lazy[p] == hidden[p] for p in lazy.reads)
+    _assert_pivot_rows_primitive(by_add)

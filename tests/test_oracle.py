@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operad_forge import oracle, systems
-from operad_forge.oracle import (SparseEliminator, bruteforce_dim, catalan,
-                                 consequences, free_dim, free_trees,
-                                 ideal_rank, ideal_ranks, position)
+from operad_forge.exactlin import SparseEliminator, absorb
+from operad_forge.oracle import (bruteforce_dim, catalan, consequences,
+                                 free_dim, free_trees, ideal_rank, ideal_ranks,
+                                 position)
 from operad_forge.treeterm import LEAF, NsElement, graft
 
 NC_NAMES = ("NcZin", "NcBicom", "NcFlex", "NcAntiFlex", "NcNov")
@@ -166,24 +167,26 @@ def _rank(*row_lists):
 
 
 def _recording(call):
-    """call() with every SparseEliminator the oracle builds recorded: its
-    result and the eliminators in the order they were built."""
+    """call() with every I(m) table the oracle builds for m >= 3 recorded:
+    its result and the tables in the order they were built, each the pivot
+    mapping of one elimination."""
     used = []
 
-    class Recording(SparseEliminator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            used.append(self)
+    class Recording(oracle._Ideal):
+        def __init__(self, m, *args):
+            super().__init__(m, *args)
+            if m >= 3:
+                used.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "SparseEliminator", Recording)
+        mp.setattr(oracle, "_Ideal", Recording)
         result = call()
     return result, used
 
 
 def _eliminations(rels, n, ops=("x", "y")):
-    """The eliminators ideal_rank(rels, n, ops) fills, one per arity from 3
-    to n, keyed by arity."""
+    """The tables ideal_rank(rels, n, ops) fills, one per arity from 3 to
+    n, keyed by arity."""
     rank, used = _recording(lambda: ideal_rank(rels, n, ops))
     assert len(used) == n - 2 and rank == used[-1].rank
     return dict(zip(range(3, n + 1), used))
@@ -192,7 +195,7 @@ def _eliminations(rels, n, ops=("x", "y")):
 def _bases(elims, m):
     """The lower bases consequences(rels, m, ...) takes, as ideal_rank
     built them: I(k) by pivot column for k < m."""
-    return elims[m].pivots.bases
+    return elims[m].bases
 
 
 def _full(table):
@@ -229,17 +232,17 @@ def _grafted(m, bases, ops=("x", "y")):
 
 def _reference(rels, n, ops=("x", "y")):
     """The eager recursion, independent of the oracle's tables: for each
-    arity m from 3 to n, the full grafted table and the eliminator that
-    started from it and absorbed the root rows."""
+    arity m from 3 to n, the full grafted table and the pivot rows absorb
+    made of it and the root rows, a plain dict."""
     bases = [{}, {}, {}]
     out = {}
     for m in range(3, n + 1):
         grafted = _grafted(m, bases, ops)
-        elim = SparseEliminator(dict(grafted))
+        pivots = dict(grafted)
         for row in consequences(rels, m, bases, ops):
-            elim.absorb(row)
-        bases.append(elim.pivots)
-        out[m] = grafted, elim
+            absorb(pivots, row)
+        bases.append(pivots)
+        out[m] = grafted, pivots
     return out
 
 
@@ -359,7 +362,7 @@ def test_rows_come_by_descending_leading_column():
                       + (free_dim(k) - ranks[k]) * ranks[7 - k]
                       for k in range(1, 7))
     implicit = oracle._Ideal(7, bases, ("x", "y"))
-    assert implicit.placed == implicit.lead.count(1) == grafted
+    assert implicit.lead.count(1) == grafted
     assert implicit.rank == grafted and len(implicit) == 0
     table = _grafted(7, [{}] + [_full(t) for t in bases[1:]])
     assert len(table) == grafted
@@ -369,19 +372,17 @@ def test_rows_come_by_descending_leading_column():
             assert min(row) == lead and row == table[lead]
             alone = SparseEliminator()
             assert alone.add(row) and alone.pivots == {lead: row}
-    assert len(implicit) == len(implicit.built) == grafted
+    assert len(implicit) == implicit.lead.count(1) == grafted
     root = consequences(rels, 7, bases)
     assert [(-min(r), len(r)) for r in root] == sorted((-min(r), len(r)) for r in root)
-    eager = SparseEliminator(table)
-    elim = SparseEliminator(implicit, graft=implicit)
     for row in root:
-        eager.add(row)
-        elim.add(row)
+        absorb(table, dict(row))
+        absorb(implicit, dict(row))
     implicit.settle()
-    assert elim.rank == eager.rank == 8019 == free_dim(7) - catalan(7)
-    assert elim.rank == implicit.lead.count(1)
-    assert eager.nonzeros <= 21_212
-    assert elim.nonzeros == elims[7].nonzeros <= 2_576
+    assert implicit.rank == len(table) == 8019 == free_dim(7) - catalan(7)
+    assert implicit.rank == implicit.lead.count(1) == len(implicit)
+    assert sum(map(len, table.values())) <= 21_212
+    assert implicit.nonzeros == elims[7].nonzeros <= 2_576
 
 
 def test_grafted_rows_sharing_a_leading_column_are_refused():
@@ -423,10 +424,10 @@ def test_ideal_rank_absorbs_rows_as_add_would(name):
         for row in (*grafted.values(), *consequences(rels, n, _bases(elims, n))):
             ref.add(dict(row))
         roots += sum(len(row) for p, row in ref.pivots.items() if p not in grafted)
-        assert (ideal_rank(rels, n), elim.rank, elim.pivots.lead.count(1),
+        assert (ideal_rank(rels, n), elim.rank, elim.lead.count(1),
                 elim.nonzeros, elim.max_bits) \
             == (ref.rank, ref.rank, ref.rank, roots, ref.max_bits), (name, n)
-        full = _full(elim.pivots)
+        full = _full(elim)
         assert full == ref.pivots, (name, n)
         assert sum(map(len, full.values())) == ref.nonzeros, (name, n)
         assert elim.nonzeros == roots, (name, n)  # reading built no root
@@ -444,10 +445,10 @@ def test_implicit_grafted_rows_are_the_eager_table(name):
         implicit = oracle._Ideal(m, _bases(elims, m), ("x", "y"))
         assert {p for p, x in enumerate(implicit.lead) if x} == table.keys()
         assert all(implicit[p] == row for p, row in table.items()), (name, m)
-        assert elims[m].rank == ref.rank == elims[m].pivots.lead.count(1)
-        used = elims[m].pivots
-        assert {p for p, x in enumerate(used.lead) if x} == ref.pivots.keys()
-        assert all(used[p] == row for p, row in ref.pivots.items()), (name, m)
+        used = elims[m]
+        assert used.rank == len(ref) == used.lead.count(1)
+        assert {p for p, x in enumerate(used.lead) if x} == ref.keys()
+        assert all(used[p] == row for p, row in ref.items()), (name, m)
 
 
 @pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 21_212),
@@ -461,7 +462,7 @@ def test_fill_in_does_not_depend_on_the_relations_order(name, rank, nonzeros):
         elim = _eliminations(given, 7)[7]
         assert elim.rank == rank
         assert elim.nonzeros == stored
-        assert sum(map(len, _full(elim.pivots).values())) == nonzeros
+        assert sum(map(len, _full(elim).values())) == nonzeros
 
 
 _ARITY3 = {ops: free_trees(3, ops) for ops in (("x", "y"), ("z", "t"))}
@@ -526,14 +527,13 @@ def test_cap_argument():
 
 
 def test_oracle_uses_the_exactlin_kernel():
-    from operad_forge import exactlin
-    assert SparseEliminator is exactlin.SparseEliminator
+    assert oracle.absorb is absorb
 
 
 @pytest.mark.parametrize("name", NC_NAMES)
 def test_ideal_ranks_is_one_recursion(name):
     # the sweep yields what ideal_rank gives at each arity, from one
-    # eliminator per arity: 5 through arity 7, where five calls build 15
+    # elimination per arity: 5 through arity 7, where five calls make 15
     rels = systems.nc_relations(name)
     ranks, used = _recording(lambda: list(ideal_ranks(rels, 7)))
     calls, restarted = _recording(lambda: [ideal_rank(rels, n) for n in range(3, 8)])

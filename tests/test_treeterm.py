@@ -223,21 +223,31 @@ def test_add_keeps_fractions_exact():
     e.add(t("x(1,1)"), c)
     assert e[t("x(1,1)")] is c
     e.add(t("x(1,1)"), 1)
-    e.add(t("y(1,1)"), "1/2")
-    e.add(t("x(y(1,1),1)"), 0.25)
+    e.add(t("y(1,1)"), Fraction(1, 2))
+    e.add(t("x(y(1,1),1)"), -4)
     assert e == {t("x(1,1)"): Fraction(5, 3), t("y(1,1)"): Fraction(1, 2),
-                 t("x(y(1,1),1)"): Fraction(1, 4)}
+                 t("x(y(1,1),1)"): -4}
     assert all(type(v) is Fraction for v in e.values())
     e.add(t("y(1,1)"), Fraction(-1, 2))
     assert t("y(1,1)") not in e
 
 
+def test_ns_element_refuses_a_float_or_a_str_coefficient():
+    # a float or a str would be read as some other number (0.1 is not 1/10)
+    for c in (0.1, "1/2"):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            NsElement([(t("x(1,1)"), c)])
+
+
 def test_normalize_converts_its_input_like_ns_element():
     zin = systems.system("Zin")
-    raw = {t("x(1,x(1,1))"): "1/2", t("y(1,y(1,1))"): 0, t("x(1,y(1,1))"): 2}
+    raw = {t("x(1,x(1,1))"): Fraction(1, 2), t("y(1,y(1,1))"): 0,
+           t("x(1,y(1,1))"): 2}
     got = normalize(raw, zin)
     assert got == normalize(NsElement(raw.items()), zin)
     assert all(type(c) is Fraction for c in got.values())
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        normalize({t("x(1,x(1,1))"): "1/2"}, zin)
 
 
 # "xy" and "" too: an annotated node sorts like tree_key whatever its labels
