@@ -1,22 +1,18 @@
 """The free arity-3 component of a binary quadratic presentation.
 
-A binary operation space is a list of named operations, each either "paired"
-(the operation and its transpose are independent, giving a 2-dimensional
-slice) or +/-symmetric (1-dimensional slice).  Arity-3 monomials are planar:
-a left comb (x_a . x_b) . x_c or a right comb x_a . (x_b . x_c), with leaves
-a permutation of (1,2,3) and an operation at each internal node.  The
-symmetric group S3 acts by relabelling leaves.
+A binary operation space is a list of distinct named operations, none with
+a symmetry: an operation and its transpose are independent.  Arity-3
+monomials are planar: a left comb (x_a . x_b) . x_c or a right comb
+x_a . (x_b . x_c), with leaves a permutation of (1,2,3) and an operation at
+each internal node.  The symmetric group S3 acts by relabelling leaves.
 
-Basis monomials are canonical under the +/-symmetric identifications
-(canonicalize), and an element is a sparse row over basis3(v): basis index
--> nonzero Fraction.  The constructor canonicalizes Monomial3 terms into
-such a row; from_row takes a row of exactlin or act as it is.  sigma maps
-each basis monomial to a signed one, sigma.basis[i] = +/-basis[j], and
-this signed permutation of indices is tabulated once per OpSpace
-(_s3_table, built from canonicalize, which alone fixes the signs of
-+/-symmetric operations).  act alone applies it; s3_orbit_rows reads the
-rows act gives for the generators of an S3-closure, which go straight to
-exactlin.span (s3_closure) or, in another column order, to exactlin.rref
+An element is a sparse row over basis3(v): basis index -> nonzero
+Fraction.  The constructor reads Monomial3 terms into such a row; from_row
+takes a row of exactlin or act as it is.  sigma maps each basis monomial to
+another, and this permutation of indices is tabulated once per OpSpace
+(_s3_table).  act alone applies it; s3_orbit_rows reads the rows act gives
+for the generators of an S3-closure, which go straight to exactlin.span
+(s3_closure) or, in another column order, to exactlin.rref
 (OperadPresentation.two_outside_part, the criterion's one elimination,
 cached on the frozen presentation).
 
@@ -41,40 +37,17 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .exactlin import SparseRow, Subspace, rref, span
 
-PAIRED = "paired"
-SYMMETRIC = "symmetric"
-ANTISYMMETRIC = "antisymmetric"
-
-_SYM_SIGN = {SYMMETRIC: 1, ANTISYMMETRIC: -1}
-
+# in lexicographic order, the order of basis3's leaves
 S3 = [tuple(p) for p in permutations((1, 2, 3))]
-_LEAF_ORDERS = frozenset(S3)
 
 
 @dataclass(frozen=True)
 class OpSpace:
     ops: tuple[str, ...]
-    sym: tuple[str, ...]
 
     def __post_init__(self):
         if len(set(self.ops)) != len(self.ops):
             raise ValueError("operation names must be distinct")
-        if len(self.sym) != len(self.ops):
-            raise ValueError("one symmetry tag per operation")
-        for s in self.sym:
-            if s not in (PAIRED, SYMMETRIC, ANTISYMMETRIC):
-                raise ValueError(f"unknown symmetry tag {s!r}")
-
-    @classmethod
-    def paired(cls, *names: str) -> "OpSpace":
-        return cls(tuple(names), (PAIRED,) * len(names))
-
-    @property
-    def dim(self) -> int:
-        return sum(2 if s == PAIRED else 1 for s in self.sym)
-
-    def tag(self, op: str) -> str:
-        return self.sym[self.ops.index(op)]
 
 
 class Monomial3(NamedTuple):
@@ -91,34 +64,6 @@ class Monomial3(NamedTuple):
         return self.leaves[2] if self.shape == "L" else self.leaves[0]
 
 
-def canonicalize(m: Monomial3, v: OpSpace) -> tuple[Monomial3, int]:
-    """Canonical representative and sign under the +/-symmetric identifications.
-
-    At a node carrying a +/-symmetric operation the two planar argument orders
-    are identified (with a sign when antisymmetric); the canonical order puts
-    the argument with the smaller leftmost leaf first.
-    """
-    shape, (a, b, c), inner, outer = m
-    sign = 1
-    itag, otag = v.tag(inner), v.tag(outer)
-    if itag != PAIRED:
-        if shape == "L" and a > b:
-            a, b = b, a
-            sign *= _SYM_SIGN[itag]
-        elif shape == "R" and b > c:
-            b, c = c, b
-            sign *= _SYM_SIGN[itag]
-    if otag != PAIRED:
-        if shape == "L" and a > c:
-            # (T)x_c with leftmost(T)=a > c: swap outer args -> x_c(T)
-            shape, (a, b, c) = "R", (c, a, b)
-            sign *= _SYM_SIGN[otag]
-        elif shape == "R" and a > b:
-            shape, (a, b, c) = "L", (b, c, a)
-            sign *= _SYM_SIGN[otag]
-    return Monomial3(shape, (a, b, c), inner, outer), sign
-
-
 class Arity3Element:
     """A sparse row over basis3(opspace): row maps a basis index to its
     nonzero Fraction coefficient, and terms reads it by monomial."""
@@ -130,20 +75,16 @@ class Arity3Element:
         index = _index(opspace)
         acc: dict[int, Fraction] = {}
         for m, coeff in terms:
-            if m.shape not in ("L", "R") or tuple(m.leaves) not in _LEAF_ORDERS:
-                raise ValueError(f"not an arity-3 monomial (shape L or R, leaves "
-                                 f"a permutation of 1, 2, 3): {m}")
-            if m.inner not in opspace.ops or m.outer not in opspace.ops:
-                raise ValueError(f"monomial uses unknown operation: {m}")
-            cm, sign = canonicalize(m, opspace)
+            j = index.get(m)
+            if j is None:
+                raise ValueError(f"not an arity-3 monomial over operations "
+                                 f"{opspace.ops} (shape L or R, leaves a "
+                                 f"permutation of 1, 2, 3): {m}")
             if not isinstance(coeff, Fraction):
                 if not isinstance(coeff, int):
                     raise ValueError(f"coefficient {coeff!r} is not an int "
                                      "or a Fraction")
                 coeff = Fraction(coeff)
-            if sign < 0:
-                coeff = -coeff
-            j = index[cm]
             old = acc.get(j)
             acc[j] = coeff if old is None else old + coeff
         self.row = {j: c for j, c in acc.items() if c}
@@ -151,7 +92,7 @@ class Arity3Element:
     @classmethod
     def from_row(cls, opspace: OpSpace, row: Mapping[int, Fraction]) -> "Arity3Element":
         """The element with this row of nonzero coefficients, such as exactlin
-        or act returns, taken over without canonicalizing it again."""
+        or act returns, taken over without checking it again."""
         e = cls.__new__(cls)
         e.opspace, e.row = opspace, row
         return e
@@ -178,22 +119,12 @@ class Arity3Element:
 
 @lru_cache(maxsize=None)
 def basis3(v: OpSpace) -> tuple[Monomial3, ...]:
-    """Deterministic basis of the free arity-3 module: 3*(dim V)^2 canonical
-    monomials."""
-    out = []
-    seen = set()
-    for shape in ("L", "R"):
-        for leaves in sorted(permutations((1, 2, 3))):
-            for oi, outer in enumerate(v.ops):
-                for ii, inner in enumerate(v.ops):
-                    m = Monomial3(shape, leaves, inner, outer)
-                    cm, _ = canonicalize(m, v)
-                    if cm not in seen:
-                        seen.add(cm)
-                        out.append(cm)
-    if len(out) != 3 * v.dim ** 2:
-        raise RuntimeError(f"basis3 has {len(out)} monomials, not 3 * (dim V)^2")
-    return tuple(out)
+    """Deterministic basis of the free arity-3 module, 12 * len(v.ops)^2
+    monomials: by shape, then leaves (in S3's order), then outer op, then
+    inner op."""
+    return tuple(Monomial3(shape, leaves, inner, outer)
+                 for shape in ("L", "R") for leaves in S3
+                 for outer in v.ops for inner in v.ops)
 
 
 @lru_cache(maxsize=None)
@@ -207,15 +138,12 @@ def _relabel(sigma: tuple[int, int, int], m: Monomial3) -> Monomial3:
 
 
 @lru_cache(maxsize=None)
-def _s3_table(v: OpSpace) -> dict[tuple[int, int, int], tuple[tuple[int, int], ...]]:
-    """For each sigma in S3 (in S3's order), the pair (j, sign) at each basis
-    index i, with sigma.basis3(v)[i] = sign * basis3(v)[j]."""
+def _s3_table(v: OpSpace) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """For each sigma in S3 (in S3's order), the index j at each basis index
+    i, with sigma.basis3(v)[i] = basis3(v)[j]."""
     index = _index(v)
-    table = {}
-    for sigma in S3:
-        images = (canonicalize(_relabel(sigma, m), v) for m in basis3(v))
-        table[sigma] = tuple((index[cm], sign) for cm, sign in images)
-    return table
+    return {sigma: tuple(index[_relabel(sigma, m)] for m in basis3(v))
+            for sigma in S3}
 
 
 def act(sigma: tuple[int, int, int], e: Arity3Element) -> Arity3Element:
@@ -223,11 +151,7 @@ def act(sigma: tuple[int, int, int], e: Arity3Element) -> Arity3Element:
     perm = _s3_table(e.opspace).get(tuple(sigma))
     if perm is None:
         raise ValueError(f"{sigma!r} is not a permutation of (1, 2, 3)")
-    row = {}
-    for i, c in e.row.items():
-        j, sign = perm[i]
-        row[j] = c if sign > 0 else -c
-    return Arity3Element.from_row(e.opspace, row)
+    return Arity3Element.from_row(e.opspace, {perm[i]: c for i, c in e.row.items()})
 
 
 def s3_orbit_rows(gens: Iterable[Arity3Element], v: OpSpace) -> list[SparseRow]:
@@ -236,7 +160,7 @@ def s3_orbit_rows(gens: Iterable[Arity3Element], v: OpSpace) -> list[SparseRow]:
     for g in gens:
         if g.opspace != v:
             raise ValueError(f"generator over operations {g.opspace.ops} "
-                             f"{g.opspace.sym} in an S3-closure over {v.ops} {v.sym}")
+                             f"in an S3-closure over {v.ops}")
         rows += (act(sigma, g).row for sigma in S3)
     return rows
 
@@ -285,7 +209,7 @@ class OperadPresentation:
 
 
 def quotient_dim3(p: OperadPresentation) -> int:
-    return 3 * p.opspace.dim ** 2 - p.relation_space().dim
+    return len(basis3(p.opspace)) - p.relation_space().dim
 
 
 # --- text format -----------------------------------------------------------
@@ -364,8 +288,8 @@ def parse_monomial(text: str, opspace: OpSpace) -> Monomial3:
 
 # --- catalog ---------------------------------------------------------------
 
-SINGLE = OpSpace.paired("*")
-DOUBLE = OpSpace.paired("<", ">")
+SINGLE = OpSpace(("*",))
+DOUBLE = OpSpace(("<", ">"))
 
 _RELATIONS = {
     "As": ("+1*(x1*x2)*x3-1*x1*(x2*x3)",),

@@ -74,8 +74,7 @@ def _var(m: Monomial3) -> Monomial3:
 
 VAR = {m: _var(m) for m in basis3(DOUBLE)}
 
-# VAR by index: basis3(DOUBLE) index -> basis3(SINGLE) index.  The one
-# operation of SINGLE is paired, so every image is canonical with sign +1.
+# VAR by index: basis3(DOUBLE) index -> basis3(SINGLE) index.
 _VAR_INDEX = tuple(basis3(SINGLE).index(VAR[m]) for m in basis3(DOUBLE))
 
 # the planar block: the indices in basis3(DOUBLE) of the 8 monomials whose
@@ -122,10 +121,9 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
 
     The relations returned are the canonical RREF basis of that closure,
     and no elimination builds it: the planar kernel's RREF rows are moved
-    by each sigma through act and sorted by pivot.  Both operations of
-    DOUBLE are paired, so every sign act applies is +1 and each row keeps
-    its leading 1.  The six blocks have disjoint columns, so
-    a row is zero on the pivot of every row from another block.  Within a
+    by each sigma through act and sorted by pivot.  act permutes columns,
+    so each row keeps its leading 1.  The six blocks have disjoint columns,
+    so a row is zero on the pivot of every row from another block.  Within a
     block sigma changes only the leaves, and basis3(DOUBLE) orders by
     shape, then leaves, then operations, so sigma keeps the column order of
     the block: the image of the planar RREF is the RREF of the image.  The
@@ -164,7 +162,8 @@ def two_outside_subspace(v: OpSpace) -> Subspace:
     """Span of the basis monomials whose outside argument is x1 or x3.
 
     These are the cosets (V (x) V) + (13)(V (x) V): with x3 or x1 as the lone
-    argument on either side of the inner product.  Dimension 2 * (dim V)^2.
+    argument on either side of the inner product.  Dimension 8 * k^2 for k
+    operations.
     """
     basis = basis3(v)
     units = [{i: 1} for i, m in enumerate(basis) if m.outside_leaf in (1, 3)]

@@ -6,24 +6,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operad_forge.arity3 import (ANTISYMMETRIC, CATALOG_NAMES, DOUBLE, PAIRED,
-                                 SINGLE, S3, SYMMETRIC, Arity3Element, Monomial3,
-                                 OperadPresentation, OpSpace, act, basis3,
-                                 canonicalize, catalog, format_element,
+from operad_forge.arity3 import (CATALOG_NAMES, DOUBLE, SINGLE, S3,
+                                 Arity3Element, Monomial3, OpSpace, act,
+                                 basis3, catalog, format_element,
                                  format_monomial, parse_element,
                                  parse_monomial, s3_closure, quotient_dim3)
 from operad_forge.exactlin import span
 
-LIE = OpSpace(("b",), (ANTISYMMETRIC,))
-COM = OpSpace(("c",), (SYMMETRIC,))
-MIXED = OpSpace(("*", "b", "c"), (PAIRED, ANTISYMMETRIC, SYMMETRIC))
-SPACES = (SINGLE, DOUBLE, LIE, COM, MIXED)
+TRIPLE = OpSpace(("*", "b", "c"))
+SPACES = (SINGLE, DOUBLE, TRIPLE)
 
 
 def test_basis_sizes():
-    # 3 * (dim V)^2 with dim V = 2 per paired operation
+    # 2 shapes * 6 leaf orders * k^2 operation pairs for k operations
     assert len(basis3(SINGLE)) == 12
     assert len(basis3(DOUBLE)) == 48
+    for v in SPACES:
+        assert len(basis3(v)) == 12 * len(v.ops) ** 2
+
+
+def test_operation_names_must_be_distinct():
+    with pytest.raises(ValueError, match="distinct"):
+        OpSpace(("*", "*"))
 
 
 def test_monomial_text_roundtrip():
@@ -76,14 +80,6 @@ def test_s3_action_composes():
         for tau in S3:
             comp = tuple(sigma[tau[i] - 1] for i in range(3))
             assert act(sigma, act(tau, e)).terms == act(comp, e).terms
-
-
-def test_canonicalize_orders_by_leftmost_leaf():
-    # over a single paired operation nothing is identified, only normalized
-    m = Monomial3("L", (2, 1, 3), "*", "*")
-    cm, sign = canonicalize(m, SINGLE)
-    assert sign == Fraction(1)
-    assert cm == m
 
 
 def test_orbit_of_left_comb_spans_all_left_combs():
@@ -156,13 +152,14 @@ def test_basis3_is_one_cached_tuple():
     b = basis3(DOUBLE)
     assert isinstance(b, tuple)
     assert basis3(DOUBLE) is b
-    assert basis3(OpSpace.paired("<", ">")) is b
+    assert basis3(OpSpace(("<", ">"))) is b
 
 
 @pytest.mark.parametrize("m", [
     Monomial3("L", (1, 1, 2), "*", "*"),
     Monomial3("R", (1, 2, 4), "*", "*"),
     Monomial3("Q", (1, 2, 3), "*", "*"),
+    Monomial3("L", (1, 2, 3), "<", "*"),
 ])
 def test_malformed_monomial_is_refused(m):
     with pytest.raises(ValueError, match=re.escape(str(m))):
@@ -197,36 +194,8 @@ def test_s3_closure_refuses_generator_over_other_opspace():
         s3_closure([e], SINGLE)
 
 
-def _m(shape, leaves, inner, outer):
-    return Monomial3(shape, leaves, inner, outer)
-
-
-def test_lie_operad():
-    # Jacobi: [[x1,x2],x3] + [[x2,x3],x1] + [[x3,x1],x2]
-    jacobi = Arity3Element(LIE, [(_m("L", (1, 2, 3), "b", "b"), 1),
-                                 (_m("L", (2, 3, 1), "b", "b"), 1),
-                                 (_m("L", (3, 1, 2), "b", "b"), 1)])
-    lie = OperadPresentation("Lie", LIE, (jacobi,))
-    assert len(basis3(LIE)) == 3
-    assert lie.relation_space().dim == 1
-    assert quotient_dim3(lie) == 2
-
-
-def test_com_operad():
-    assoc = Arity3Element(COM, [(_m("L", (1, 2, 3), "c", "c"), 1),
-                                (_m("R", (1, 2, 3), "c", "c"), -1)])
-    com = OperadPresentation("Com", COM, (assoc,))
-    assert len(basis3(COM)) == 3
-    assert com.relation_space().dim == 2
-    assert quotient_dim3(com) == 1
-
-
-def test_mixed_opspace_basis():
-    assert len(basis3(MIXED)) == 48
-
-
 # The S3 action as it was computed before it was tabulated: relabel the
-# leaves, re-canonicalize every term, close with dense rows.
+# leaves of every term, close with dense rows.
 
 def _reference_act(sigma, e):
     terms = []
