@@ -20,6 +20,17 @@ lhs subpatterns and only lhs labels are stored, so the table is bounded by
 the rules alone, whatever trees are fed to it: 6 states for Zin and Flex,
 113 for Bicom at cap 9 and 313 at cap 14.
 
+An enumeration of trees shares its subtrees, so is_normal() also keeps the
+states of proper subtrees by identity: RewriteSystem.slots, at most _SLOTS
+(a tree and its state) per system, where the slot id(u) % _SLOTS is a hit
+only if it holds u itself.  The slot's reference keeps u alive, so its id
+is never reused while it is stored; the stored value (the state, or the
+negative state of a first match below) depends on the tree alone, and a
+filled transition never changes, so this is sound for any system.  The
+argument itself is never stored, and neither is a normal form or a
+rewrite result.  The slots, like the lazily filled table, assume one
+thread.
+
 rewrite_once() and normalize() rewrite annotated nodes: a subtree carries
 its automaton state, so an unchanged subtree is never walked again.  An
 annotated node is the tuple (1, op, left, right, state, bits, tree, arity)
@@ -45,9 +56,9 @@ fields compare exactly like tree_key (a leaf below any node, then op, then
 the children), whatever the labels.  The working set maps plain trees to
 coefficients, since hashing nested annotated nodes costs far more.  Inside
 the loop integral coefficients are ints and the others Fractions; the
-result holds Fractions only.  No tree or result is memoized across calls: a
-normal-form memo is sound only for a system already certified confluent,
-and check_confluence() runs on this engine.
+result holds Fractions only.  Neither they nor rewrite_once() keep a tree
+or result across calls: a normal-form memo is sound only for a system
+already certified confluent, and check_confluence() runs on this engine.
 
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
@@ -68,6 +79,9 @@ LEAF: Tree = 1
 Node = tuple
 _LEAF: Node = (0, "", None, None, 0, 0, LEAF, 1)
 Addr = tuple[int, ...]
+# The number of is_normal's slots per system: a prime, so that tree
+# addresses, which are all aligned alike, spread over every slot.
+_SLOTS = 65521
 
 
 class StepCapExceeded(RuntimeError):
@@ -379,9 +393,17 @@ class RewriteSystem:
                 for c, p in r.rhs if c))
         return tuple(out)
 
+    @cached_property
+    def slots(self) -> tuple[list, list]:
+        """is_normal's cache: slot id(u) % _SLOTS holds a proper subtree u
+        in the first list and _normal_state(u) in the second."""
+        return [None] * _SLOTS, [0] * _SLOTS
+
     def __getstate__(self):
-        """The fields without the compiled reducts, which do not pickle."""
-        return {k: v for k, v in self.__dict__.items() if k != "reducts"}
+        """The fields without the compiled reducts, which do not pickle, and
+        without the slots, which would carry their trees along."""
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("reducts", "slots")}
 
 
 def match_at(t: Tree, r: RewriteRule, addr: Addr) -> Optional[list[Tree]]:
@@ -470,21 +492,43 @@ def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
     return NsElement((v[6], c) for v, c in _rewrite(u, sys))
 
 
-def _normal_state(u: Tree, auto: LhsAutomaton) -> int:
-    """The automaton state of u, or a negative one from the first match."""
+def _normal_state(u: Tree, auto: LhsAutomaton, trees: list, states: list) -> int:
+    """The automaton state of u, or a negative one from the first match.
+
+    A child's value is read from its slot id(child) % _SLOTS when the slot
+    holds that very object, else computed and stored there."""
     op, l, r = u
-    a = 0 if l == LEAF else _normal_state(l, auto)
-    if a < 0:
-        return a
-    b = 0 if r == LEAF else _normal_state(r, auto)
-    if b < 0:
-        return b
+    if l == LEAF:
+        a = 0
+    else:
+        i = id(l) % _SLOTS
+        if trees[i] is l:
+            a = states[i]
+        else:
+            a = states[i] = _normal_state(l, auto, trees, states)
+            trees[i] = l
+        if a < 0:
+            return a
+    if r == LEAF:
+        b = 0
+    else:
+        i = id(r) % _SLOTS
+        if trees[i] is r:
+            b = states[i]
+        else:
+            b = states[i] = _normal_state(r, auto, trees, states)
+            trees[i] = r
+        if b < 0:
+            return b
     return auto[op, a, b]
 
 
 def is_normal(t: Tree, sys: RewriteSystem) -> bool:
-    """One post-order pass of the automaton, left at the first match."""
-    if t != LEAF and _normal_state(t, sys.automaton) < 0:
+    """One post-order pass of the automaton, left at the first match; a
+    proper subtree met before is read from the system's slots.
+    t itself is never stored: roots are rarely shared, and storing them
+    would evict the subtrees that are."""
+    if t != LEAF and _normal_state(t, sys.automaton, *sys.slots) < 0:
         return False
     if sys.arity_cap is not None:
         _refuse_above_cap(sys, arity(t))

@@ -2,6 +2,7 @@
 
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +15,7 @@ from operad_forge.treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem,
                                    match_at, normalize, overlaps, parse_tree,
                                    positions, replace, rewrite_once, rule,
                                    subtree, tree_key)
-from operad_forge import systems
+from operad_forge import systems, treeterm
 
 
 def t(s):
@@ -371,10 +372,15 @@ def test_reducts_graft_the_redex_wildcards_into_the_rhs(name):
 def test_a_system_with_compiled_reducts_still_pickles():
     sys = _zin_half()
     assert sys.reducts
+    trees = [tree for n in range(1, 7) for tree in free_trees(n, ("x", "y"))]
+    verdicts = [is_normal(tree, sys) for tree in trees]
+    assert "slots" in vars(sys)
     copy = pickle.loads(pickle.dumps(sys))
     assert copy == sys and "reducts" not in vars(copy)
+    assert "slots" not in vars(copy)  # no pinned trees travel along
     assert [[c for c, _ in rs] for rs in copy.reducts] == \
         [[c for c, _ in rs] for rs in sys.reducts]
+    assert [is_normal(tree, copy) for tree in trees] == verdicts
 
 
 def test_a_rule_shared_by_two_systems_rewrites_by_each_automaton():
@@ -451,11 +457,91 @@ def test_engine_trips_the_step_cap_like_the_reference(terms, step_cap):
 # --- the matching automaton -----------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["Flex", "Bicom"])
+@pytest.mark.parametrize("name", ["Zin", "Flex", "AntiFlex", "L", "Bicom"])
 def test_is_normal_keeps_exactly_the_grammar_normal_forms(name):
     sys = systems.system(name, max_arity=8)
-    kept = {tree for tree in free_trees(8, ("x", "y")) if is_normal(tree, sys)}
+    ops = ("z", "t") if name == "L" else ("x", "y")
+    kept = {tree for tree in free_trees(8, ops) if is_normal(tree, sys)}
     assert kept == set(systems.normal_forms(name, 8))
+
+
+def _matches_somewhere(tree, sys):
+    """Some rule matches at some position: every pair tried, nothing kept."""
+    return any(match_at(tree, r, addr) is not None
+               for r in sys.rules for addr in positions(tree))
+
+
+def _uncached_verdict(tree, sys):
+    """is_normal's outcome, without the automaton or the slots."""
+    if _matches_somewhere(tree, sys):
+        return False
+    n = arity(tree)
+    if sys.arity_cap is not None and n > sys.arity_cap:
+        return (f"arity {n} exceeds the arity cap {sys.arity_cap} "
+                f"of system {sys.name}")
+    return True
+
+
+def _verdict(tree, sys):
+    try:
+        return is_normal(tree, sys)
+    except ValueError as err:
+        return str(err)
+
+
+def _fresh_system(name):
+    cached = systems.system(name, max_arity=6)
+    return RewriteSystem(cached.name, cached.rules, cached.arity_cap)
+
+
+_SLOT_SYSTEMS = ("Zin", "Flex", "Bicom")
+_UP_TO_7 = [tree for n in range(1, 8) for tree in free_trees(n, ("x", "y"))]
+
+
+@pytest.mark.parametrize("slots", [3, 7])
+@pytest.mark.parametrize("name", _SLOT_SYSTEMS)
+def test_is_normal_with_few_slots_matches_an_uncached_walk(name, slots,
+                                                           monkeypatch):
+    # evictions and collisions on every call; Bicom is cut at arity 6, so a
+    # normal tree of arity 7 must still be refused
+    monkeypatch.setattr(treeterm, "_SLOTS", slots)
+    sys = _fresh_system(name)
+    seen = set()
+    reused = False
+    for tree in _UP_TO_7:
+        want = _uncached_verdict(tree, sys)
+        assert _verdict(tree, sys) == want, format_tree(tree)  # shared subtrees
+        copy = parse_tree(format_tree(tree))  # shares nothing, dropped below
+        assert _verdict(copy, sys) == want, format_tree(tree)
+        reused |= id(copy) in seen
+        seen.add(id(copy))
+    assert reused  # a dropped copy's id came back
+    trees, states = sys.slots
+    assert len(trees) == len(states) == slots
+    for i, u in enumerate(trees):
+        if u is not None:
+            assert id(u) % slots == i
+            assert (states[i] < 0) == _matches_somewhere(u, sys)
+
+
+@given(st.sampled_from(_SLOT_SYSTEMS),
+       st.lists(st.tuples(st.integers(0, len(_UP_TO_7) - 1), st.booleans()),
+                max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_is_normal_on_trees_built_and_dropped_matches_an_uncached_walk(
+        name, draws):
+    # each tree is built afresh and mostly dropped after one call, so the
+    # ids of evicted subtrees are handed to new ones
+    with mock.patch.object(treeterm, "_SLOTS", 7):
+        sys = _fresh_system(name)
+        kept = []
+        for i, keep in draws:
+            tree = parse_tree(format_tree(_UP_TO_7[i]))
+            assert _verdict(tree, sys) == _uncached_verdict(tree, sys)
+            if keep:
+                kept.append(tree)
+        for tree in kept:
+            assert _verdict(tree, sys) == _uncached_verdict(tree, sys)
 
 
 def _lhs_subpatterns(sys):
