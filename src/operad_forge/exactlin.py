@@ -11,20 +11,21 @@ reduced.  absorb looks a column up with pivots.get(p) and, only when that
 is None, asks p in pivots and then reads pivots[p]: a plain dict serves,
 and so does a mapping that builds a pivot row the first time it is read,
 as the brute-force oracle's I(m) table builds its grafted rows.
-SparseEliminator holds a plain dict of pivots; its add clears a rational
-row of its denominators on a copy and absorbs that, so the row it is given
-is left as it is, and only rref() goes back to the rationals, for the
-canonical reduced row-echelon form.  rref, span, intersect and nullspace
-run on add; manin reads R cap (two-outside cosets) off one rref, and
-intersect (Zassenhaus) and nullspace stay as general tools and as the
-references the tests compare against.  All four take each row dense, a
-sequence of ints or Fractions, or sparse, a Mapping column -> entry such
-as the row of an arity3 element, and return the rows of rref(), which
-arity3 takes as elements: dicts column -> Fraction whose pivot is the
-smallest column.  A Subspace is stored as this reduced row-echelon basis,
-so two subspaces are equal iff their canonical bases are equal as
-sequences, and a row lies in a subspace iff adding it leaves the rank
-unchanged.  Subspaces are immutable and the functions are pure.
+rref and intersect clear each rational row of its denominators on a
+copy, so the row they are given is left as it is, absorb that copy into
+a plain dict of pivots, and back-substitute the dict (_back_substitute),
+the one step that goes back to the rationals, for the canonical reduced
+row-echelon form.  span and nullspace run on rref; manin reads R cap
+(two-outside cosets) off one rref, and intersect (Zassenhaus) and
+nullspace stay as general tools and as the references the tests compare
+against.  rref, span and nullspace take each row dense, a sequence of
+ints or Fractions, or sparse, a Mapping column -> entry such as the row
+of an arity3 element.  All four return the rows of rref(), which arity3
+takes as elements: dicts column -> Fraction whose pivot is the smallest
+column.  A Subspace is stored as this reduced row-echelon basis, so two
+subspaces are equal iff their canonical bases are equal as sequences,
+and a row lies in a subspace iff adding it leaves the rank unchanged.
+Subspaces are immutable and the functions are pure.
 """
 
 from __future__ import annotations
@@ -98,50 +99,23 @@ def absorb(pivots, row: IntRow) -> bool:
     return False
 
 
-class SparseEliminator:
-    """Incremental fraction-free sparse Gaussian elimination into a plain
-    dict of pivot rows, pivots, by absorb."""
-
-    def __init__(self):
-        self.pivots: dict[int, IntRow] = {}
-
-    def add(self, row: Mapping) -> bool:
-        """absorb a copy of row, a Mapping column -> int or Fraction, cleared
-        of its denominators; row itself is left as it is."""
-        return absorb(self.pivots, _integral(row))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def nonzeros(self) -> int:
-        """The total number of nonzero entries in the pivot rows."""
-        return sum(map(len, self.pivots.values()))
-
-    @property
-    def max_bits(self) -> int:
-        """The bit length of the largest absolute pivot-row entry."""
-        return max((c.bit_length() for row in self.pivots.values()
-                    for c in row.values()), default=0)
-
-    def rref(self) -> list[SparseRow]:
-        """The pivot rows back-substituted into reduced row-echelon form over
-        Q, in increasing pivot order."""
-        done: dict[int, IntRow] = {}
-        for p in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[p])
-            # a finished row is zero on every other pivot column, so one
-            # pass over the pivot columns present in row clears them all
-            for q in [q for q in row if q != p and q in done]:
-                _cancel(row, q, done[q])
-            done[p] = _primitive(row, p)
-        out = []
-        for p in sorted(done):
-            row = done[p]
-            lead = row[p]
-            out.append({j: Fraction(c, lead) for j, c in row.items()})
-        return out
+def _back_substitute(pivots: dict[int, IntRow]) -> list[SparseRow]:
+    """The pivot rows of pivots back-substituted into reduced row-echelon
+    form over Q, in increasing pivot order; pivots is left as it is."""
+    done: dict[int, IntRow] = {}
+    for p in sorted(pivots, reverse=True):
+        row = dict(pivots[p])
+        # a finished row is zero on every other pivot column, so one
+        # pass over the pivot columns present in row clears them all
+        for q in [q for q in row if q != p and q in done]:
+            _cancel(row, q, done[q])
+        done[p] = _primitive(row, p)
+    out = []
+    for p in sorted(done):
+        row = done[p]
+        lead = row[p]
+        out.append({j: Fraction(c, lead) for j, c in row.items()})
+    return out
 
 
 def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
@@ -167,10 +141,10 @@ def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[SparseRow]:
     """Reduced row-echelon form of rows of ints or Fractions, each dense (a
     sequence of length ncols) or sparse (a Mapping column -> entry), as
     sparse rows in increasing pivot order; zero rows are dropped."""
-    elim = SparseEliminator()
+    pivots: dict[int, IntRow] = {}
     for r in rows:
-        elim.add(_sparse(r, ncols))
-    return elim.rref()
+        absorb(pivots, _integral(_sparse(r, ncols)))
+    return _back_substitute(pivots)
 
 
 @dataclass(frozen=True)
@@ -204,14 +178,14 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    elim = SparseEliminator()
+    pivots: dict[int, IntRow] = {}
     for row in a.basis:
-        elim.add({**row, **{j + n: c for j, c in row.items()}})
+        absorb(pivots, _integral({**row, **{j + n: c for j, c in row.items()}}))
     for row in b.basis:
-        elim.add(row)
+        absorb(pivots, _integral(row))
     # the rows with pivot >= n are already reduced among themselves
     return Subspace(n, tuple({j - n: c for j, c in row.items()}
-                             for row in elim.rref() if min(row) >= n))
+                             for row in _back_substitute(pivots) if min(row) >= n))
 
 
 def nullspace(rows: Iterable[Sequence | Mapping], cols: int) -> Subspace:

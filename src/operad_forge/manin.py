@@ -34,9 +34,9 @@ import json
 from dataclasses import dataclass
 
 from .arity3 import (DOUBLE, S3, SINGLE, Arity3Element, Monomial3,
-                     OperadPresentation, OpSpace, act, basis3,
-                     format_element, s3_closure)
-from .exactlin import SparseRow, Subspace, span
+                     OperadPresentation, act, basis3, format_element,
+                     s3_closure)
+from .exactlin import SparseRow, span
 
 
 @dataclass(frozen=True)
@@ -158,32 +158,13 @@ def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
     return OperadPresentation(f"{q.name}/sym", SINGLE, tuple(rels))
 
 
-def two_outside_subspace(v: OpSpace) -> Subspace:
-    """Span of the basis monomials whose outside argument is x1 or x3.
-
-    These are the cosets (V (x) V) + (13)(V (x) V): with x3 or x1 as the lone
-    argument on either side of the inner product.  Dimension 8 * k^2 for k
-    operations.
-    """
-    basis = basis3(v)
-    units = [{i: 1} for i, m in enumerate(basis) if m.outside_leaf in (1, 3)]
-    return span(units, len(basis))
-
-
-def _criterion(p: OperadPresentation):
-    """dim R, a basis of R cap (two-outside cosets) as elements, and F."""
+def admits_nonsymmetric(p: OperadPresentation) -> CriterionReport:
+    """The criterion: dim R against the dimension of F, the S3-closure of
+    R cap (two-outside cosets), whose basis rows are the F_generators."""
     dim_R, inter = p.two_outside_part
     # copies, so that no caller can change the rows cached on p
     gens = tuple(Arity3Element.from_row(p.opspace, dict(r)) for r in inter.basis)
-    return dim_R, gens, s3_closure(gens, p.opspace)
-
-
-def compute_F(p: OperadPresentation) -> Subspace:
-    return _criterion(p)[2]
-
-
-def admits_nonsymmetric(p: OperadPresentation) -> CriterionReport:
-    dim_R, gens, F = _criterion(p)
+    F = s3_closure(gens, p.opspace)
     return CriterionReport(
         operad_name=p.name,
         dim_R=dim_R,

@@ -38,10 +38,10 @@ grafting is affine in the positions of its parts (position).  Every row
 has int entries; the root rows of fact 3 go straight to absorb of the one
 exact kernel.  ideal_ranks yields dim I(3), ..., dim I(n) from one
 recursion on the arity, and ideal_rank is its last value.  The free trees
-come from treeterm.generate; nothing here uses treeterm's grafting or
-rewriting.  The module stays unclever: it rests on its own lower
-eliminations alone, and spans each I(m) by every grafting the three facts
-keep; it is the trust anchor for the Groebner-basis claims.
+come from treeterm.generate; nothing here uses treeterm's rewriting.
+The module stays unclever: it rests on its own lower eliminations alone,
+and spans each I(m) by every grafting the three facts keep; it is the
+trust anchor for the Groebner-basis claims.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ def _layout(n: int, ops: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
 def position(pattern: Tree, arities: Sequence[int],
              ops: Sequence[str] = ("x", "y")) -> tuple[int, tuple[int, ...]]:
     """(c, w) such that, for any trees t_j of the given arities, tree number
-    c + sum(w_j * i_j) of free_trees(sum(arities), ops) is
-    graft(pattern, [t_1, ...]), where t_j is tree number i_j of
-    free_trees(arities[j], ops)."""
+    c + sum(w_j * i_j) of free_trees(sum(arities), ops) is pattern with
+    t_1, t_2, ... in its leaves, left to right, where t_j is tree number
+    i_j of free_trees(arities[j], ops)."""
     ops = tuple(ops)
     _distinct(ops)
     try:

@@ -155,12 +155,6 @@ def dim_formula(name: str, n: int) -> int:
     raise KeyError(f"unknown system {name!r}")
 
 
-def ternary_pair_count(n: int) -> int:
-    """sum over i+j = n-1 of T_i * T_j, with T_m the ternary tree numbers."""
-    T = lambda m: math.comb(3 * m, m) // (2 * m + 1)
-    return sum(T(i) * T(n - 1 - i) for i in range(n))
-
-
 # --- the nonsymmetric versions as planar relations ------------------------
 
 _TREE_LABEL = {"<": "x", ">": "y"}

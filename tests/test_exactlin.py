@@ -7,8 +7,9 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operad_forge.exactlin import (SparseEliminator, absorb, intersect,
-                                   nullspace, rref, span, subspace_sum)
+from operad_forge.exactlin import (_back_substitute, _integral, absorb,
+                                   intersect, nullspace, rref, span,
+                                   subspace_sum)
 
 
 def F(x):
@@ -136,8 +137,8 @@ def _gauss_jordan(rows, ncols):
     return [tuple(row) for row in m[:r]]
 
 
-def _assert_pivot_rows_primitive(elim):
-    for p, row in elim.pivots.items():
+def _assert_pivot_rows_primitive(pivots):
+    for p, row in pivots.items():
         assert min(row) == p
         assert all(type(c) is int and c for c in row.values())
         assert row[p] > 0
@@ -156,39 +157,35 @@ _matrix = st.integers(1, 6).flatmap(lambda n: st.tuples(
 @settings(max_examples=80, deadline=None)
 def test_eliminator_matches_fraction_gauss_jordan(matrix):
     ncols, rows = matrix
-    elim = SparseEliminator()
+    pivots = {}
     for r in rows:
-        elim.add({j: x for j, x in enumerate(r) if x})
+        absorb(pivots, _integral({j: x for j, x in enumerate(r) if x}))
     want = _gauss_jordan(rows, ncols)
-    assert elim.rank == len(want)
+    assert len(pivots) == len(want)
     got = [tuple(row.get(j, Fraction(0)) for j in range(ncols))
-           for row in elim.rref()]
+           for row in _back_substitute(pivots)]
     assert got == want
     assert [{j: x for j, x in enumerate(r) if x} for r in want] \
-        == rref(rows, ncols) == elim.rref()
-    _assert_pivot_rows_primitive(elim)
+        == rref(rows, ncols) == _back_substitute(pivots)
+    _assert_pivot_rows_primitive(pivots)
 
 
 def test_pivot_rows_are_primitive_ints():
-    elim = SparseEliminator()
-    assert elim.add({0: Fraction(2, 3), 1: Fraction(1, 2)})  # cleared to 4, 3
-    assert elim.add({0: 2, 2: 5})        # 2*row - piv = (0, -3, 10)
-    assert elim.pivots == {0: {0: 4, 1: 3}, 1: {1: 3, 2: -10}}
-    assert elim.add({1: 7, 2: 1})        # 3*row - 7*piv = (0, 0, 73)
-    assert elim.pivots[2] == {2: 1}
-    assert not elim.add({0: Fraction(1, 2), 1: Fraction(3, 8)})
-    _assert_pivot_rows_primitive(elim)
-    assert elim.rref() == [{0: 1}, {1: 1}, {2: 1}]
+    pivots = {}
 
+    def add(row):
+        return absorb(pivots, _integral(row))
 
-def test_eliminator_size_properties():
-    elim = SparseEliminator()
-    assert (elim.nonzeros, elim.max_bits) == (0, 0)
-    elim.add({0: Fraction(2, 3), 1: Fraction(1, 2)})
-    elim.add({0: 2, 2: 5})
-    assert (elim.nonzeros, elim.max_bits) == (4, 4)   # largest entry -10
-    elim.add({1: 7, 2: 1})
-    assert (elim.nonzeros, elim.max_bits) == (5, 4)
+    assert add({0: Fraction(2, 3), 1: Fraction(1, 2)})  # cleared to 4, 3
+    assert add({0: 2, 2: 5})        # 2*row - piv = (0, -3, 10)
+    assert pivots == {0: {0: 4, 1: 3}, 1: {1: 3, 2: -10}}
+    assert add({1: 7, 2: 1})        # 3*row - 7*piv = (0, 0, 73)
+    assert pivots[2] == {2: 1}
+    assert not add({0: Fraction(1, 2), 1: Fraction(3, 8)})
+    _assert_pivot_rows_primitive(pivots)
+    before = {p: dict(r) for p, r in pivots.items()}
+    assert _back_substitute(pivots) == [{0: 1}, {1: 1}, {2: 1}]
+    assert pivots == before  # back-substitution works on copies
 
 
 @given(st.lists(_vec, max_size=5))
@@ -231,30 +228,35 @@ _int_rows = st.lists(st.dictionaries(
     min_size=1, max_size=5), max_size=12)
 
 
-def _state(elim):
-    return (elim.pivots, elim.rank, elim.nonzeros, elim.max_bits, elim.rref())
-
-
 @given(_int_rows)
 @settings(max_examples=100, deadline=None)
 def test_absorb_is_add_on_integral_rows(rows):
-    by_add, by_absorb = SparseEliminator(), SparseEliminator()
-    assert [by_add.add(dict(r)) for r in rows] \
-        == [absorb(by_absorb.pivots, dict(r)) for r in rows]
-    assert _state(by_absorb) == _state(by_add)
+    # rref adds a row as absorb(pivots, _integral(row)); on int rows the
+    # cleared copy changes nothing, so absorbing the row itself is the same
+    by_add, by_absorb = {}, {}
+    assert [absorb(by_add, _integral(r)) for r in rows] \
+        == [absorb(by_absorb, dict(r)) for r in rows]
+    assert by_absorb == by_add
+    assert _back_substitute(by_absorb) == _back_substitute(by_add)
     _assert_pivot_rows_primitive(by_absorb)
 
 
 def test_add_leaves_its_row_as_it_is():
-    elim = SparseEliminator()
-    elim.add({0: 1, 1: 2})
+    # _integral copies the row that rref and intersect add, whatever the
+    # Mapping, so absorb takes over the copy and never the row itself
+    pivots = {}
+    absorb(pivots, {0: 1, 1: 2})
     row = {0: 3, 1: Fraction(1, 2), 2: 5}
     view = MappingProxyType(dict(row))
     for given_row in (row, view):
         snapshot = dict(given_row)
-        elim.add(given_row)
+        absorb(pivots, _integral(given_row))
         assert given_row == snapshot
-    assert all(row is not p and view is not p for p in elim.pivots.values())
+    assert all(row is not p and view is not p for p in pivots.values())
+    rows = [{0: 1, 1: 2}, row, view]
+    snapshots = [dict(r) for r in rows]
+    assert rref(rows, 3) == rref(snapshots, 3)
+    assert [dict(r) for r in rows] == snapshots
 
 
 def test_absorb_takes_over_its_row():
@@ -271,24 +273,24 @@ def test_absorb_takes_over_its_row():
 
 
 def _pivot_rows(rows):
-    """The pivot rows add makes of rows, by pivot column: each primitive,
-    with a positive entry in its smallest column, its key."""
-    source = SparseEliminator()
+    """The pivot rows absorb makes of rows, by pivot column: each
+    primitive, with a positive entry in its smallest column, its key."""
+    pivots = {}
     for r in rows:
-        source.add(dict(r))
-    return source.pivots
+        absorb(pivots, _integral(r))
+    return pivots
 
 
 @given(_int_rows, _int_rows)
 @settings(max_examples=100, deadline=None)
 def test_a_starting_pivot_table_is_as_adding_its_rows_first(first, rows):
     table = {p: dict(r) for p, r in _pivot_rows(first).items()}
-    by_add = SparseEliminator()
+    by_add = {}
     for r in table.values():
-        assert by_add.add(r)
+        assert absorb(by_add, _integral(r))
     assert [absorb(table, dict(r)) for r in rows] \
-        == [by_add.add(dict(r)) for r in rows]
-    assert table == by_add.pivots
+        == [absorb(by_add, _integral(r)) for r in rows]
+    assert table == by_add
     _assert_pivot_rows_primitive(by_add)
 
 
@@ -316,13 +318,13 @@ def test_a_lazy_pivot_mapping_is_as_adding_its_rows_first(first, rows):
     # absorb reads a hidden row only when it reaches its column, and once;
     # the results are those of adding the hidden rows first
     hidden = {p: dict(r) for p, r in _pivot_rows(first).items()}
-    by_add = SparseEliminator()
+    by_add = {}
     for r in hidden.values():
-        assert by_add.add(r)
+        assert absorb(by_add, _integral(r))
     lazy = _Lazy(dict(hidden))
     assert [absorb(lazy, dict(r)) for r in rows] \
-        == [by_add.add(dict(r)) for r in rows]
-    assert {**lazy, **lazy.hidden} == by_add.pivots
+        == [absorb(by_add, _integral(r)) for r in rows]
+    assert {**lazy, **lazy.hidden} == by_add
     assert len(lazy.reads) == len(set(lazy.reads))
     assert all(lazy[p] == hidden[p] for p in lazy.reads)
     _assert_pivot_rows_primitive(by_add)

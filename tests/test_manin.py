@@ -12,10 +12,9 @@ from operad_forge.arity3 import (CATALOG_NAMES, DOUBLE, SINGLE,
                                  OperadPresentation, OpSpace, basis3, catalog,
                                  format_element, parse_element, s3_closure,
                                  quotient_dim3)
-from operad_forge.exactlin import intersect, nullspace, span
+from operad_forge.exactlin import Subspace, intersect, nullspace, span
 from operad_forge.manin import (VAR, CriterionReport, admits_nonsymmetric,
-                                compute_F, nonsymmetric_version,
-                                symmetrize_quotient, two_outside_subspace,
+                                nonsymmetric_version, symmetrize_quotient,
                                 white_product_as)
 
 SINGLE_OPERATION = [catalog(n) for n in ("Free",) + tuple(
@@ -177,6 +176,24 @@ def test_alt_arity3_dimension():
     assert quotient_dim3(catalog("Alt")) == 7
 
 
+def two_outside_subspace(v: OpSpace) -> Subspace:
+    """Span of the basis monomials whose outside argument is x1 or x3.
+
+    These are the cosets (V (x) V) + (13)(V (x) V): with x3 or x1 as the lone
+    argument on either side of the inner product.  Dimension 8 * k^2 for k
+    operations.
+    """
+    basis = basis3(v)
+    units = [{i: 1} for i, m in enumerate(basis) if m.outside_leaf in (1, 3)]
+    return span(units, len(basis))
+
+
+def compute_F(p: OperadPresentation) -> Subspace:
+    """F, the S3-closure of R cap (two-outside cosets): the span of the
+    criterion's generators and their images under S3."""
+    return s3_closure(admits_nonsymmetric(p).F_generators, p.opspace)
+
+
 def test_two_outside_subspace_contains_both_comb_shapes():
     u = two_outside_subspace(SINGLE)
     left = parse_element("+1*(x1*x2)*x3", SINGLE)
@@ -248,8 +265,7 @@ def test_criterion_and_white_product_refuse_a_foreign_relation():
     rel = parse_element("+1*(x1<x2)>x3-1*x1<(x2>x3)", DOUBLE)
     p = OperadPresentation("Foreign", SINGLE, (rel,))
     # twice each: a failed elimination leaves nothing cached on p
-    for f in (admits_nonsymmetric, white_product_as, nonsymmetric_version,
-              compute_F) * 2:
+    for f in (admits_nonsymmetric, white_product_as, nonsymmetric_version) * 2:
         with pytest.raises(ValueError, match="generator over operations"):
             f(p)
     assert "two_outside_part" not in vars(p)

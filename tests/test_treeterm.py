@@ -1,6 +1,9 @@
-"""Planar tree terms, pattern matching, rewriting, overlaps, confluence."""
+"""Planar tree terms, rewriting, overlaps, confluence; the plain-tree
+reference in planar.py (match_at, apply_rule_at, ...) is what the annotated
+engine is checked against."""
 
 import pickle
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -8,14 +11,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from operad_forge.oracle import free_trees
-from operad_forge.treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem,
-                                   StepCapExceeded, _annotate, apply_rule_at,
+from operad_forge.treeterm import (LEAF, ConfluenceReport, NsElement,
+                                   OverlapCheck, RewriteRule, RewriteSystem,
+                                   StepCapExceeded, _annotate, _rewrite_at,
                                    arity, check_confluence, format_element,
-                                   format_tree, generate, graft, is_normal,
-                                   match_at, normalize, overlaps, parse_tree,
-                                   positions, replace, rewrite_once, rule,
-                                   subtree, tree_key)
+                                   format_tree, generate, is_normal,
+                                   normalize, overlaps, parse_tree,
+                                   rewrite_once, rule, tree_key)
 from operad_forge import systems, treeterm
+from planar import (apply_rule_at, graft, match_at, positions, replace,
+                    subtree)
 
 
 def t(s):
@@ -340,6 +345,16 @@ def _zin_half():
     return RewriteSystem("ZinHalf", (zin.rules[0], zin.rules[1], half3))
 
 
+def _zin_repeated():
+    """Zin with zin3's rhs written with a repeated tree and a pair of terms
+    that cancel: the compiled reducts must merge them."""
+    zin = systems.system("Zin")
+    rep3 = rule("rep3", "y(1,y(1,1))", [(-1, "y(1,x(1,1))"), (2, "y(y(1,1),1)"),
+                                        (1, "x(x(1,1),1)"), (-1, "y(y(1,1),1)"),
+                                        (-1, "x(x(1,1),1)")])
+    return RewriteSystem("ZinRepeated", (zin.rules[0], zin.rules[1], rep3))
+
+
 _REFERENCE_SYSTEMS = {
     "Zin": (systems.system("Zin"), ("x", "y")),
     "Flex": (systems.system("Flex"), ("x", "y")),
@@ -348,6 +363,7 @@ _REFERENCE_SYSTEMS = {
     "Bicom": (systems.system("Bicom", max_arity=6), ("x", "y")),
     "ZinBad": (_zin_bad(), ("x", "y")),
     "ZinHalf": (_zin_half(), ("x", "y")),
+    "ZinRepeated": (_zin_repeated(), ("x", "y")),
     "partialFlex": (RewriteSystem("partial", (systems._flex_rule1(1),)),
                     ("x", "y")),
 }
@@ -367,6 +383,14 @@ def test_reducts_graft_the_redex_wildcards_into_the_rhs(name):
             redex = _annotate(graft(r.lhs, subs), auto)
             assert [build(redex) for _, build in reducts] == \
                 [_annotate(graft(p, subs), auto) for _, p in r.rhs]
+
+
+def test_reducts_merge_the_repeated_trees_of_an_rhs():
+    sys = _zin_repeated()
+    assert [c for c, _ in sys.reducts[2]] == [-1, 1]
+    assert [c for c, _ in sys.reducts[2]] == \
+        [c for c, _ in systems.system("Zin").reducts[2]]
+    assert check_confluence(sys, 6).passed
 
 
 def test_a_system_with_compiled_reducts_still_pickles():
@@ -414,6 +438,59 @@ def test_engine_matches_the_reference_on_every_free_tree(name):
 def test_reference_systems_are_not_all_confluent():
     assert not check_confluence(_REFERENCE_SYSTEMS["ZinBad"][0], 6).passed
     assert not check_confluence(_REFERENCE_SYSTEMS["partialFlex"][0], 4).passed
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SYSTEMS))
+def test_rewrite_at_is_apply_rule_at_and_refuses_a_rule_that_does_not_match(name):
+    # every rule at every position of every free tree: the same reducts,
+    # annotated as _annotate would, where the rule matches, else refused
+    sys, ops = _REFERENCE_SYSTEMS[name]
+    auto = sys.automaton
+    for n in range(2, 6):
+        for tree in free_trees(n, ops):
+            u = _annotate(tree, auto)
+            for k, r in enumerate(sys.rules):
+                for addr in positions(tree):
+                    if match_at(tree, r, addr) is None:
+                        with pytest.raises(ValueError, match=re.escape(
+                                f"rule {r.name} does not match at {addr}")):
+                            _rewrite_at(u, sys, k, addr)
+                        continue
+                    got = _rewrite_at(u, sys, k, addr)
+                    assert all(v == _annotate(v[6], auto) for v, _ in got)
+                    assert NsElement((v[6], c) for v, c in got) \
+                        == apply_rule_at(tree, r, addr)
+
+
+def _reference_confluence(sys, max_arity):
+    """check_confluence by plain-tree steps: each rule applied at its
+    address by apply_rule_at, then normalized."""
+    checks = []
+    for ov in overlaps(sys, max_arity):
+        left, right = (normalize(apply_rule_at(ov.tree, r, addr), sys)
+                       for r, addr in zip((ov.rule_i, ov.rule_j), ov.addrs))
+        diff = NsElement(left.items())
+        for tree, c in right.items():
+            diff.add(tree, -c)
+        checks.append(OverlapCheck(ov, not diff, tuple(
+            sorted(diff.items(), key=lambda tc: tree_key(tc[0])))))
+    return ConfluenceReport(sys.name, max_arity, tuple(checks))
+
+
+@pytest.mark.parametrize("name,max_arity", [
+    ("Zin", 6), ("Flex", 6), ("AntiFlex", 6), ("L", 6), ("Bicom", 6),
+    ("Bicom", 9), ("ZinBad", 6), ("ZinHalf", 6), ("ZinRepeated", 6),
+    ("partialFlex", 6)])
+def test_check_confluence_equals_the_plain_tree_reference(name, max_arity):
+    if name in _REFERENCE_SYSTEMS and name != "Bicom":
+        sys = _REFERENCE_SYSTEMS[name][0]
+    else:
+        sys = systems.system(name, max_arity=max_arity)
+    report = check_confluence(sys, max_arity)
+    assert bool(report.checks) == (name != "L")  # t(1,z(1,1)) overlaps nothing
+    assert report == _reference_confluence(sys, max_arity)
+    assert all(type(c) is Fraction
+               for check in report.checks for _, c in check.difference)
 
 
 def _random_element(draw_terms, ops):
