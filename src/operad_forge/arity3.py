@@ -113,9 +113,6 @@ class Arity3Element:
     def __repr__(self):
         return f"Arity3Element({format_element(self)!r})"
 
-    def is_zero(self) -> bool:
-        return not self.row
-
 
 @lru_cache(maxsize=None)
 def basis3(v: OpSpace) -> tuple[Monomial3, ...]:
@@ -206,10 +203,6 @@ class OperadPresentation:
         inter = tuple({order[k]: c for k, c in r.items()}
                       for r in reduced if min(r) >= len(inside))
         return len(reduced), Subspace(len(basis), inter)
-
-
-def quotient_dim3(p: OperadPresentation) -> int:
-    return len(basis3(p.opspace)) - p.relation_space().dim
 
 
 # --- text format -----------------------------------------------------------

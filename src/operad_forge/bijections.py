@@ -35,37 +35,10 @@ BULLET = "*"
 PBT = Union[str, tuple]  # BULLET | (PBT, PBT)
 
 
-def internal_vertices(b: PBT) -> int:
-    if b == BULLET:
-        return 0
-    return 1 + internal_vertices(b[0]) + internal_vertices(b[1])
-
-
 def format_pbt(b: PBT) -> str:
     if b == BULLET:
         return "•"
     return f"({format_pbt(b[0])}{format_pbt(b[1])})"
-
-
-def parse_pbt(text: str) -> PBT:
-    b, rest = _parse_pbt(text.replace("•", "*"))
-    if rest:
-        raise ValueError(f"trailing input {rest!r}")
-    return b
-
-
-def _parse_pbt(s: str) -> tuple[PBT, str]:
-    if not s:
-        raise ValueError("empty tree")
-    if s[0] == "*":
-        return BULLET, s[1:]
-    if s[0] != "(":
-        raise ValueError(f"expected '(' or bullet at {s!r}")
-    left, s = _parse_pbt(s[1:])
-    right, s = _parse_pbt(s)
-    if not s.startswith(")"):
-        raise ValueError("expected ')'")
-    return (left, right), s[1:]
 
 
 def _map_or_refuse(name: str, walk, *args):

@@ -117,7 +117,7 @@ def _cmd_confluence(args) -> int:
     for c in report.checks:
         ov = c.overlap
         status = "ok" if c.joinable else "FAIL"
-        print(f"{status} {ov.rule_i.name}/{ov.rule_j.name} at {ov.addrs[1]}: "
+        print(f"{status} {ov.rule_i.name}/{ov.rule_j.name} at {ov.addr}: "
               f"{format_tree(ov.tree)}")
     print(f"{len(report.checks)} overlaps up to arity {args.max_arity}: "
           f"{'all joinable' if report.passed else 'NOT confluent'}")

@@ -3,8 +3,7 @@
 The split operations come from  a < b = ab (x) (a.b)  and  a > b = ab (x) (b.a),
 so a monomial m over "<" and ">" maps to w(m) (x) var(m) in As(3) (x) P(3):
 w(m) is its leaf word in planar order, and var(m) is the Var monomial
-obtained by recursively swapping the arguments of every ">" node.  VAR
-tabulates var on the 48 two-operation monomials.
+obtained by recursively swapping the arguments of every ">" node.
 
 The criterion compares R with the S3-closure F of the part of R lying in
 the "two-outside" cosets: monomials whose lone argument is x1 or x3.  That
@@ -72,10 +71,8 @@ def _var(m: Monomial3) -> Monomial3:
     return Monomial3("R", (lone, *pair), "*", "*")
 
 
-VAR = {m: _var(m) for m in basis3(DOUBLE)}
-
-# VAR by index: basis3(DOUBLE) index -> basis3(SINGLE) index.
-_VAR_INDEX = tuple(basis3(SINGLE).index(VAR[m]) for m in basis3(DOUBLE))
+# var by index: basis3(DOUBLE) index -> basis3(SINGLE) index.
+_VAR_INDEX = tuple(basis3(SINGLE).index(_var(m)) for m in basis3(DOUBLE))
 
 # the planar block: the indices in basis3(DOUBLE) of the 8 monomials whose
 # leaves are 1, 2, 3 in order, and for each the index of its var in

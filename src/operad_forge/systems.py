@@ -133,14 +133,15 @@ _GRAMMARS = {
 }
 
 
-def normal_forms(name: str, n: int) -> list[Tree]:
-    """All arity-n trees generated by the system's normal-form grammar."""
+def normal_forms(name: str, n: int) -> tuple[Tree, ...]:
+    """All arity-n trees generated by the system's normal-form grammar: the
+    enumerator's cached tuple, shared by every call."""
     if name not in _GRAMMARS:
         raise KeyError(f"unknown system {name!r}")
     if n < 1:
         raise ValueError("arity must be at least 1")
     grammar = _GRAMMARS[name]
-    return list(generate(grammar, grammar[0][0], n))
+    return generate(grammar, grammar[0][0], n)
 
 
 def dim_formula(name: str, n: int) -> int:

@@ -56,13 +56,16 @@ fields compare exactly like tree_key (a leaf below any node, then op, then
 the children), whatever the labels.  The working set maps plain trees to
 coefficients, since hashing nested annotated nodes costs far more.  Inside
 the loop integral coefficients are ints and the others Fractions; the
-result holds Fractions only.  Neither they nor rewrite_once() keep a tree
-or result across calls: a normal-form memo is sound only for a system
-already certified confluent, and check_confluence() runs on this engine.
-It annotates each overlap tree once and applies each of the overlap's two
+result holds Fractions only; more than _STEP_CAP steps raise
+StepCapExceeded.  Neither they nor rewrite_once() keep a tree or result
+across calls: a normal-form memo is sound only for a system already
+certified confluent, and check_confluence() runs on this engine.  It
+annotates each overlap tree once and applies each of the overlap's two
 rules at its address (_rewrite_at): one descent by the address, a
 ValueError unless the state there has the rule's mask bit, and the rhs
-and spine rebuilt as a rewrite step rebuilds them.
+and spine rebuilt as a rewrite step rebuilds them.  Their difference, the
+S-polynomial, is normalized once: a step's reducts depend on the term
+alone, so normalization is linear.
 
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
@@ -86,6 +89,8 @@ Addr = tuple[int, ...]
 # The number of is_normal's slots per system: a prime, so that tree
 # addresses, which are all aligned alike, spread over every slot.
 _SLOTS = 65521
+# The most rewrite steps one normalization may take.
+_STEP_CAP = 10_000
 
 
 class StepCapExceeded(RuntimeError):
@@ -490,17 +495,14 @@ def is_normal(t: Tree, sys: RewriteSystem) -> bool:
     return True
 
 
-def normalize(e: NsElement, sys: RewriteSystem, step_cap: int = 10_000) -> NsElement:
+def normalize(e: NsElement, sys: RewriteSystem) -> NsElement:
     """Rewrite the smallest non-normal term until none is left."""
-    if step_cap <= 0:
-        raise ValueError("step_cap must be positive")
     auto = sys.automaton
     work = {t: _exact(c) for t, c in NsElement(e.items()).items()}
-    return _normalize(work, [_annotate(t, auto) for t in work], sys, step_cap)
+    return _normalize(work, [_annotate(t, auto) for t in work], sys)
 
 
-def _normalize(work: dict, heap: list[Node], sys: RewriteSystem,
-               step_cap: int = 10_000) -> NsElement:
+def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
     """normalize from work, which maps each pending plain tree to its
     nonzero coefficient, and heap, their annotated nodes.
 
@@ -510,7 +512,7 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem,
     returned.
     """
     heapify(heap)
-    steps = 0
+    steps, step_cap = 0, _STEP_CAP
     cap = sys.arity_cap
     # a tuple does not cache its hash, so each visit looks a term up once
     while heap:
@@ -550,19 +552,20 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem,
 # --- overlaps and confluence ----------------------------------------------
 
 
-def _unify(p: Tree, q: Tree) -> Optional[Tree]:
-    """Least common refinement of two linear patterns, or None."""
+def _unify(p: Tree, q: Tree) -> Optional[tuple[Tree, int]]:
+    """Least common refinement of two linear patterns and the number of
+    internal nodes they share, or None."""
     if p == LEAF:
-        return q
+        return q, 0
     if q == LEAF:
-        return p
+        return p, 0
     if p[0] != q[0]:
         return None
     l = _unify(p[1], q[1])
     r = _unify(p[2], q[2])
     if l is None or r is None:
         return None
-    return (p[0], l, r)
+    return (p[0], l[0], r[0]), 1 + l[1] + r[1]
 
 
 @dataclass(frozen=True)
@@ -570,21 +573,22 @@ class Overlap:
     rule_i: RewriteRule  # matches at the root
     rule_j: RewriteRule  # matches at addr
     tree: Tree
-    addrs: tuple[Addr, Addr]
+    addr: Addr
 
 
-def _superposed(p: Tree, q: Tree, addr: Addr = ()) -> Iterator[tuple[Addr, Tree]]:
-    """(addr, p with q unified into its subtree at addr), in preorder over
-    the internal nodes of p where the two unify."""
+def _superposed(p: Tree, q: Tree, addr: Addr = ()) -> Iterator[tuple[Addr, Tree, int]]:
+    """(addr, p with q unified into its subtree at addr, the number of
+    internal nodes the two share), in preorder over the internal nodes of
+    p where they unify."""
     if p == LEAF:
         return
     sup = _unify(p, q)
     if sup is not None:
-        yield addr, sup
-    for a, w in _superposed(p[1], q, addr + (0,)):
-        yield a, (p[0], w, p[2])
-    for a, w in _superposed(p[2], q, addr + (1,)):
-        yield a, (p[0], p[1], w)
+        yield addr, *sup
+    for a, w, k in _superposed(p[1], q, addr + (0,)):
+        yield a, (p[0], w, p[2]), k
+    for a, w, k in _superposed(p[2], q, addr + (1,)):
+        yield a, (p[0], p[1], w), k
 
 
 def overlaps(sys: RewriteSystem, max_arity: int) -> list[Overlap]:
@@ -595,21 +599,27 @@ def overlaps(sys: RewriteSystem, max_arity: int) -> list[Overlap]:
         raise ValueError(f"max_arity {max_arity} exceeds the arity cap "
                          f"{sys.arity_cap} of system {sys.name}")
     out = []
+    arities = [r.arity for r in sys.rules]
     for i, ri in enumerate(sys.rules):
         for j, rj in enumerate(sys.rules):
-            for addr, w in _superposed(ri.lhs, rj.lhs):
+            # a superposition's internal nodes: both lhs's less the shared
+            both = arities[i] + arities[j] - 1
+            for addr, w, shared in _superposed(ri.lhs, rj.lhs):
                 if addr == () and not (i < j):
                     continue  # same-root pairs once; trivial self-overlap never
-                if arity(w) <= max_arity:
-                    out.append(Overlap(ri, rj, w, ((), addr)))
+                if both - shared <= max_arity:
+                    out.append(Overlap(ri, rj, w, addr))
     return out
 
 
 @dataclass(frozen=True)
 class OverlapCheck:
     overlap: Overlap
-    joinable: bool
     difference: tuple  # normalized S-polynomial terms, empty iff joinable
+
+    @property
+    def joinable(self) -> bool:
+        return not self.difference
 
 
 @dataclass(frozen=True)
@@ -624,20 +634,21 @@ class ConfluenceReport:
 
 
 def check_confluence(sys: RewriteSystem, max_arity: int) -> ConfluenceReport:
-    """Normalize the two one-step reducts of each overlap and compare them.
-    The overlap tree is annotated once, and each rule is applied at its
-    address by _rewrite_at."""
-    auto, checks = sys.automaton, []
+    """Normalize the S-polynomial of each overlap: the one-step reducts of
+    rule_i at the root less those of rule_j at its address.  The overlap
+    tree is annotated once, and each rule is applied by _rewrite_at."""
+    auto, rules, checks = sys.automaton, sys.rules, []
     for ov in overlaps(sys, max_arity):
         u = _annotate(ov.tree, auto)
-        sides = []
-        for r, addr in zip((ov.rule_i, ov.rule_j), ov.addrs):
-            terms = _rewrite_at(u, sys, sys.rules.index(r), addr)
-            sides.append(_normalize({v[6]: c for v, c in terms},
-                                    [v for v, _ in terms], sys))
-        left, right = sides
-        diff = NsElement(left.items())
-        for t, c in right.items():
-            diff.add(t, -c)
-        checks.append(OverlapCheck(ov, not diff, tuple(sorted(diff.items(), key=lambda tc: tree_key(tc[0])))))
+        left = _rewrite_at(u, sys, rules.index(ov.rule_i), ())
+        right = _rewrite_at(u, sys, rules.index(ov.rule_j), ov.addr)
+        # each side's terms are distinct; a tree on both sides enters once
+        work = {v[6]: c for v, c in left}
+        heap = [v for v, _ in left] + [v for v, _ in right if v[6] not in work]
+        for v, c in right:
+            d = work.pop(v[6], 0) - c
+            if d:
+                work[v[6]] = d
+        diff = sorted(_normalize(work, heap, sys).items(), key=lambda tc: tree_key(tc[0]))
+        checks.append(OverlapCheck(ov, tuple(diff)))
     return ConfluenceReport(sys.name, max_arity, tuple(checks))

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from operad_forge.oracle import free_trees
 from operad_forge.treeterm import (LEAF, ConfluenceReport, NsElement,
-                                   OverlapCheck, RewriteRule, RewriteSystem,
+                                   Overlap, OverlapCheck, RewriteRule,
+                                   RewriteSystem,
                                    StepCapExceeded, _annotate, _rewrite_at,
                                    arity, check_confluence, format_element,
                                    format_tree, generate, is_normal,
@@ -113,9 +114,10 @@ _LOOP = RewriteSystem("Loop", (rule("ab", "x(1,1)", [(1, "y(1,1)")]),
                                rule("ba", "y(1,1)", [(1, "x(1,1)")])), 10)
 
 
-def test_step_cap():
-    with pytest.raises(StepCapExceeded):
-        normalize(NsElement([(t("x(1,1)"), Fraction(1))]), _LOOP, step_cap=50)
+def test_step_cap(monkeypatch):
+    monkeypatch.setattr(treeterm, "_STEP_CAP", 50)
+    with pytest.raises(StepCapExceeded, match="no fixed point within 50 steps"):
+        normalize(NsElement([(t("x(1,1)"), Fraction(1))]), _LOOP)
 
 
 def test_zin_overlap_inventory():
@@ -324,10 +326,12 @@ def _assert_same_normalize(e, sys):
     got = normalize(e, sys)
     assert got == want
     assert all(type(c) is Fraction for c in got.values())
-    if steps > 1:
-        assert normalize(e, sys, steps) == want
-        with pytest.raises(StepCapExceeded):
-            normalize(e, sys, steps - 1)
+    if steps:
+        with mock.patch.object(treeterm, "_STEP_CAP", steps):
+            assert normalize(e, sys) == want
+        with mock.patch.object(treeterm, "_STEP_CAP", steps - 1):
+            with pytest.raises(StepCapExceeded):
+                normalize(e, sys)
 
 
 def _zin_bad():
@@ -462,17 +466,65 @@ def test_rewrite_at_is_apply_rule_at_and_refuses_a_rule_that_does_not_match(name
                         == apply_rule_at(tree, r, addr)
 
 
+def _reference_unify(p, q):
+    """The least common refinement of two linear patterns, or None."""
+    if p == LEAF:
+        return q
+    if q == LEAF:
+        return p
+    if p[0] != q[0]:
+        return None
+    l, r = _reference_unify(p[1], q[1]), _reference_unify(p[2], q[2])
+    return None if l is None or r is None else (p[0], l, r)
+
+
+def _reference_overlaps(sys, max_arity):
+    """overlaps by plain trees: each lhs unified into each preorder position
+    of each lhs, the whole tree measured by arity."""
+    out = []
+    for i, ri in enumerate(sys.rules):
+        for j, rj in enumerate(sys.rules):
+            for addr in positions(ri.lhs):
+                if addr == () and not i < j:
+                    continue
+                sup = _reference_unify(subtree(ri.lhs, addr), rj.lhs)
+                if sup is None:
+                    continue
+                w = replace(ri.lhs, addr, sup)
+                if arity(w) <= max_arity:
+                    out.append(Overlap(ri, rj, w, addr))
+    return out
+
+
+_OVERLAP_CASES = [(name, m) for name in ("Zin", "Flex", "AntiFlex", "L",
+                                         "ZinBad", "partialFlex")
+                  for m in range(3, 9)] + [("Bicom", m) for m in range(3, 15)]
+
+
+@pytest.mark.parametrize("name,max_arity", _OVERLAP_CASES)
+def test_overlaps_equal_the_plain_tree_reference(name, max_arity):
+    if name == "Bicom":
+        sys = systems.system(name, max_arity=max_arity)
+    else:
+        sys = _REFERENCE_SYSTEMS[name][0]
+    got = overlaps(sys, max_arity)
+    want = _reference_overlaps(sys, max_arity)
+    assert [(o.rule_i.name, o.rule_j.name, o.tree, o.addr) for o in got] == \
+        [(o.rule_i.name, o.rule_j.name, o.tree, o.addr) for o in want]
+
+
 def _reference_confluence(sys, max_arity):
-    """check_confluence by plain-tree steps: each rule applied at its
-    address by apply_rule_at, then normalized."""
+    """check_confluence by plain-tree steps: the reference overlaps, each
+    rule applied at its address by apply_rule_at and each side normalized
+    on its own."""
     checks = []
-    for ov in overlaps(sys, max_arity):
-        left, right = (normalize(apply_rule_at(ov.tree, r, addr), sys)
-                       for r, addr in zip((ov.rule_i, ov.rule_j), ov.addrs))
+    for ov in _reference_overlaps(sys, max_arity):
+        left = normalize(apply_rule_at(ov.tree, ov.rule_i, ()), sys)
+        right = normalize(apply_rule_at(ov.tree, ov.rule_j, ov.addr), sys)
         diff = NsElement(left.items())
         for tree, c in right.items():
             diff.add(tree, -c)
-        checks.append(OverlapCheck(ov, not diff, tuple(
+        checks.append(OverlapCheck(ov, tuple(
             sorted(diff.items(), key=lambda tc: tree_key(tc[0])))))
     return ConfluenceReport(sys.name, max_arity, tuple(checks))
 
@@ -491,6 +543,20 @@ def test_check_confluence_equals_the_plain_tree_reference(name, max_arity):
     assert report == _reference_confluence(sys, max_arity)
     assert all(type(c) is Fraction
                for check in report.checks for _, c in check.difference)
+
+
+def test_check_confluence_normalizes_once_per_overlap(monkeypatch):
+    calls = []
+    real = treeterm._normalize
+
+    def counted(work, heap, sys):
+        calls.append(len(work))
+        return real(work, heap, sys)
+
+    monkeypatch.setattr(treeterm, "_normalize", counted)
+    bicom = systems.system("Bicom", max_arity=9)
+    report = check_confluence(bicom, 9)
+    assert report.passed and len(calls) == len(report.checks) > 0
 
 
 def _random_element(draw_terms, ops):
@@ -519,16 +585,33 @@ def test_engine_matches_the_reference_on_random_elements(name, terms):
 def test_engine_trips_the_step_cap_like_the_reference(terms, step_cap):
     e = _random_element(terms, ("x", "y"))
     assume(any(u != LEAF for u in e))  # every internal node loops
-    try:
-        want, _ = _reference_normalize(e, _LOOP, step_cap)
-    except StepCapExceeded as err:
-        with pytest.raises(StepCapExceeded) as got:
-            normalize(e, _LOOP, step_cap)
-        assert str(got.value) == str(err)
-    else:
-        # internal terms can cancel: -x(1,1) + y(1,1) is 0 after one step
-        assert normalize(e, _LOOP, step_cap) == want
-        assert all(u == LEAF for u in want)
+    with mock.patch.object(treeterm, "_STEP_CAP", step_cap):
+        try:
+            want, _ = _reference_normalize(e, _LOOP, step_cap)
+        except StepCapExceeded as err:
+            with pytest.raises(StepCapExceeded) as got:
+                normalize(e, _LOOP)
+            assert str(got.value) == str(err)
+        else:
+            # internal terms can cancel: -x(1,1) + y(1,1) is 0 after one step
+            assert normalize(e, _LOOP) == want
+            assert all(u == LEAF for u in want)
+
+
+@given(st.sampled_from(sorted(_REFERENCE_SYSTEMS)), _TERMS, _TERMS)
+@settings(max_examples=150, deadline=None)
+def test_normalize_is_linear(name, terms_a, terms_b):
+    # check_confluence normalizes a - b once in place of a and b apart;
+    # ZinBad and partialFlex are not confluent
+    sys, ops = _REFERENCE_SYSTEMS[name]
+    a, b = _random_element(terms_a, ops), _random_element(terms_b, ops)
+    a_minus_b = NsElement(a.items())
+    want = normalize(a, sys)
+    for tree, c in b.items():
+        a_minus_b.add(tree, -c)
+    for tree, c in normalize(b, sys).items():
+        want.add(tree, -c)
+    assert normalize(a_minus_b, sys) == want
 
 
 # --- the matching automaton -----------------------------------------------
