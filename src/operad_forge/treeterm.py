@@ -27,9 +27,7 @@ only if it holds u itself.  The slot's reference keeps u alive, so its id
 is never reused while it is stored; the stored value (the state, or the
 negative state of a first match below) depends on the tree alone, and a
 filled transition never changes, so this is sound for any system.  The
-argument itself is never stored, and neither is a normal form or a
-rewrite result.  The slots, like the lazily filled table, assume one
-thread.
+argument itself is never stored.
 
 rewrite_once() and normalize() rewrite annotated nodes: a subtree carries
 its automaton state, so an unchanged subtree is never walked again.  An
@@ -42,9 +40,21 @@ somewhere, and one descent from the root finds its first preorder match.
 The system's compiled reducts (RewriteSystem.reducts, per rule and rhs term
 a coefficient and a builder) build the annotated rhs from the redex's
 annotated wildcard subtrees, and the spine above the redex is re-wrapped
-around it: only new nodes cost an automaton lookup.  The reducts are
-compiled per system, not per rule, because a rule can sit in systems whose
-automata differ.
+around it: only new nodes cost an automaton lookup.  Each builder is one
+straight-line function generated from source (_compile): the lhs's child
+paths read the wildcards, and each rhs node is one _node call, its label
+written as a str literal.  The reducts are compiled per system, not per
+rule, because a rule can sit in systems whose automata differ.
+
+The trees given to rewrite_once() and normalize() share subtrees as
+is_normal()'s do, so _annotate() keeps the annotated nodes of proper
+subtrees by identity in the same way: RewriteSystem.nodes, at most _SLOTS
+nodes per system, where slot id(u) % _SLOTS is a hit only if the node
+there has u itself as its plain tree.  That reference keeps u alive, the
+node depends on the tree alone, and the argument itself is never stored.
+These nodes are all that is kept across calls: no normal form and no
+rewrite result.  The slots and the nodes, like the lazily filled table,
+assume one thread.
 
 A system truncated at an arity cap (Bicom) holds a prefix of its family's
 rule order, so a redex it finds above the cap is exactly the one the whole
@@ -57,15 +67,15 @@ the children), whatever the labels.  The working set maps plain trees to
 coefficients, since hashing nested annotated nodes costs far more.  Inside
 the loop integral coefficients are ints and the others Fractions; the
 result holds Fractions only; more than _STEP_CAP steps raise
-StepCapExceeded.  Neither they nor rewrite_once() keep a tree or result
-across calls: a normal-form memo is sound only for a system already
-certified confluent, and check_confluence() runs on this engine.  It
-annotates each overlap tree once and applies each of the overlap's two
-rules at its address (_rewrite_at): one descent by the address, a
-ValueError unless the state there has the rule's mask bit, and the rhs
-and spine rebuilt as a rewrite step rebuilds them.  Their difference, the
-S-polynomial, is normalized once: a step's reducts depend on the term
-alone, so normalization is linear.
+StepCapExceeded.  No normal form is kept across calls: a normal-form memo
+is sound only for a system already certified confluent, and
+check_confluence() runs on this engine.  It annotates each overlap tree
+once and applies each of the overlap's two rules at its address
+(_rewrite_at): one descent by the address, a ValueError unless the state
+there has the rule's mask bit, and the rhs and spine rebuilt as a rewrite
+step rebuilds them.  Their difference, the S-polynomial, is normalized
+once: a step's reducts depend on the term alone, so normalization is
+linear.
 
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
@@ -77,7 +87,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 Tree = object  # 1 | (op, Tree, Tree)
@@ -149,7 +158,14 @@ Grammar = tuple[tuple[str, tuple], ...]
 
 @lru_cache(maxsize=None)
 def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
-    """All arity-n trees of class cls: productions in order, then left arity."""
+    """All arity-n trees of class cls: productions in order, then left arity.
+
+    Every listing stays alive for the life of the process (an unbounded
+    lru_cache): that is most of the enumerate benchmark's ~200 MB peak, and
+    generate.cache_clear() frees it.  The cache stays because equal grammars
+    share it (AntiFlex's normal forms reuse Flex's listing) and the smaller
+    listings serve the larger ones; a per-call memo, in a recorded trial,
+    raised enumerate's work_s from 1.59 s to 1.92-2.11 s."""
     out: list[Tree] = []
     for prod in dict(grammar)[cls]:
         if prod == "leaf":
@@ -238,25 +254,44 @@ def _fraction(n: int) -> Fraction:
     return Fraction(n)
 
 
-def _reader(path: tuple[int, ...]) -> Callable[[Node], Node]:
-    """The function u -> the node below the annotated node u at a non-empty
-    path of child fields (2 left, 3 right)."""
-    i, rest = path[0], path[1:]
-    if not rest:
-        return itemgetter(i)
-    inner = _reader(rest)
-    return lambda u: inner(u[i])
+def _wildcards(q: Tree, read: str) -> Iterator[str]:
+    """Source that reads each wildcard of the lhs q, left to right, off the
+    annotated node that read gives (child fields: 2 left, 3 right)."""
+    if q == LEAF:
+        yield read
+    else:
+        yield from _wildcards(q[1], read + "[2]")
+        yield from _wildcards(q[2], read + "[3]")
 
 
-def _builder(p: Tree, readers, auto: LhsAutomaton) -> Callable[[Node], Node]:
+def _compile(lhs: Tree, p: Tree, auto: LhsAutomaton) -> Callable[[Node], Node]:
     """The function redex -> the annotated node of p with its leaves, left
-    to right, replaced by what the next readers return."""
-    if p == LEAF:
-        return next(readers)
-    op = p[0]
-    left = _builder(p[1], readers, auto)
-    right = _builder(p[2], readers, auto)
-    return lambda u: _node(auto, op, left(u), right(u))
+    to right, replaced by the annotated redex's wildcard subtrees.
+
+    It is generated as one straight-line function, one _node call per
+    internal node of p with its label written as its repr, so a rhs term
+    costs one call more than its nodes, where nested closures took two per
+    node and one per wildcard.  _node stays a call: inlined, it made the
+    source of Bicom's 24 builders at cap 14 six times longer, and their
+    compiling (13 ms against 3.5 ms) outweighed what check_confluence saves
+    on Bicom at arity 14.  Only a str label is written, since its repr is
+    a literal."""
+    reads, lines = _wildcards(lhs, "u"), ["def build(u):"]
+
+    def emit(p: Tree) -> str:
+        if p == LEAF:
+            return next(reads)
+        if type(p[0]) is not str:
+            raise TypeError(f"label {p[0]!r} is not a str")
+        l, r = emit(p[1]), emit(p[2])
+        v = f"v{len(lines)}"
+        lines.append(f"    {v} = node(auto, {p[0]!r}, {l}, {r})")
+        return v
+
+    lines.append(f"    return {emit(p)}")
+    source, namespace = "\n".join(lines), {"auto": auto, "node": _node}
+    exec(source, namespace)
+    return namespace["build"]
 
 
 def rule(name: str, lhs: str, rhs: list[tuple[int, str]] | str) -> RewriteRule:
@@ -336,24 +371,15 @@ class RewriteSystem:
         """Per rule, (coefficient, build) per rhs tree, its coefficients
         summed and dropped if that is 0, so the terms built are distinct:
         build(redex) is the annotated rhs term with the annotated redex's
-        wildcard subtrees grafted in, read through the lhs's child paths.
-        An integral coefficient is an int.  Compiled per system, not per rule:
-        the builders look up this system's automaton, and one rule can sit
-        in systems whose automata differ."""
-        auto, out = self.automaton, []
-        for r in self.rules:
-            paths: list[tuple[int, ...]] = []
-            stack = [(r.lhs, ())]
-            while stack:
-                p, path = stack.pop()
-                if p == LEAF:
-                    paths.append(path)
-                else:
-                    stack += ((p[2], path + (3,)), (p[1], path + (2,)))
-            out.append(tuple(
-                (_exact(c), _builder(p, iter(map(_reader, paths)), auto))
-                for p, c in NsElement((p, c) for c, p in r.rhs).items()))
-        return tuple(out)
+        wildcard subtrees grafted in, read through the lhs's child paths,
+        a function generated from source by _compile.  An integral
+        coefficient is an int.  Compiled per system, not per rule: the
+        builders look up this system's automaton, and one rule can sit in
+        systems whose automata differ."""
+        return tuple(
+            tuple((_exact(c), _compile(r.lhs, p, self.automaton))
+                  for p, c in NsElement((p, c) for c, p in r.rhs).items())
+            for r in self.rules)
 
     @cached_property
     def slots(self) -> tuple[list, list]:
@@ -361,11 +387,18 @@ class RewriteSystem:
         in the first list and _normal_state(u) in the second."""
         return [None] * _SLOTS, [0] * _SLOTS
 
+    @cached_property
+    def nodes(self) -> list[Node]:
+        """_annotate's cache: slot id(u) % _SLOTS holds the annotated node
+        of a proper subtree u, whose plain tree is u itself, or the leaf's
+        node, whose plain tree is never looked up."""
+        return [_LEAF] * _SLOTS
+
     def __getstate__(self):
         """The fields without the compiled reducts, which do not pickle, and
-        without the slots, which would carry their trees along."""
+        without the slots and nodes, which would carry their trees along."""
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("reducts", "slots")}
+                if k not in ("reducts", "slots", "nodes")}
 
 
 def _refuse_above_cap(sys: RewriteSystem, n: int) -> None:
@@ -385,11 +418,41 @@ def _node(auto: LhsAutomaton, op: str, l: Node, r: Node) -> Node:
     return (1, op, l, r, s, bits, (op, l[6], r[6]), l[7] + r[7])
 
 
-def _annotate(t: Tree, auto: LhsAutomaton) -> Node:
-    """The annotated node of t, built bottom-up."""
+def _annotate(t: Tree, sys: RewriteSystem) -> Node:
+    """The annotated node of t, built bottom-up; the nodes of its proper
+    subtrees are read from and stored in the system's nodes."""
     if t == LEAF:
         return _LEAF
-    return _node(auto, t[0], _annotate(t[1], auto), _annotate(t[2], auto))
+    return _annotated(t, sys.automaton, sys.nodes)
+
+
+def _annotated(t: Tree, auto: LhsAutomaton, nodes: list) -> Node:
+    """The annotated node of the internal tree t, with t itself as its
+    plain tree.
+
+    A child's node is read from its slot id(child) % _SLOTS when the node
+    there has that very object as its plain tree, else built and stored
+    there."""
+    op, l, r = t
+    if l == LEAF:
+        a = _LEAF
+    else:
+        i = id(l) % _SLOTS
+        a = nodes[i]
+        if a[6] is not l:
+            a = nodes[i] = _annotated(l, auto, nodes)
+    if r == LEAF:
+        b = _LEAF
+    else:
+        i = id(r) % _SLOTS
+        b = nodes[i]
+        if b[6] is not r:
+            b = nodes[i] = _annotated(r, auto, nodes)
+    s = auto[op, a[4], b[4]]
+    bits = a[5] | b[5]
+    if s < 0:
+        bits |= auto.masks[s]
+    return (1, op, a, b, s, bits, t, a[7] + b[7])
 
 
 def _rewrite(u: Node, sys: RewriteSystem) -> list[tuple[Node, object]]:
@@ -445,7 +508,7 @@ def _rewrite_at(u: Node, sys: RewriteSystem, k: int,
 
 def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
     """First match in rule order, then preorder position; None iff t is normal."""
-    u = _annotate(t, sys.automaton)
+    u = _annotate(t, sys)
     if not u[5]:
         _refuse_above_cap(sys, u[7])
         return None
@@ -496,10 +559,20 @@ def is_normal(t: Tree, sys: RewriteSystem) -> bool:
 
 
 def normalize(e: NsElement, sys: RewriteSystem) -> NsElement:
-    """Rewrite the smallest non-normal term until none is left."""
-    auto = sys.automaton
-    work = {t: _exact(c) for t, c in NsElement(e.items()).items()}
-    return _normalize(work, [_annotate(t, auto) for t in work], sys)
+    """Rewrite the smallest non-normal term until none is left.
+
+    e's coefficients are checked as NsElement.add checks them, and its
+    zero terms dropped, in the one pass that annotates its terms."""
+    work, heap = {}, []
+    for t, c in e.items():
+        if isinstance(c, Fraction):
+            c = _exact(c)
+        elif not isinstance(c, int):
+            raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+        if c:
+            work[t] = c
+            heap.append(_annotate(t, sys))
+    return _normalize(work, heap, sys)
 
 
 def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
@@ -637,9 +710,9 @@ def check_confluence(sys: RewriteSystem, max_arity: int) -> ConfluenceReport:
     """Normalize the S-polynomial of each overlap: the one-step reducts of
     rule_i at the root less those of rule_j at its address.  The overlap
     tree is annotated once, and each rule is applied by _rewrite_at."""
-    auto, rules, checks = sys.automaton, sys.rules, []
+    rules, checks = sys.rules, []
     for ov in overlaps(sys, max_arity):
-        u = _annotate(ov.tree, auto)
+        u = _annotate(ov.tree, sys)
         left = _rewrite_at(u, sys, rules.index(ov.rule_i), ())
         right = _rewrite_at(u, sys, rules.index(ov.rule_j), ov.addr)
         # each side's terms are distinct; a tree on both sides enters once

@@ -254,8 +254,14 @@ def test_normalize_converts_its_input_like_ns_element():
     got = normalize(raw, zin)
     assert got == normalize(NsElement(raw.items()), zin)
     assert all(type(c) is Fraction for c in got.values())
-    with pytest.raises(ValueError, match="not an int or a Fraction"):
-        normalize({t("x(1,x(1,1))"): "1/2"}, zin)
+    for c in ("1/2", 0.1):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            normalize({t("x(1,x(1,1))"): c}, zin)
+    # a zero term is dropped, not rewritten into zero entries
+    raw[t("x(1,x(1,1))")] = Fraction(0)
+    got = normalize(raw, zin)
+    assert got == normalize(NsElement(raw.items()), zin)
+    assert got == {t("y(x(1,1),1)"): 2}
 
 
 # "xy" and "" too: an annotated node sorts like tree_key whatever its labels
@@ -276,8 +282,8 @@ def _trees(draw, n=None):
 @given(st.lists(_trees(), max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_heap_key_sorts_like_tree_key(trees):
-    auto = systems.system("Zin").automaton
-    nodes = sorted(_annotate(u, auto) for u in trees)
+    zin = systems.system("Zin")
+    nodes = sorted(_annotate(u, zin) for u in trees)
     assert [u[6] for u in nodes] == sorted(trees, key=tree_key)
 
 
@@ -373,20 +379,62 @@ _REFERENCE_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("name", ["Zin", "ZinHalf", "Bicom"])
+# Labels that repr must escape, or that are two letters long: the compiled
+# reducts write each label into their source as a literal.
+_QUOTED_LABELS = {"a": "'", "b": '"', "c": "\\", "d": "xy"}
+
+
+def _quoted(text):
+    """parse_tree(text) with the labels a, b, c, d renamed by _QUOTED_LABELS."""
+    def relabel(u):
+        return u if u == LEAF else (_QUOTED_LABELS[u[0]], relabel(u[1]),
+                                    relabel(u[2]))
+    return relabel(parse_tree(text))
+
+
+def _quoted_system():
+    """Rules over the quoted labels that each lower the sum, over the
+    internal nodes, of the right subtree's arity, so rewriting terminates."""
+    rules = [("q1", "a(1,b(1,1))", [(1, "b(a(1,1),1)")]),
+             ("q2", "b(1,c(1,1))", [(1, "d(b(1,1),1)"), (-1, "c(c(1,1),1)")]),
+             ("q3", "c(1,d(1,1))", [(2, "a(d(1,1),1)")]),
+             ("q4", "d(1,a(1,1))", [(Fraction(1, 2), "d(a(1,1),1)")]),
+             ("q5", "d(a(1,1),b(1,1))", [(1, "d(d(a(1,1),1),1)")])]
+    return RewriteSystem("Quoted", tuple(
+        RewriteRule(name, _quoted(lhs),
+                    tuple((Fraction(c), _quoted(p)) for c, p in rhs))
+        for name, lhs, rhs in rules))
+
+
+@pytest.mark.parametrize("name", ["Zin", "ZinHalf", "Bicom", "Quoted"])
 def test_reducts_graft_the_redex_wildcards_into_the_rhs(name):
     pool = [LEAF, t("x(1,1)"), t("y(1,x(1,1))")]
-    sys = _REFERENCE_SYSTEMS[name][0]
-    auto = sys.automaton
+    sys = (_quoted_system() if name == "Quoted"
+           else _REFERENCE_SYSTEMS[name][0])
     for r, reducts in zip(sys.rules, sys.reducts, strict=True):
         assert [c for c, _ in reducts] == [c for c, _ in r.rhs]
         assert all(type(c) is (int if c.denominator == 1 else Fraction)
                    for c, _ in reducts)
         for i in range(3):
             subs = [pool[(i + j) % 3] for j in range(r.arity)]
-            redex = _annotate(graft(r.lhs, subs), auto)
+            redex = _annotate(graft(r.lhs, subs), sys)
             assert [build(redex) for _, build in reducts] == \
-                [_annotate(graft(p, subs), auto) for _, p in r.rhs]
+                [_annotate(graft(p, subs), sys) for _, p in r.rhs]
+
+
+def test_quoted_labels_rewrite_like_the_planar_reference():
+    sys = _quoted_system()
+    for n in range(1, 6):
+        for tree in free_trees(n, tuple(_QUOTED_LABELS.values())):
+            assert rewrite_once(tree, sys) == _reference_rewrite_once(tree, sys)
+            _assert_same_normalize(NsElement([(tree, Fraction(1))]), sys)
+
+
+def test_a_label_that_is_not_a_str_is_not_compiled():
+    sys = RewriteSystem("Int", (RewriteRule("i", (0, 1, (1, 1, 1)),
+                                            ((Fraction(1), (1, (0, 1, 1), 1)),)),))
+    with pytest.raises(TypeError, match="label 1 is not a str"):
+        sys.reducts
 
 
 def test_reducts_merge_the_repeated_trees_of_an_rhs():
@@ -402,13 +450,16 @@ def test_a_system_with_compiled_reducts_still_pickles():
     assert sys.reducts
     trees = [tree for n in range(1, 7) for tree in free_trees(n, ("x", "y"))]
     verdicts = [is_normal(tree, sys) for tree in trees]
-    assert "slots" in vars(sys)
+    forms = [normalize({tree: 1}, sys) for tree in trees]
+    assert "slots" in vars(sys) and "nodes" in vars(sys)
     copy = pickle.loads(pickle.dumps(sys))
     assert copy == sys and "reducts" not in vars(copy)
-    assert "slots" not in vars(copy)  # no pinned trees travel along
+    # no pinned trees travel along
+    assert "slots" not in vars(copy) and "nodes" not in vars(copy)
     assert [[c for c, _ in rs] for rs in copy.reducts] == \
         [[c for c, _ in rs] for rs in sys.reducts]
     assert [is_normal(tree, copy) for tree in trees] == verdicts
+    assert [normalize({tree: 1}, copy) for tree in trees] == forms
 
 
 def test_a_rule_shared_by_two_systems_rewrites_by_each_automaton():
@@ -449,10 +500,9 @@ def test_rewrite_at_is_apply_rule_at_and_refuses_a_rule_that_does_not_match(name
     # every rule at every position of every free tree: the same reducts,
     # annotated as _annotate would, where the rule matches, else refused
     sys, ops = _REFERENCE_SYSTEMS[name]
-    auto = sys.automaton
     for n in range(2, 6):
         for tree in free_trees(n, ops):
-            u = _annotate(tree, auto)
+            u = _annotate(tree, sys)
             for k, r in enumerate(sys.rules):
                 for addr in positions(tree):
                     if match_at(tree, r, addr) is None:
@@ -461,7 +511,7 @@ def test_rewrite_at_is_apply_rule_at_and_refuses_a_rule_that_does_not_match(name
                             _rewrite_at(u, sys, k, addr)
                         continue
                     got = _rewrite_at(u, sys, k, addr)
-                    assert all(v == _annotate(v[6], auto) for v, _ in got)
+                    assert all(v == _annotate(v[6], sys) for v, _ in got)
                     assert NsElement((v[6], c) for v, c in got) \
                         == apply_rule_at(tree, r, addr)
 
@@ -702,6 +752,78 @@ def test_is_normal_on_trees_built_and_dropped_matches_an_uncached_walk(
                 kept.append(tree)
         for tree in kept:
             assert _verdict(tree, sys) == _uncached_verdict(tree, sys)
+
+
+def _uncached_annotate(tree, sys):
+    """The annotated node of tree, built by _node alone: no table."""
+    if tree == LEAF:
+        return treeterm._LEAF
+    return treeterm._node(sys.automaton, tree[0], _uncached_annotate(tree[1], sys),
+                          _uncached_annotate(tree[2], sys))
+
+
+def _rewrites(tree, sys):
+    """rewrite_once's and normalize's results on tree, or the text of the
+    ValueError each raises."""
+    out = []
+    for call in (rewrite_once, lambda u, s: normalize({u: 1}, s)):
+        try:
+            out.append(call(tree, sys))
+        except ValueError as err:
+            out.append(str(err))
+    return out
+
+
+def _uncached_rewrites(trees, sys):
+    """_rewrites per tree, every annotation built without the system's nodes."""
+    with mock.patch.object(treeterm, "_annotate", _uncached_annotate):
+        return [_rewrites(tree, sys) for tree in trees]
+
+
+@pytest.mark.parametrize("slots", [3, 7])
+@pytest.mark.parametrize("name", _SLOT_SYSTEMS)
+def test_rewriting_with_few_node_slots_matches_an_uncached_annotation(
+        name, slots, monkeypatch):
+    # evictions and collisions on every call; Bicom is cut at arity 6, so a
+    # normal form of arity 7 must still be refused
+    monkeypatch.setattr(treeterm, "_SLOTS", slots)
+    sys = _fresh_system(name)
+    seen = set()
+    reused = False
+    for tree, want in zip(_UP_TO_7, _uncached_rewrites(_UP_TO_7, sys)):
+        assert _rewrites(tree, sys) == want, format_tree(tree)  # shared subtrees
+        copy = parse_tree(format_tree(tree))  # shares nothing, dropped below
+        assert _rewrites(copy, sys) == want, format_tree(tree)
+        reused |= id(copy) in seen
+        seen.add(id(copy))
+    assert reused  # a dropped copy's id came back
+    assert len(sys.nodes) == slots
+    for i, v in enumerate(sys.nodes):
+        if v is not treeterm._LEAF:
+            assert id(v[6]) % slots == i
+            assert v == _uncached_annotate(v[6], sys)
+            # read back by identity: the plain tree is the caller's subtree
+            assert _annotate(("x", v[6], LEAF), sys)[2] is v
+
+
+@given(st.sampled_from(_SLOT_SYSTEMS),
+       st.lists(st.tuples(st.integers(0, len(_UP_TO_7) - 1), st.booleans()),
+                max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_rewriting_trees_built_and_dropped_matches_an_uncached_annotation(
+        name, draws):
+    # each tree is built afresh and mostly dropped after one call, so the
+    # ids of evicted subtrees are handed to new ones
+    with mock.patch.object(treeterm, "_SLOTS", 7):
+        sys = _fresh_system(name)
+        kept = []
+        for i, keep in draws:
+            tree = parse_tree(format_tree(_UP_TO_7[i]))
+            assert [_rewrites(tree, sys)] == _uncached_rewrites([tree], sys)
+            if keep:
+                kept.append(tree)
+        assert [_rewrites(tree, sys) for tree in kept] == \
+            _uncached_rewrites(kept, sys)
 
 
 def _lhs_subpatterns(sys):
