@@ -6,15 +6,15 @@ monomials are planar: a left comb (x_a . x_b) . x_c or a right comb
 x_a . (x_b . x_c), with leaves a permutation of (1,2,3) and an operation at
 each internal node.  The symmetric group S3 acts by relabelling leaves.
 
-An element is a sparse row over basis3(v): basis index -> nonzero
+An element is a sparse row over basis3(v): basis index -> nonzero int or
 Fraction.  The constructor reads Monomial3 terms into such a row; from_row
-takes a row of exactlin or act as it is.  sigma maps each basis monomial to
-another, and this permutation of indices is tabulated once per OpSpace
-(_s3_table).  act alone applies it; s3_orbit_rows reads the rows act gives
-for the generators of an S3-closure, which go straight to exactlin.span
-(s3_closure) or, in another column order, to exactlin.rref
-(OperadPresentation.two_outside_part, the criterion's one elimination,
-cached on the frozen presentation).
+takes a row of exactlin (a primitive int row) or act as it is.  sigma maps
+each basis monomial to another, and this permutation of indices is
+tabulated once per OpSpace (_s3_table).  act alone applies it;
+s3_orbit_rows reads the rows act gives for the generators of an S3-closure,
+which go straight to exactlin.span (s3_closure) or, in another column
+order, to exactlin.rref (OperadPresentation.two_outside_part, the
+criterion's one elimination, cached on the frozen presentation).
 
 The catalog is one table from each base operad, in the CLI's order, to its
 relations in the text format that format_element prints and parse_element reads.
@@ -35,7 +35,7 @@ from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .exactlin import SparseRow, Subspace, rref, span
+from .exactlin import Subspace, rref, span
 
 # in lexicographic order, the order of basis3's leaves
 S3 = [tuple(p) for p in permutations((1, 2, 3))]
@@ -66,31 +66,31 @@ class Monomial3(NamedTuple):
 
 class Arity3Element:
     """A sparse row over basis3(opspace): row maps a basis index to its
-    nonzero Fraction coefficient, and terms reads it by monomial."""
+    nonzero int or Fraction coefficient, and terms reads it by monomial."""
 
     __slots__ = ("opspace", "row")
 
-    def __init__(self, opspace: OpSpace, terms: Iterable[tuple[Monomial3, Fraction]] = ()):
+    def __init__(self, opspace: OpSpace,
+                 terms: Iterable[tuple[Monomial3, int | Fraction]] = ()):
         self.opspace = opspace
         index = _index(opspace)
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for m, coeff in terms:
             j = index.get(m)
             if j is None:
                 raise ValueError(f"not an arity-3 monomial over operations "
                                  f"{opspace.ops} (shape L or R, leaves a "
                                  f"permutation of 1, 2, 3): {m}")
-            if not isinstance(coeff, Fraction):
-                if not isinstance(coeff, int):
-                    raise ValueError(f"coefficient {coeff!r} is not an int "
-                                     "or a Fraction")
-                coeff = Fraction(coeff)
+            if not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficient {coeff!r} is not an int "
+                                 "or a Fraction")
             old = acc.get(j)
             acc[j] = coeff if old is None else old + coeff
         self.row = {j: c for j, c in acc.items() if c}
 
     @classmethod
-    def from_row(cls, opspace: OpSpace, row: Mapping[int, Fraction]) -> "Arity3Element":
+    def from_row(cls, opspace: OpSpace,
+                 row: Mapping[int, int | Fraction]) -> "Arity3Element":
         """The element with this row of nonzero coefficients, such as exactlin
         or act returns, taken over without checking it again."""
         e = cls.__new__(cls)
@@ -98,7 +98,7 @@ class Arity3Element:
         return e
 
     @property
-    def terms(self) -> Mapping[Monomial3, Fraction]:
+    def terms(self) -> Mapping[Monomial3, int | Fraction]:
         """The row read by monomial, in the row's order."""
         basis = basis3(self.opspace)
         return MappingProxyType({basis[j]: c for j, c in self.row.items()})
@@ -151,7 +151,8 @@ def act(sigma: tuple[int, int, int], e: Arity3Element) -> Arity3Element:
     return Arity3Element.from_row(e.opspace, {perm[i]: c for i, c in e.row.items()})
 
 
-def s3_orbit_rows(gens: Iterable[Arity3Element], v: OpSpace) -> list[SparseRow]:
+def s3_orbit_rows(gens: Iterable[Arity3Element],
+                  v: OpSpace) -> list[dict[int, int | Fraction]]:
     """The rows of sigma.g over g in gens and sigma in S3 (in S3's order)."""
     rows = []
     for g in gens:

@@ -11,21 +11,21 @@ reduced.  absorb looks a column up with pivots.get(p) and, only when that
 is None, asks p in pivots and then reads pivots[p]: a plain dict serves,
 and so does a mapping that builds a pivot row the first time it is read,
 as the brute-force oracle's I(m) table builds its grafted rows.
-rref and intersect clear each rational row of its denominators on a
-copy, so the row they are given is left as it is, absorb that copy into
-a plain dict of pivots, and back-substitute the dict (_back_substitute),
-the one step that goes back to the rationals, for the canonical reduced
-row-echelon form.  span and nullspace run on rref; manin reads R cap
-(two-outside cosets) off one rref, and intersect (Zassenhaus) and
+rref clears each rational row of its denominators on a copy, so the row
+it is given is left as it is, and intersect copies its int basis rows;
+both absorb the copies into a plain dict of pivots and back-substitute
+it (_back_substitute) for the canonical reduced row-echelon form, still
+in primitive int rows: reduced rows are unique up to scale, which gcd 1
+and a positive pivot fix.  span and nullspace run on rref; manin reads
+R cap (two-outside cosets) off one rref, and intersect (Zassenhaus) and
 nullspace stay as general tools and as the references the tests compare
 against.  rref, span and nullspace take each row dense, a sequence of
 ints or Fractions, or sparse, a Mapping column -> entry such as the row
-of an arity3 element.  All four return the rows of rref(), which arity3
-takes as elements: dicts column -> Fraction whose pivot is the smallest
-column.  A Subspace is stored as this reduced row-echelon basis, so two
-subspaces are equal iff their canonical bases are equal as sequences,
-and a row lies in a subspace iff adding it leaves the rank unchanged.
-Subspaces are immutable and the functions are pure.
+of an arity3 element.  All four return such rows, and no Fraction: arity3
+takes them as elements.  A Subspace is stored as this reduced row-echelon
+basis, so two subspaces are equal iff their canonical bases are equal as
+sequences, and a row lies in a subspace iff adding it leaves the rank
+unchanged.  Subspaces are immutable and the functions are pure.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 IntRow = dict[int, int]
-SparseRow = dict[int, Fraction]
 
 
 def _integral(row: Mapping) -> IntRow:
@@ -99,9 +98,9 @@ def absorb(pivots, row: IntRow) -> bool:
     return False
 
 
-def _back_substitute(pivots: dict[int, IntRow]) -> list[SparseRow]:
+def _back_substitute(pivots: dict[int, IntRow]) -> list[IntRow]:
     """The pivot rows of pivots back-substituted into reduced row-echelon
-    form over Q, in increasing pivot order; pivots is left as it is."""
+    form, primitive, in increasing pivot order; pivots is left as it is."""
     done: dict[int, IntRow] = {}
     for p in sorted(pivots, reverse=True):
         row = dict(pivots[p])
@@ -110,12 +109,7 @@ def _back_substitute(pivots: dict[int, IntRow]) -> list[SparseRow]:
         for q in [q for q in row if q != p and q in done]:
             _cancel(row, q, done[q])
         done[p] = _primitive(row, p)
-    out = []
-    for p in sorted(done):
-        row = done[p]
-        lead = row[p]
-        out.append({j: Fraction(c, lead) for j, c in row.items()})
-    return out
+    return [done[p] for p in sorted(done)]
 
 
 def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
@@ -137,10 +131,10 @@ def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
     return v
 
 
-def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[SparseRow]:
+def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[IntRow]:
     """Reduced row-echelon form of rows of ints or Fractions, each dense (a
     sequence of length ncols) or sparse (a Mapping column -> entry), as
-    sparse rows in increasing pivot order; zero rows are dropped."""
+    primitive int rows in increasing pivot order; zero rows are dropped."""
     pivots: dict[int, IntRow] = {}
     for r in rows:
         absorb(pivots, _integral(_sparse(r, ncols)))
@@ -149,11 +143,11 @@ def rref(rows: Iterable[Sequence | Mapping], ncols: int) -> list[SparseRow]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Canonical subspace of Q^ambient_dim: its RREF basis as sparse rows,
-    pivots increasing, each row's pivot its smallest column."""
+    """Canonical subspace of Q^ambient_dim: its RREF basis as primitive int
+    rows, pivots increasing, each row's pivot its smallest column."""
 
     ambient_dim: int
-    basis: tuple[SparseRow, ...]
+    basis: tuple[IntRow, ...]
 
     @property
     def dim(self) -> int:
@@ -180,9 +174,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     pivots: dict[int, IntRow] = {}
     for row in a.basis:
-        absorb(pivots, _integral({**row, **{j + n: c for j, c in row.items()}}))
+        absorb(pivots, {**row, **{j + n: c for j, c in row.items()}})
     for row in b.basis:
-        absorb(pivots, _integral(row))
+        absorb(pivots, dict(row))
     # the rows with pivot >= n are already reduced among themselves
     return Subspace(n, tuple({j - n: c for j, c in row.items()}
                              for row in _back_substitute(pivots) if min(row) >= n))
@@ -197,6 +191,6 @@ def nullspace(rows: Iterable[Sequence | Mapping], cols: int) -> Subspace:
             v = {free: 1}
             for p, r in reduced.items():
                 if free in r:
-                    v[p] = -r[free]
+                    v[p] = Fraction(-r[free], r[p])
             basis.append(v)
     return span(basis, cols)

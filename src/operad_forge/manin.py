@@ -21,10 +21,10 @@ m -> var(m) mod R on the planar block is R cap (two-outside cosets) pulled
 back along var.  nonsymmetric_version returns that pullback, and
 white_product_as its S3-closure; the map is S3-equivariant and splits by
 leaf word, so this is the whole kernel.  The closure needs no elimination:
-the images under act of the planar kernel's RREF rows lie on disjoint
-blocks of columns, each in the planar block's column order, so sorted by
-pivot they are already its canonical RREF basis (white_product_as gives
-the argument).
+the images under act of the planar kernel's RREF rows, primitive int rows
+as exactlin returns them, lie on disjoint blocks of columns, each in the
+planar block's column order, so sorted by pivot they are already its
+canonical RREF basis (white_product_as gives the argument).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .arity3 import (DOUBLE, S3, SINGLE, Arity3Element, Monomial3,
                      OperadPresentation, act, basis3, format_element,
                      s3_closure)
-from .exactlin import SparseRow, span
+from .exactlin import IntRow, span
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ _PLANAR = [i for i, m in enumerate(basis3(DOUBLE)) if m.leaves == (1, 2, 3)]
 _PLANAR_COLUMN = {_VAR_INDEX[i]: k for k, i in enumerate(_PLANAR)}
 
 
-def _planar_kernel(p: OperadPresentation) -> list[SparseRow]:
+def _planar_kernel(p: OperadPresentation) -> list[IntRow]:
     """The RREF rows of the kernel of m -> var(m) mod R on the planar block,
-    over the indices of basis3(DOUBLE)."""
+    primitive int rows over the indices of basis3(DOUBLE)."""
     if p.opspace != SINGLE:
         raise ValueError("expected a presentation over a single paired operation")
     _, inter = p.two_outside_part
@@ -116,16 +116,17 @@ def white_product_as(p: OperadPresentation) -> OperadPresentation:
     applied to the planar kernel, and As o P(3) is the S3-closure of the
     relations of nonsymmetric_version(p).
 
-    The relations returned are the canonical RREF basis of that closure,
-    and no elimination builds it: the planar kernel's RREF rows are moved
-    by each sigma through act and sorted by pivot.  act permutes columns,
-    so each row keeps its leading 1.  The six blocks have disjoint columns,
-    so a row is zero on the pivot of every row from another block.  Within a
-    block sigma changes only the leaves, and basis3(DOUBLE) orders by
-    shape, then leaves, then operations, so sigma keeps the column order of
-    the block: the image of the planar RREF is the RREF of the image.  The
-    sorted union is therefore reduced, with each pivot its row's smallest
-    column, which is the one basis exactlin.span would return.
+    The relations returned are the canonical RREF basis of that closure, and
+    no elimination builds it: the planar kernel's RREF rows are moved by
+    each sigma through act and sorted by pivot.  act permutes columns, so
+    each row stays primitive and keeps its positive pivot.  The six blocks
+    have disjoint columns, so a row is zero on the pivot of every row from
+    another block.  Within a block sigma changes only the leaves, and
+    basis3(DOUBLE) orders by shape, then leaves, then operations, so sigma
+    keeps the column order of the block: the image of the planar RREF is the
+    RREF of the image.  The sorted union is therefore reduced, with each
+    pivot its row's smallest column, which is the one basis exactlin.span
+    would return.
     """
     ker = nonsymmetric_version(p).relations
     rels = sorted((act(sigma, r) for sigma in S3 for r in ker),

@@ -49,10 +49,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .exactlin import absorb
+from .exactlin import _integral, absorb
 from .treeterm import LEAF, NsElement, Tree, generate
 
 DEFAULT_CAP = 8
@@ -163,6 +163,8 @@ class _Ideal(dict):
         self.bases = bases[:m]
         self.roots: dict[int, dict[int, int]] = {}  # filled by settle
         lead = self.lead = bytearray(free_dim(m, ops))
+        # label-major, then left arity: free_trees' own order, so the
+        # blocks come in increasing start column, as bisect needs
         blocks = []
         placed = 0
         for op in ops:
@@ -181,7 +183,6 @@ class _Ideal(dict):
         if lead.count(1) != placed:
             raise RuntimeError(f"{placed - lead.count(1)} grafted rows of "
                                f"arity {m} share a leading column")
-        blocks.sort()
         self._blocks = blocks
         self._starts = [c for c, _, _ in blocks]
 
@@ -250,8 +251,7 @@ def consequences(rels: Sequence[NsElement], m: int,
     normal = [None] + [_normal(bases, k, ops) for k in range(1, m - 1)]
     root = []
     for rel in rels:
-        den = lcm(*(x.denominator for x in rel.values()))
-        terms = [(s, x.numerator * (den // x.denominator)) for s, x in rel.items()]
+        terms = _integral(rel).items()
         for a, b, c in _compositions3(m):
             places = [(position(s, (a, b, c), ops), x) for s, x in terms]
             for r1 in normal[a]:

@@ -172,7 +172,10 @@ def test_a_float_or_a_str_coefficient_is_refused():
     for c in (0.1, "1/2"):
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             Arity3Element(SINGLE, [(m, c)])
-    assert Arity3Element(SINGLE, [(m, 2)]).row == {0: Fraction(2)}
+    two = Arity3Element(SINGLE, [(m, 2)])
+    assert two.row == {0: 2} and type(two.row[0]) is int
+    assert two == Arity3Element(SINGLE, [(m, Fraction(2))])
+    assert hash(two) == hash(Arity3Element(SINGLE, [(m, Fraction(2))]))
 
 
 def test_parse_monomial_refuses_repeated_leaves():

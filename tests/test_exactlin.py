@@ -1,7 +1,7 @@
 """Exact rational linear algebra: RREF, spans, sums, intersections."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 import pytest
@@ -94,16 +94,23 @@ def test_span_contains_generators(vecs):
         assert s.contains(v)
 
 
+def _assert_primitive_reduced(rows):
+    """rows are reduced row-echelon rows as exactlin returns them: int
+    entries, none zero, gcd 1, a positive entry at the smallest column, and
+    that column zero in every other row; pivots increasing."""
+    pivots = [min(r) for r in rows]
+    assert pivots == sorted(set(pivots))
+    for r, p in zip(rows, pivots):
+        assert all(type(c) is int and c for c in r.values())
+        assert gcd(*r.values()) == 1 and r[p] > 0
+        assert all(p not in other for other in rows if other is not r)
+
+
 @given(st.lists(_vec, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_rref_is_reduced_and_idempotent(rows):
     reduced = rref(rows, 4)
-    assert all(r and all(r.values()) for r in reduced)
-    pivots = [min(r) for r in reduced]
-    assert pivots == sorted(set(pivots))
-    for r, p in zip(reduced, pivots):
-        assert r[p] == 1
-        assert all(p not in other for other in reduced if other is not r)
+    _assert_primitive_reduced(reduced)
     assert rref(reduced, 4) == reduced
     assert span(reduced, 4) == span(rows, 4)
 
@@ -137,6 +144,15 @@ def _gauss_jordan(rows, ncols):
     return [tuple(row) for row in m[:r]]
 
 
+def _primitive_scaling(row):
+    """A dense rational row times the one positive rational that makes it
+    a primitive int row."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
 def _assert_pivot_rows_primitive(pivots):
     for p, row in pivots.items():
         assert min(row) == p
@@ -160,14 +176,40 @@ def test_eliminator_matches_fraction_gauss_jordan(matrix):
     pivots = {}
     for r in rows:
         absorb(pivots, _integral({j: x for j, x in enumerate(r) if x}))
-    want = _gauss_jordan(rows, ncols)
+    # the Gauss-Jordan rows have leading entry 1 and the eliminator's a
+    # positive one, so scaled to primitive int rows they must agree
+    want = [_primitive_scaling(r) for r in _gauss_jordan(rows, ncols)]
     assert len(pivots) == len(want)
-    got = [tuple(row.get(j, Fraction(0)) for j in range(ncols))
+    got = [tuple(row.get(j, 0) for j in range(ncols))
            for row in _back_substitute(pivots)]
     assert got == want
     assert [{j: x for j, x in enumerate(r) if x} for r in want] \
         == rref(rows, ncols) == _back_substitute(pivots)
     _assert_pivot_rows_primitive(pivots)
+
+
+@given(_matrix, st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_every_result_row_is_a_primitive_int_row(matrix, cut):
+    ncols, rows = matrix
+    a, b = span(rows[:cut], ncols), span(rows[cut:], ncols)
+    for reduced in (rref(rows, ncols), span(rows, ncols).basis,
+                    nullspace(rows, ncols).basis, intersect(a, b).basis,
+                    subspace_sum(a, b).basis):
+        _assert_primitive_reduced(reduced)
+
+
+_scale = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@given(_matrix.flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(_scale, min_size=len(m[1]), max_size=len(m[1])))))
+@settings(max_examples=80, deadline=None)
+def test_span_ignores_the_scale_of_each_row(args):
+    (ncols, rows), scales = args
+    scaled = [[s * x for x in r] for r, s in zip(rows, scales)]
+    assert span(scaled, ncols) == span(rows, ncols)
+    assert rref(scaled, ncols) == rref(rows, ncols)
 
 
 def test_pivot_rows_are_primitive_ints():

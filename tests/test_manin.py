@@ -61,11 +61,14 @@ def _monomial_of_tree(t) -> Monomial3:
 
 
 def _residual(R, v: dict) -> dict:
-    """The sparse row v after elimination by the RREF basis rows of R."""
+    """The sparse row v after elimination by the RREF basis rows of R,
+    each scaled to pivot entry 1."""
     v = {j: x for j, x in v.items() if x}
     for row in R.basis:
-        f = v.get(min(row))
+        p = min(row)
+        f = v.get(p)
         if f:
+            f = Fraction(f, row[p])
             for j, b in row.items():
                 x = v.get(j, 0) - f * b
                 if x:

@@ -460,6 +460,30 @@ def test_implicit_grafted_rows_are_the_eager_table(name):
         assert all(used[p] == row for p, row in ref.items()), (name, m)
 
 
+def _relabelled(t, names):
+    return t if t == LEAF else (names[t[0]], _relabelled(t[1], names),
+                                _relabelled(t[2], names))
+
+
+@pytest.mark.parametrize("ops, names", [
+    (("x", "y"), {"x": "x", "y": "y"}),
+    (("y", "x"), {"x": "x", "y": "y"}),
+    (("a", "b", "c"), {"x": "c", "y": "a"}),
+])
+@pytest.mark.parametrize("name", ["NcZin", "NcNov"])
+def test_grafted_blocks_come_in_increasing_start_column(name, ops, names):
+    # __missing__ bisects _starts, which _Ideal appends unsorted: by label
+    # in ops' order, then by left arity, free_trees' own order
+    rels = [NsElement((_relabelled(t, names), c) for t, c in r.items())
+            for r in systems.nc_relations(name)]
+    n = 7 if len(ops) == 2 else 6
+    elims = _eliminations(rels, n, ops)
+    for table in (*elims[n].bases[1:], elims[n]):
+        starts = table._starts
+        assert len(starts) == len(ops) * (table.m - 1)
+        assert all(a < b for a, b in zip(starts, starts[1:])), (ops, table.m)
+
+
 @pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 21_212),
                                                 ("NcNov", 7524, 24_889)])
 def test_fill_in_does_not_depend_on_the_relations_order(name, rank, nonzeros):
