@@ -27,7 +27,10 @@ only if it holds u itself.  The slot's reference keeps u alive, so its id
 is never reused while it is stored; the stored value (the state, or the
 negative state of a first match below) depends on the tree alone, and a
 filled transition never changes, so this is sound for any system.  The
-argument itself is never stored.
+argument itself is never stored.  The root's transition runs in
+is_normal()'s own frame, which reads each child's slot: _normal_state()
+runs only for a child whose slot misses, so a tree whose children are both
+hits costs one call (BENCH_rootstep.json).
 
 rewrite_once() and normalize() rewrite annotated nodes: a subtree carries
 its automaton state, so an unchanged subtree is never walked again.  An
@@ -549,10 +552,40 @@ def _normal_state(u: Tree, auto: LhsAutomaton, trees: list, states: list) -> int
 def is_normal(t: Tree, sys: RewriteSystem) -> bool:
     """One post-order pass of the automaton, left at the first match; a
     proper subtree met before is read from the system's slots.
-    t itself is never stored: roots are rarely shared, and storing them
-    would evict the subtrees that are."""
-    if t != LEAF and _normal_state(t, sys.automaton, *sys.slots) < 0:
-        return False
+
+    The root's transition runs in this frame: each internal child is read
+    from its slot, and _normal_state runs only for a child whose slot
+    misses (BENCH_rootstep.json).  t itself is never stored: roots are
+    rarely shared, and storing them would evict the subtrees that are."""
+    if t != LEAF:
+        # The child-slot block duplicates _normal_state's on purpose: one
+        # call fewer per tree is the whole gain.
+        op, l, r = t
+        trees, states = sys.slots
+        if l == LEAF:
+            a = 0
+        else:
+            i = id(l) % _SLOTS
+            if trees[i] is l:
+                a = states[i]
+            else:
+                a = states[i] = _normal_state(l, sys.automaton, trees, states)
+                trees[i] = l
+            if a < 0:
+                return False
+        if r == LEAF:
+            b = 0
+        else:
+            i = id(r) % _SLOTS
+            if trees[i] is r:
+                b = states[i]
+            else:
+                b = states[i] = _normal_state(r, sys.automaton, trees, states)
+                trees[i] = r
+            if b < 0:
+                return False
+        if sys.automaton[op, a, b] < 0:
+            return False
     if sys.arity_cap is not None:
         _refuse_above_cap(sys, arity(t))
     return True

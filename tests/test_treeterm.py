@@ -754,6 +754,42 @@ def test_is_normal_on_trees_built_and_dropped_matches_an_uncached_walk(
             assert _verdict(tree, sys) == _uncached_verdict(tree, sys)
 
 
+def test_is_normal_walks_only_the_children_whose_slot_misses():
+    calls = []
+    inner = treeterm._normal_state
+
+    def counting(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    sys = _fresh_system("Zin")
+    u = ("y", LEAF, LEAF)
+    tree = ("x", u, u)
+    with mock.patch.object(treeterm, "_normal_state", counting):
+        assert not is_normal(tree, sys)  # zin1 matches at the root
+        assert calls == [u]  # the right child hits the slot the left filled
+        assert not is_normal(tree, sys)
+        assert len(calls) == 1
+        assert is_normal(("x", LEAF, LEAF), sys)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", _SLOT_SYSTEMS)
+def test_is_normal_never_stores_its_argument(name):
+    # u matches nowhere, so both children of tree are visited; being one
+    # object, they share one slot and cannot evict each other
+    sys = _fresh_system(name)
+    u = parse_tree("x(y(1,1),1)")
+    tree = ("y", u, u)
+    assert not _matches_somewhere(u, sys)
+    assert _verdict(tree, sys) == _uncached_verdict(tree, sys)
+    trees, states = sys.slots
+    assert trees[id(tree) % treeterm._SLOTS] is not tree
+    i = id(u) % treeterm._SLOTS
+    assert trees[i] is u
+    assert states[i] == _uncached_annotate(u, sys)[4]
+
+
 def _uncached_annotate(tree, sys):
     """The annotated node of tree, built by _node alone: no table."""
     if tree == LEAF:
