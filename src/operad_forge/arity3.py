@@ -7,8 +7,9 @@ x_a . (x_b . x_c), with leaves a permutation of (1,2,3) and an operation at
 each internal node.  The symmetric group S3 acts by relabelling leaves.
 
 An element is a sparse row over basis3(v): basis index -> nonzero int or
-Fraction.  The constructor reads Monomial3 terms into such a row; from_row
-takes a row of exactlin (a primitive int row) or act as it is.  sigma maps
+non-integral Fraction (exactlin._exact).  The constructor reads Monomial3
+terms into such a row; from_row takes a row of exactlin (a primitive int
+row) or act as it is.  sigma maps
 each basis monomial to another, and this permutation of indices is
 tabulated once per OpSpace (_s3_table).  act alone applies it;
 s3_orbit_rows reads the rows act gives for the generators of an S3-closure,
@@ -35,7 +36,7 @@ from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .exactlin import Subspace, rref, span
+from .exactlin import Subspace, _exact, rref, span
 
 # in lexicographic order, the order of basis3's leaves
 S3 = [tuple(p) for p in permutations((1, 2, 3))]
@@ -66,7 +67,8 @@ class Monomial3(NamedTuple):
 
 class Arity3Element:
     """A sparse row over basis3(opspace): row maps a basis index to its
-    nonzero int or Fraction coefficient, and terms reads it by monomial."""
+    nonzero coefficient, an int or a non-integral Fraction (_exact), and
+    terms reads it by monomial."""
 
     __slots__ = ("opspace", "row")
 
@@ -81,11 +83,9 @@ class Arity3Element:
                 raise ValueError(f"not an arity-3 monomial over operations "
                                  f"{opspace.ops} (shape L or R, leaves a "
                                  f"permutation of 1, 2, 3): {m}")
-            if not isinstance(coeff, (int, Fraction)):
-                raise ValueError(f"coefficient {coeff!r} is not an int "
-                                 "or a Fraction")
+            coeff = _exact(coeff)
             old = acc.get(j)
-            acc[j] = coeff if old is None else old + coeff
+            acc[j] = coeff if old is None else _exact(old + coeff)
         self.row = {j: c for j, c in acc.items() if c}
 
     @classmethod

@@ -26,6 +26,8 @@ takes them as elements.  A Subspace is stored as this reduced row-echelon
 basis, so two subspaces are equal iff their canonical bases are equal as
 sequences, and a row lies in a subspace iff adding it leaves the rank
 unchanged.  Subspaces are immutable and the functions are pure.
+_exact is the package's one coefficient rule: every coefficient kept is an
+int, or a Fraction that is not integral, and a float or a str is refused.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ from fractions import Fraction
 from math import gcd, lcm
 
 IntRow = dict[int, int]
+
+
+def _exact(c):
+    """The package's one coefficient rule: c as an int when it is integral,
+    else the Fraction c; a ValueError unless c is an int or a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def _integral(row: Mapping) -> IntRow:
@@ -115,9 +129,9 @@ def _back_substitute(pivots: dict[int, IntRow]) -> list[IntRow]:
 def _sparse(v: Sequence | Mapping, ncols: int) -> Mapping:
     """The entries of a row of width ncols: a Mapping column -> entry as it
     is, a dense row (a sequence of length ncols) by column.  Either way its
-    columns must lie in range(ncols) and its entries be ints or Fractions.
-    A plain dict is tested by type first: the Mapping ABC check costs
-    several times more, once per row."""
+    columns must lie in range(ncols) and its entries be ints or Fractions
+    (not _exact: rref keeps no entry).  A plain dict is tested by type
+    first: the Mapping ABC check costs several times more, once per row."""
     if type(v) is not dict and not isinstance(v, Mapping):
         if len(v) != ncols:
             raise ValueError("ambient dimension mismatch")

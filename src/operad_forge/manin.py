@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .arity3 import (DOUBLE, S3, SINGLE, Arity3Element, Monomial3,
                      OperadPresentation, act, basis3, format_element,
                      s3_closure)
-from .exactlin import IntRow, span
+from .exactlin import IntRow, _exact, span
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
     """Identify a > b with b < a, i.e. map a>b to b.a and a<b to a.b.
 
     Each relation's row is read through _VAR_INDEX, its coefficients summed
-    per image in row order and the zeros dropped; a relation that vanishes
-    is left out.
+    per image in row order (through _exact, as Arity3Element sums them) and
+    the zeros dropped; a relation that vanishes is left out.
     """
     if q.opspace != DOUBLE:
         raise ValueError("symmetrize_quotient expects the two split operations")
@@ -149,7 +149,7 @@ def symmetrize_quotient(q: OperadPresentation) -> OperadPresentation:
         for i, c in rel.row.items():
             j = _VAR_INDEX[i]
             old = acc.get(j)
-            acc[j] = c if old is None else old + c
+            acc[j] = c if old is None else _exact(old + c)
         row = {j: c for j, c in acc.items() if c}
         if row:
             rels.append(Arity3Element.from_row(SINGLE, row))

@@ -44,17 +44,13 @@ def _bicom_rule(n: int, outer: str) -> RewriteRule:
         lhs_core = (outer, lhs_core, LEAF)
         rhs_core = (outer, rhs_core, LEAF)
     name = f"{'f' if outer == 'x' else 'g'}{n}"
-    return RewriteRule(name, (outer, LEAF, lhs_core), ((Fraction(1), rhs_core),))
+    return RewriteRule(name, (outer, LEAF, lhs_core), ((1, rhs_core),))
 
 
 def _flex_rule1(sign: int) -> RewriteRule:
     # sign +1: flexible; sign -1: anti-flexible (defining identity negated)
-    return RewriteRule(
-        "flex1" if sign > 0 else "aflex1",
-        parse_tree("y(1,y(1,1))"),
-        ((Fraction(sign), parse_tree("x(1,x(1,1))")),
-         (Fraction(1), parse_tree("y(y(1,1),1)")),
-         (Fraction(-sign), parse_tree("x(x(1,1),1)"))))
+    return rule("flex1" if sign > 0 else "aflex1", "y(1,y(1,1))",
+                [(sign, "x(1,x(1,1))"), (1, "y(y(1,1),1)"), (-sign, "x(x(1,1),1)")])
 
 
 def _derive_flex_rule2(rule1: RewriteRule, name: str) -> RewriteRule:
@@ -70,7 +66,7 @@ def _derive_flex_rule2(rule1: RewriteRule, name: str) -> RewriteRule:
     if lhs not in diff:
         raise RuntimeError("expected leading monomial missing from S-polynomial")
     lead = diff.pop(lhs)
-    rhs = tuple((-c / lead, t) for t, c in diff.items())
+    rhs = tuple((Fraction(-c, lead), t) for t, c in diff.items())
     return RewriteRule(name, lhs, rhs)
 
 

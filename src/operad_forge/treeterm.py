@@ -68,17 +68,17 @@ once per appearance.  An annotated node is its own heap key: its first four
 fields compare exactly like tree_key (a leaf below any node, then op, then
 the children), whatever the labels.  The working set maps plain trees to
 coefficients, since hashing nested annotated nodes costs far more.  Inside
-the loop integral coefficients are ints and the others Fractions; the
-result holds Fractions only; more than _STEP_CAP steps raise
-StepCapExceeded.  No normal form is kept across calls: a normal-form memo
-is sound only for a system already certified confluent, and
-check_confluence() runs on this engine.  It annotates each overlap tree
-once and applies each of the overlap's two rules at its address
-(_rewrite_at): one descent by the address, a ValueError unless the state
-there has the rule's mask bit, and the rhs and spine rebuilt as a rewrite
-step rebuilds them.  Their difference, the S-polynomial, is normalized
-once: a step's reducts depend on the term alone, so normalization is
-linear.
+the loop a coefficient is an int or a Fraction; the result, as every
+NsElement, holds an int or a non-integral Fraction (exactlin._exact).
+More than _STEP_CAP steps raise StepCapExceeded.  No normal form is kept
+across calls: a normal-form memo is sound only for a system already
+certified confluent, and check_confluence() runs on this engine.  It
+annotates each overlap tree once and applies each of the overlap's two
+rules at its address (_rewrite_at): one descent by the address, a
+ValueError unless the state there has the rule's mask bit, and the rhs and
+spine rebuilt as a rewrite step rebuilds them.  Their difference, the
+S-polynomial, is normalized once: a step's reducts depend on the term
+alone, so normalization is linear.
 
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
@@ -91,6 +91,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Optional
+
+from .exactlin import _exact
 
 Tree = object  # 1 | (op, Tree, Tree)
 LEAF: Tree = 1
@@ -185,20 +187,18 @@ def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
 
 
 class NsElement(dict):
-    """Rational combination of planar trees: dict Tree -> Fraction, no zeros."""
+    """Rational combination of planar trees: dict Tree -> coefficient, no
+    zeros, each coefficient an int or a non-integral Fraction (_exact)."""
 
-    def __init__(self, terms: Iterable[tuple[Tree, Fraction]] = ()):
+    def __init__(self, terms: Iterable[tuple[Tree, int | Fraction]] = ()):
         super().__init__()
         for t, c in terms:
             self.add(t, c)
 
     def add(self, t: Tree, c) -> None:
-        if not isinstance(c, Fraction):
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
-            c = Fraction(c)
+        c = _exact(c)
         if t in self:
-            c += self[t]
+            c = _exact(self[t] + c)
         if not c:
             self.pop(t, None)
         else:
@@ -223,12 +223,13 @@ def format_element(e: NsElement) -> str:
 class RewriteRule:
     name: str
     lhs: Tree
-    rhs: tuple[tuple[Fraction, Tree], ...]
+    rhs: tuple[tuple[int | Fraction, Tree], ...]
 
     def __post_init__(self):
         n = arity(self.lhs)
         if self.lhs == LEAF:
             raise ValueError("left-hand side must be an internal tree")
+        object.__setattr__(self, "rhs", tuple((_exact(c), p) for c, p in self.rhs))
         for _, p in self.rhs:
             if arity(p) != n:
                 raise ValueError(f"rule {self.name}: rhs arity mismatch")
@@ -239,22 +240,10 @@ class RewriteRule:
 
     def as_element(self) -> NsElement:
         """lhs - rhs with all wildcards instantiated by leaves."""
-        e = NsElement([(self.lhs, Fraction(1))])
+        e = NsElement([(self.lhs, 1)])
         for c, p in self.rhs:
             e.add(p, -c)
         return e
-
-
-def _exact(c: Fraction):
-    """c as an int when it is integral, else c."""
-    return c.numerator if c.denominator == 1 else c
-
-
-@lru_cache(maxsize=256)
-def _fraction(n: int) -> Fraction:
-    """Fraction(n), shared: a Fraction is immutable, and normalize's integral
-    output coefficients are nearly all small, so a few objects serve them."""
-    return Fraction(n)
 
 
 def _wildcards(q: Tree, read: str) -> Iterator[str]:
@@ -301,7 +290,7 @@ def rule(name: str, lhs: str, rhs: list[tuple[int, str]] | str) -> RewriteRule:
     if isinstance(rhs, str):
         rhs = [(1, rhs)]
     return RewriteRule(name, parse_tree(lhs),
-                       tuple((Fraction(c), parse_tree(p)) for c, p in rhs))
+                       tuple((c, parse_tree(p)) for c, p in rhs))
 
 
 class LhsAutomaton(dict):
@@ -375,12 +364,12 @@ class RewriteSystem:
         summed and dropped if that is 0, so the terms built are distinct:
         build(redex) is the annotated rhs term with the annotated redex's
         wildcard subtrees grafted in, read through the lhs's child paths,
-        a function generated from source by _compile.  An integral
-        coefficient is an int.  Compiled per system, not per rule: the
+        a function generated from source by _compile.  Each coefficient is
+        as NsElement keeps it.  Compiled per system, not per rule: the
         builders look up this system's automaton, and one rule can sit in
         systems whose automata differ."""
         return tuple(
-            tuple((_exact(c), _compile(r.lhs, p, self.automaton))
+            tuple((c, _compile(r.lhs, p, self.automaton))
                   for p, c in NsElement((p, c) for c, p in r.rhs).items())
             for r in self.rules)
 
@@ -598,10 +587,7 @@ def normalize(e: NsElement, sys: RewriteSystem) -> NsElement:
     zero terms dropped, in the one pass that annotates its terms."""
     work, heap = {}, []
     for t, c in e.items():
-        if isinstance(c, Fraction):
-            c = _exact(c)
-        elif not isinstance(c, int):
-            raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+        c = _exact(c)
         if c:
             work[t] = c
             heap.append(_annotate(t, sys))
@@ -614,8 +600,8 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
 
     The heap holds annotated nodes, which are their own keys; work is keyed
     by plain trees, so a term that is normal from the start stays the very
-    tree it came as.  Integral coefficients are ints until the result is
-    returned.
+    tree it came as.  The ints are returned as they are; a Fraction goes
+    through _exact, as a product or sum of Fractions may be integral.
     """
     heapify(heap)
     steps, step_cap = 0, _STEP_CAP
@@ -651,7 +637,7 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
                 del work[t]
     out = NsElement()
     for t, c in work.items():
-        out[t] = c if type(c) is Fraction else _fraction(c)
+        out[t] = c if type(c) is int else _exact(c)
     return out
 
 

@@ -178,6 +178,22 @@ def test_a_float_or_a_str_coefficient_is_refused():
     assert hash(two) == hash(Arity3Element(SINGLE, [(m, Fraction(2))]))
 
 
+def test_an_integral_fraction_or_sum_is_stored_as_an_int():
+    m, n = basis3(SINGLE)[:2]
+    e = Arity3Element(SINGLE, [(m, Fraction(4, 2)), (n, Fraction(1, 2)),
+                               (n, Fraction(1, 2))])
+    assert e.row == {0: 2, 1: 1}
+    assert [type(c) for c in e.row.values()] == [int, int]
+    half = Arity3Element(SINGLE, [(m, Fraction(1, 4)), (m, Fraction(1, 4))])
+    assert type(half.row[0]) is Fraction and half.row[0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_relations_hold_only_ints(name):
+    assert all(type(c) is int
+               for rel in catalog(name).relations for c in rel.row.values())
+
+
 def test_parse_monomial_refuses_repeated_leaves():
     with pytest.raises(ValueError, match="repeated leaf"):
         parse_monomial("(x1*x1)*x2", SINGLE)

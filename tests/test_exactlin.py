@@ -7,8 +7,8 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operad_forge.exactlin import (_back_substitute, _integral, absorb,
-                                   intersect, nullspace, rref, span,
+from operad_forge.exactlin import (_back_substitute, _exact, _integral,
+                                   absorb, intersect, nullspace, rref, span,
                                    subspace_sum)
 
 
@@ -27,6 +27,16 @@ def test_rref_accepts_what_vec_accepts():
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             rref([row], 2)
     assert rref([(Fraction(1, 2), Fraction(1, 4)), (1, 2)], 2) == [{0: F(1)}, {1: F(1)}]
+
+
+def test_exact_keeps_an_int_or_a_non_integral_fraction():
+    assert type(_exact(Fraction(6, 3))) is int and _exact(Fraction(6, 3)) == 2
+    third = Fraction(1, 3)
+    assert _exact(third) is third
+    assert type(_exact(True)) is int and _exact(True) == 1
+    for c in (0.5, "1/2", None):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            _exact(c)
 
 
 def test_rref_dependent_rows():

@@ -168,6 +168,18 @@ def test_symmetrized_quotient_recovers_operad(name):
     assert sym.relation_space() == catalog(name).relation_space()
 
 
+def test_symmetrized_quotient_sums_to_an_exact_coefficient():
+    # x2 < x1 and x1 > x2 both map to x2 . x1, so halves on them sum to 1
+    half = Fraction(1, 2)
+    lt = Monomial3("L", (2, 1, 3), "<", "<")
+    gt = Monomial3("L", (1, 2, 3), ">", "<")
+    rel = Arity3Element(DOUBLE, [(lt, half), (gt, half)])
+    q = OperadPresentation("q", DOUBLE, (rel,))
+    (rel,) = symmetrize_quotient(q).relations
+    assert list(rel.terms.items()) == [(Monomial3("L", (2, 1, 3), "*", "*"), 1)]
+    assert [type(c) for c in rel.row.values()] == [int]
+
+
 def test_symmetrized_quotient_of_alt_is_flex():
     sym = symmetrize_quotient(white_product_as(catalog("Alt")))
     assert sym.relation_space() == catalog("Flex").relation_space()

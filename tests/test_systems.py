@@ -22,6 +22,15 @@ def test_zin_rules():
     assert [len(r.rhs) for r in zin.rules] == [1, 2, 2]
 
 
+@pytest.mark.parametrize("name", ["Flex", "AntiFlex"])
+def test_flex_rules_hold_only_ints(name):
+    # the second rule is derived by dividing by a leading coefficient
+    rules = systems.system(name).rules
+    assert [r.name for r in rules] == (["flex1", "flex2"] if name == "Flex"
+                                       else ["aflex1", "aflex2"])
+    assert all(type(c) is int for r in rules for c, _ in r.rhs)
+
+
 def test_bicom_rule_family_instantiation():
     bicom = systems.system("Bicom", max_arity=8)
     names = [r.name for r in bicom.rules]

@@ -28,6 +28,11 @@ def t(s):
     return parse_tree(s)
 
 
+def _is_exact(c):
+    """The one coefficient rule: an int, or a Fraction that is not integral."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
 def test_parse_format_roundtrip():
     for s in ("1", "x(1,1)", "y(x(1,1),y(1,1))", "x(y(1,x(1,1)),1)"):
         assert format_tree(t(s)) == s
@@ -235,9 +240,35 @@ def test_add_keeps_fractions_exact():
     e.add(t("x(y(1,1),1)"), -4)
     assert e == {t("x(1,1)"): Fraction(5, 3), t("y(1,1)"): Fraction(1, 2),
                  t("x(y(1,1),1)"): -4}
-    assert all(type(v) is Fraction for v in e.values())
+    assert all(_is_exact(v) for v in e.values())
     e.add(t("y(1,1)"), Fraction(-1, 2))
     assert t("y(1,1)") not in e
+
+
+def test_add_keeps_an_integral_sum_as_an_int():
+    e = NsElement()
+    e.add(t("x(1,1)"), Fraction(1, 2))
+    e.add(t("x(1,1)"), Fraction(1, 2))
+    assert type(e[t("x(1,1)")]) is int and e[t("x(1,1)")] == 1
+    e.add(t("y(1,1)"), Fraction(4, 2))
+    e.add(t("y(1,1)"), True)
+    assert type(e[t("y(1,1)")]) is int and e[t("y(1,1)")] == 3
+
+
+def test_a_rule_refuses_an_inexact_coefficient():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    for c in (0.1, "1/3"):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            rule("r", "x(1,1)", [(c, "y(1,1)")])
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            RewriteRule("r", t("x(1,1)"), ((c, t("y(1,1)")),))
+
+
+def test_a_rule_stores_each_coefficient_exactly():
+    r = RewriteRule("r", t("x(1,x(1,1))"), ((Fraction(2), t("x(x(1,1),1)")),
+                                            (Fraction(1, 2), t("y(1,y(1,1))"))))
+    assert [type(c) for c, _ in r.rhs] == [int, Fraction]
+    assert r == RewriteRule("r", r.lhs, ((2, r.rhs[0][1]), r.rhs[1]))
 
 
 def test_ns_element_refuses_a_float_or_a_str_coefficient():
@@ -253,7 +284,7 @@ def test_normalize_converts_its_input_like_ns_element():
            t("x(1,y(1,1))"): 2}
     got = normalize(raw, zin)
     assert got == normalize(NsElement(raw.items()), zin)
-    assert all(type(c) is Fraction for c in got.values())
+    assert all(_is_exact(c) for c in got.values())
     for c in ("1/2", 0.1):
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             normalize({t("x(1,x(1,1))"): c}, zin)
@@ -331,7 +362,7 @@ def _assert_same_normalize(e, sys):
     want, steps = _reference_normalize(e, sys)
     got = normalize(e, sys)
     assert got == want
-    assert all(type(c) is Fraction for c in got.values())
+    assert all(_is_exact(c) for c in got.values())
     if steps:
         with mock.patch.object(treeterm, "_STEP_CAP", steps):
             assert normalize(e, sys) == want
@@ -413,8 +444,7 @@ def test_reducts_graft_the_redex_wildcards_into_the_rhs(name):
            else _REFERENCE_SYSTEMS[name][0])
     for r, reducts in zip(sys.rules, sys.reducts, strict=True):
         assert [c for c, _ in reducts] == [c for c, _ in r.rhs]
-        assert all(type(c) is (int if c.denominator == 1 else Fraction)
-                   for c, _ in reducts)
+        assert all(_is_exact(c) for c, _ in reducts)
         for i in range(3):
             subs = [pool[(i + j) % 3] for j in range(r.arity)]
             redex = _annotate(graft(r.lhs, subs), sys)
@@ -486,6 +516,7 @@ def test_engine_matches_the_reference_on_every_free_tree(name):
         for tree in free_trees(n, ops):
             once = rewrite_once(tree, sys)
             assert once == _reference_rewrite_once(tree, sys), format_tree(tree)
+            assert once is None or all(_is_exact(c) for c in once.values())
             assert is_normal(tree, sys) == (once is None)
             _assert_same_normalize(NsElement([(tree, Fraction(1))]), sys)
 
@@ -591,7 +622,7 @@ def test_check_confluence_equals_the_plain_tree_reference(name, max_arity):
     report = check_confluence(sys, max_arity)
     assert bool(report.checks) == (name != "L")  # t(1,z(1,1)) overlaps nothing
     assert report == _reference_confluence(sys, max_arity)
-    assert all(type(c) is Fraction
+    assert all(_is_exact(c)
                for check in report.checks for _, c in check.difference)
 
 
