@@ -251,8 +251,9 @@ def parse_element(text: str, opspace: OpSpace) -> Arity3Element:
         nxt = _TERM.search(text, m.end())
         if nxt:
             end = nxt.start()
+        digits = m.group(2)
         try:
-            coeff = Fraction(m.group(2))
+            coeff = Fraction(digits) if "/" in digits else int(digits)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {text[pos:end]!r}") from None
         if m.group(1) == "-":

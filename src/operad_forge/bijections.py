@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Union
 
-from .treeterm import LEAF, Tree
+from .treeterm import LEAF, Tree, _acyclic
 
 # --- planar binary trees (bullet notation) ---------------------------------
 
@@ -51,6 +51,7 @@ def _map_or_refuse(name: str, walk, *args):
         raise ValueError(f"not a normal {name} monomial") from None
 
 
+@_acyclic
 def zin_to_pbt(t: Tree) -> PBT:
     """Normal Zin monomial of arity n -> planar binary tree, n internal vertices."""
     return _map_or_refuse("Zin", _zin_to_pbt, t)
@@ -70,17 +71,22 @@ def _zin_to_pbt(t: Tree) -> PBT:
     raise ValueError("outside the Zin grammar")
 
 
+@_acyclic
 def pbt_to_zin(b: PBT) -> Tree:
+    return _pbt_to_zin(b)
+
+
+def _pbt_to_zin(b: PBT) -> Tree:
     if b == BULLET:
         raise ValueError("a bare bullet has no internal vertex")
     if b == (BULLET, BULLET):
         return LEAF
     l, r = b
     if r == BULLET:
-        return ("x", pbt_to_zin(l), LEAF)
+        return ("x", _pbt_to_zin(l), LEAF)
     if l == BULLET:
-        return ("y", pbt_to_zin(r), LEAF)
-    return ("y", pbt_to_zin(r), ("x", pbt_to_zin(l), LEAF))
+        return ("y", _pbt_to_zin(r), LEAF)
+    return ("y", _pbt_to_zin(r), ("x", _pbt_to_zin(l), LEAF))
 
 
 # --- Bicom <-> lattice words ------------------------------------------------
@@ -111,6 +117,7 @@ def _comb_unword(w: str, op: str) -> Tree:
     raise ValueError(f"not a balanced comb word: {w!r}")
 
 
+@_acyclic
 def bicom_to_word(t: Tree) -> str:
     return _map_or_refuse("Bicom", _bicom_word, t)[0]
 
@@ -130,6 +137,7 @@ def _bicom_word(t: Tree) -> tuple[str, str]:
     return word + first + tail + second, ""
 
 
+@_acyclic
 def word_to_bicom(w: str) -> Tree:
     if w.count("E") != w.count("N") or set(w) - {"E", "N"}:
         raise ValueError(f"not a balanced EN word: {w!r}")
@@ -168,9 +176,11 @@ def _relabel(t: Tree, table: dict, cls: str) -> Tree:
     return (new, _relabel(left, table, lc), _relabel(right, table, rc))
 
 
+@_acyclic
 def flex_to_L(t: Tree) -> Tree:
     return _map_or_refuse("Flex", _relabel, t, _TO_L, "N")
 
 
+@_acyclic
 def L_to_flex(s: Tree) -> Tree:
     return _map_or_refuse("L", _relabel, s, _TO_FLEX, "N")

@@ -80,15 +80,28 @@ spine rebuilt as a rewrite step rebuilds them.  Their difference, the
 S-polynomial, is normalized once: a step's reducts depend on the term
 alone, so normalization is linear.
 
+generate(), normalize(), check_confluence() and the six maps of
+bijections build trees in bulk, so each runs with CPython's cyclic garbage
+collector paused (_acyclic).  That is sound: all they build is acyclic
+(tuples of str, int and tuple, strs, and dicts keyed by them), so
+reference counting frees it all, and a collection during the call would
+only walk the trees still alive, such as generate's listings, and free
+nothing (BENCH_gcpause.json).  _compile keeps it so: its builders leave
+no cycle behind.  is_normal() allocates nothing and is not paused.  The
+pause switches interpreter-wide state, so like the slots and nodes it
+assumes one thread: with two, a pause can lift early or last to the end of
+the longer call, but no collection is lost.
+
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -109,6 +122,22 @@ _STEP_CAP = 10_000
 
 class StepCapExceeded(RuntimeError):
     """Raised when normalization does not reach a fixed point within the cap."""
+
+
+def _acyclic(f):
+    """f, run with the cyclic garbage collector paused: the caller's state
+    is restored in finally, and a collector the caller had off stays off.
+    The one place in src/ that switches the collector (module docstring)."""
+    @wraps(f)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return f(*args, **kwargs)
+        gc.disable()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def arity(t: Tree) -> int:
@@ -161,7 +190,7 @@ def _parse(s: str) -> tuple[Tree, str]:
 Grammar = tuple[tuple[str, tuple], ...]
 
 
-@lru_cache(maxsize=None)
+@_acyclic
 def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
     """All arity-n trees of class cls: productions in order, then left arity.
 
@@ -171,6 +200,11 @@ def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
     share it (AntiFlex's normal forms reuse Flex's listing) and the smaller
     listings serve the larger ones; a per-call memo, in a recorded trial,
     raised enumerate's work_s from 1.59 s to 1.92-2.11 s."""
+    return _generate(grammar, cls, n)
+
+
+@lru_cache(maxsize=None)
+def _generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
     out: list[Tree] = []
     for prod in dict(grammar)[cls]:
         if prod == "leaf":
@@ -179,11 +213,14 @@ def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
             continue
         op, lc, rc = prod
         for k in range(1, n):
-            rights = generate(grammar, rc, n - k)
-            for left in generate(grammar, lc, k):
+            rights = _generate(grammar, rc, n - k)
+            for left in _generate(grammar, lc, k):
                 for right in rights:
                     out.append((op, left, right))
     return tuple(out)
+
+
+generate.cache_clear = _generate.cache_clear
 
 
 class NsElement(dict):
@@ -269,21 +306,26 @@ def _compile(lhs: Tree, p: Tree, auto: LhsAutomaton) -> Callable[[Node], Node]:
     on Bicom at arity 14.  Only a str label is written, since its repr is
     a literal."""
     reads, lines = _wildcards(lhs, "u"), ["def build(u):"]
-
-    def emit(p: Tree) -> str:
-        if p == LEAF:
-            return next(reads)
-        if type(p[0]) is not str:
-            raise TypeError(f"label {p[0]!r} is not a str")
-        l, r = emit(p[1]), emit(p[2])
-        v = f"v{len(lines)}"
-        lines.append(f"    {v} = node(auto, {p[0]!r}, {l}, {r})")
-        return v
-
-    lines.append(f"    return {emit(p)}")
+    lines.append(f"    return {_emit(p, reads, lines)}")
     source, namespace = "\n".join(lines), {"auto": auto, "node": _node}
     exec(source, namespace)
-    return namespace["build"]
+    # build's globals are namespace: left in it, build would be a cycle
+    return namespace.pop("build")
+
+
+def _emit(p: Tree, reads: Iterator[str], lines: list[str]) -> str:
+    """The source name of p's annotated node, after appending to lines the
+    _node calls that build it; each leaf of p takes the next wildcard read
+    from reads.  A module-level function, not a closure: a closure that
+    calls itself refers to itself through its cell, a cycle per builder."""
+    if p == LEAF:
+        return next(reads)
+    if type(p[0]) is not str:
+        raise TypeError(f"label {p[0]!r} is not a str")
+    l, r = _emit(p[1], reads, lines), _emit(p[2], reads, lines)
+    v = f"v{len(lines)}"
+    lines.append(f"    {v} = node(auto, {p[0]!r}, {l}, {r})")
+    return v
 
 
 def rule(name: str, lhs: str, rhs: list[tuple[int, str]] | str) -> RewriteRule:
@@ -580,6 +622,7 @@ def is_normal(t: Tree, sys: RewriteSystem) -> bool:
     return True
 
 
+@_acyclic
 def normalize(e: NsElement, sys: RewriteSystem) -> NsElement:
     """Rewrite the smallest non-normal term until none is left.
 
@@ -725,6 +768,7 @@ class ConfluenceReport:
         return all(c.joinable for c in self.checks)
 
 
+@_acyclic
 def check_confluence(sys: RewriteSystem, max_arity: int) -> ConfluenceReport:
     """Normalize the S-polynomial of each overlap: the one-step reducts of
     rule_i at the root less those of rule_j at its address.  The overlap

@@ -2,6 +2,7 @@
 reference in planar.py (match_at, apply_rule_at, ...) is what the annotated
 engine is checked against."""
 
+import gc
 import pickle
 import re
 from fractions import Fraction
@@ -19,7 +20,7 @@ from operad_forge.treeterm import (LEAF, ConfluenceReport, NsElement,
                                    format_tree, generate, is_normal,
                                    normalize, overlaps, parse_tree,
                                    rewrite_once, rule, tree_key)
-from operad_forge import systems, treeterm
+from operad_forge import bijections as bj, systems, treeterm
 from planar import (apply_rule_at, graft, match_at, positions, replace,
                     subtree)
 
@@ -974,3 +975,86 @@ def test_automaton_table_stays_inside_the_eager_closure(name):
     # a label that no lhs carries acts like a leaf and is never stored
     _feed(sys, [tree for n in range(1, 6) for tree in free_trees(n, ops + ("w",))])
     assert auto == filled
+
+
+# --- the collector pause ----------------------------------------------------
+
+
+def _fresh(name, cap=None):
+    """systems.system(name, cap) with nothing compiled or filled yet."""
+    cached = systems.system(name, max_arity=cap)
+    return RewriteSystem(cached.name, cached.rules, cached.arity_cap)
+
+
+def test_reducts_leave_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for name, cap in (("Zin", None), ("Flex", None), ("Bicom", 9)):
+            _fresh(name, cap).reducts  # compiled, then dropped with the system
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _forms(name, fn=None):
+    """(tree,) per normal form of arity 6, or (fn(tree),) when fn is given."""
+    return [(t if fn is None else fn(t),) for t in systems.normal_forms(name, 6)]
+
+
+# Each paused entry point, with a function that builds its calls' arguments
+# before the collector is switched off.
+_PAUSED_CALLS = {
+    "generate": (generate, lambda: [
+        ((("Fresh", ("leaf", ("v", "Fresh", "Fresh"))),), "Fresh", 7)]),
+    "normalize": (normalize, lambda: [
+        (NsElement([(tree, 1)]), sys)
+        for sys in (_fresh("Zin"), _fresh("Flex"), _fresh("Bicom", 6))
+        for tree in free_trees(6)]),
+    "check_confluence": (check_confluence, lambda: [
+        (_fresh("Zin"), 6), (_fresh("Flex"), 6), (_fresh("Bicom", 7), 7)]),
+    "zin_to_pbt": (bj.zin_to_pbt, lambda: _forms("Zin")),
+    "pbt_to_zin": (bj.pbt_to_zin, lambda: _forms("Zin", bj.zin_to_pbt)),
+    "bicom_to_word": (bj.bicom_to_word, lambda: _forms("Bicom")),
+    "word_to_bicom": (bj.word_to_bicom, lambda: _forms("Bicom", bj.bicom_to_word)),
+    "flex_to_L": (bj.flex_to_L, lambda: _forms("Flex")),
+    "L_to_flex": (bj.L_to_flex, lambda: _forms("Flex", bj.flex_to_L)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAUSED_CALLS))
+def test_paused_calls_leave_no_reference_cycle(name):
+    # the soundness of the pause: what a paused call builds, reference
+    # counting frees, so a collection during the call would find nothing
+    fn, make_calls = _PAUSED_CALLS[name]
+    calls = make_calls()
+    gc.collect()
+    gc.disable()
+    try:
+        results = [fn(*args) for args in calls]
+        del calls, results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("call, raises", [
+    (lambda: normalize(NsElement([(t("x(x(1,1),1)"), 1)]), systems.system("Zin")), None),
+    (lambda: generate((("N", ("leaf", ("x", "N", "N"))),), "N", 5), None),
+    (lambda: normalize(NsElement([(t("x(1,1)"), 1)]), _LOOP), StepCapExceeded),
+    (lambda: bj.zin_to_pbt(t("x(1,x(1,1))")), ValueError),  # a redex
+], ids=["normalize", "generate", "step cap", "refused tree"])
+def test_paused_calls_restore_the_collector(monkeypatch, call, raises, enabled):
+    monkeypatch.setattr(treeterm, "_STEP_CAP", 50)
+    if not enabled:
+        gc.disable()
+    try:
+        if raises is None:
+            call()
+        else:
+            with pytest.raises(raises):
+                call()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
