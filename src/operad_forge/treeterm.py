@@ -63,14 +63,21 @@ A system truncated at an arity cap (Bicom) holds a prefix of its family's
 rule order, so a redex it finds above the cap is exactly the one the whole
 family would pick; only a verdict "normal" above the cap is refused, with a
 ValueError.  normalize() rewrites the smallest non-normal term (by tree_key)
-first; its pending terms sit in a heap, pushed when they enter and tested
-once per appearance.  An annotated node is its own heap key: its first four
-fields compare exactly like tree_key (a leaf below any node, then op, then
-the children), whatever the labels.  The working set maps plain trees to
-coefficients, since hashing nested annotated nodes costs far more.  Inside
-the loop a coefficient is an int or a Fraction; the result, as every
-NsElement, holds an int or a non-integral Fraction (exactlin._exact).
-More than _STEP_CAP steps raise StepCapExceeded.  No normal form is kept
+first.  Its working set maps every pending plain tree to its coefficient,
+since hashing nested annotated nodes costs far more; its heap holds only
+the terms to rewrite: a term enters it, when it enters the working set,
+only if its bits are nonzero.  The one exception is a normal term above a
+capped system's cap: it enters the heap and is refused when popped if it is
+still pending.  Popping a normal term at or below the cap would only skip
+it, and a pop takes the smallest entry, so leaving those terms out changes
+neither which non-normal term is popped next nor when a term above the cap
+is refused: the rewrite order, the step counts and the results are those of
+a heap that holds every term.  An annotated node is its own heap key: its
+first four fields compare exactly like tree_key (a leaf below any node,
+then op, then the children), whatever the labels.  Inside the loop a
+coefficient is an int or a Fraction; the result, as every NsElement, holds
+an int or a non-integral Fraction (exactlin._exact).  More than _STEP_CAP
+steps raise StepCapExceeded.  No normal form is kept
 across calls: a normal-form memo is sound only for a system already
 certified confluent, and check_confluence() runs on this engine.  It
 annotates each overlap tree once and applies each of the overlap's two
@@ -103,6 +110,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from heapq import heapify, heappop, heappush
+from sys import maxsize
 from typing import Callable, Iterable, Iterator, Optional
 
 from .exactlin import _exact
@@ -643,17 +651,25 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
 
     The heap holds annotated nodes, which are their own keys; work is keyed
     by plain trees, so a term that is normal from the start stays the very
-    tree it came as.  The ints are returned as they are; a Fraction goes
-    through _exact, as a product or sum of Fractions may be integral.
+    tree it came as.  Only nodes with nonzero bits, and normal nodes above
+    a capped system's cap, enter the heap: the initial list is filtered
+    here, and each rewrite's new terms in the loop.  Popping a normal node
+    at or below the cap would only skip it, and a pop takes the smallest
+    entry, so the same non-normal terms are rewritten in the same order as
+    with every node in the heap, and a normal one above the cap is refused
+    when it is popped while pending.  The ints are returned as they are; a
+    Fraction goes through _exact, as a product or sum of Fractions may be
+    integral.
     """
+    cap = maxsize if sys.arity_cap is None else sys.arity_cap
+    heap = [u for u in heap if u[5] or u[7] > cap]
     heapify(heap)
     steps, step_cap = 0, _STEP_CAP
-    cap = sys.arity_cap
     # a tuple does not cache its hash, so each visit looks a term up once
     while heap:
         u = heappop(heap)
-        if not u[5]:
-            if cap is not None and u[7] > cap and u[6] in work:
+        if not u[5]:  # above the cap
+            if u[6] in work:
                 _refuse_above_cap(sys, u[7])
             continue
         c = work.pop(u[6], None)
@@ -671,7 +687,8 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
             # t is new iff work grew: an equal small int is one object, so
             # old is d does not tell
             if len(work) > size:
-                heappush(heap, v)
+                if v[5] or v[7] > cap:
+                    heappush(heap, v)
                 continue
             d += old
             if d:

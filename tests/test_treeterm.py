@@ -3,6 +3,7 @@ reference in planar.py (match_at, apply_rule_at, ...) is what the annotated
 engine is checked against."""
 
 import gc
+import heapq
 import pickle
 import re
 from fractions import Fraction
@@ -220,6 +221,33 @@ def test_bicom_refuses_a_normal_form_above_its_cap():
     assert normalize(e, systems.system("Bicom", max_arity=13))  # keeps a term
     with pytest.raises(ValueError, match="arity 13 exceeds the arity cap 10"):
         normalize(e, systems.system("Bicom"))
+
+
+# An arity-7 redex of Bicom's f family and its one reduct, both above cap 6.
+_B7_REDEX = "x(1,x(1,x(1,x(1,x(1,y(1,1))))))"
+_B7_REDUCT = "x(1,x(1,x(1,x(1,y(x(1,1),1)))))"
+_CAP_REFUSAL = "arity 7 exceeds the arity cap 6 of system Bicom"
+
+
+@pytest.mark.parametrize("terms, want", [
+    ([("x(1,x(1,x(1,x(1,x(1,x(1,1))))))", 1)], _CAP_REFUSAL),  # normal
+    ([(_B7_REDEX, 1)], _CAP_REFUSAL),  # its normal form is above the cap
+    ([(_B7_REDEX, 1), ("x(1,x(1,x(1,x(1,1))))", 2),
+      ("x(1,x(1,x(1,y(1,1))))", -1)], _CAP_REFUSAL),
+    # the arity-7 terms cancel before the pending normal one is popped
+    ([(_B7_REDEX, 1), (_B7_REDUCT, -1), ("x(1,x(1,x(1,x(1,1))))", 2),
+      ("x(1,x(1,x(1,y(1,1))))", -1)],
+     "+2*x(1,x(1,x(1,x(1,1))))-1*y(x(1,x(1,x(1,1))),1)"),
+], ids=["normal", "redex", "mixed", "mixed and cancelled"])
+def test_a_capped_system_refuses_a_pending_normal_term_above_its_cap(terms, want):
+    # a normal term above the cap is the one normal term that enters the
+    # heap: it is refused when popped, but only if it is still pending
+    e = NsElement([(t(s), c) for s, c in terms])
+    try:
+        got = format_element(normalize(e, systems.system("Bicom", max_arity=6)))
+    except ValueError as err:
+        got = str(err)
+    assert got == want
 
 
 def test_overlaps_refuse_arity_above_the_cap():
@@ -639,6 +667,36 @@ def test_check_confluence_normalizes_once_per_overlap(monkeypatch):
     bicom = systems.system("Bicom", max_arity=9)
     report = check_confluence(bicom, 9)
     assert report.passed and len(calls) == len(report.checks) > 0
+
+
+@pytest.mark.parametrize("name", ["Zin", "Flex", "L", "Bicom", "Bicom confluence"])
+def test_the_heap_holds_only_terms_to_rewrite_or_refuse(monkeypatch, name):
+    # a normal term at or below the cap would only be popped and skipped;
+    # entered records each annotated node given to heapify or heappush
+    entered = []
+
+    def heapify(heap):
+        entered.extend(heap)
+        heapq.heapify(heap)
+
+    def heappush(heap, v):
+        entered.append(v)
+        heapq.heappush(heap, v)
+
+    monkeypatch.setattr(treeterm, "heapify", heapify)
+    monkeypatch.setattr(treeterm, "heappush", heappush)
+    if name == "Bicom confluence":
+        sys = systems.system("Bicom", max_arity=7)
+        assert check_confluence(sys, 7).passed
+    else:
+        sys, ops = _REFERENCE_SYSTEMS[name]
+        for n in range(1, 7):
+            for tree in free_trees(n, ops):
+                normalize(NsElement([(tree, 1)]), sys)
+    cap = sys.arity_cap
+    assert entered
+    assert not [format_tree(u[6]) for u in entered
+                if not u[5] and (cap is None or u[7] <= cap)]
 
 
 def _random_element(draw_terms, ops):
