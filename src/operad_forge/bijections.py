@@ -20,6 +20,11 @@ grammar, and the grammar generates exactly the trees with no redex.
   demands (mirrored for y).
 * Flex and L.  flex1, flex2 and L's one rule are the (class, label) keys
   missing from _TO_L and _TO_FLEX.
+
+All six maps refuse what they cannot map in one helper, _map_or_refuse,
+with a ValueError that says what the map expects: a normal monomial of its
+system, a planar binary tree with an internal vertex (pbt_to_zin) or a str
+of as many E's as N's (word_to_bicom).
 """
 
 from __future__ import annotations
@@ -41,20 +46,21 @@ def format_pbt(b: PBT) -> str:
     return f"({format_pbt(b[0])}{format_pbt(b[1])})"
 
 
-def _map_or_refuse(name: str, walk, *args):
-    """walk(*args), refusing what it cannot map: a node that is not
-    (op, left, right), a foreign label or a shape outside the grammar ends
-    walk with a KeyError, TypeError or ValueError."""
+def _map_or_refuse(expected: str, walk, *args):
+    """walk(*args), refusing what it cannot map with ValueError("not " +
+    expected): a node that is not (op, left, right) or (left, right), a
+    foreign label or step, or a shape outside the grammar ends walk with a
+    KeyError, TypeError or ValueError."""
     try:
         return walk(*args)
     except (KeyError, TypeError, ValueError):
-        raise ValueError(f"not a normal {name} monomial") from None
+        raise ValueError(f"not {expected}") from None
 
 
 @_acyclic
 def zin_to_pbt(t: Tree) -> PBT:
     """Normal Zin monomial of arity n -> planar binary tree, n internal vertices."""
-    return _map_or_refuse("Zin", _zin_to_pbt, t)
+    return _map_or_refuse("a normal Zin monomial", _zin_to_pbt, t)
 
 
 def _zin_to_pbt(t: Tree) -> PBT:
@@ -73,7 +79,8 @@ def _zin_to_pbt(t: Tree) -> PBT:
 
 @_acyclic
 def pbt_to_zin(b: PBT) -> Tree:
-    return _pbt_to_zin(b)
+    return _map_or_refuse("a planar binary tree with an internal vertex",
+                          _pbt_to_zin, b)
 
 
 def _pbt_to_zin(b: PBT) -> Tree:
@@ -119,7 +126,7 @@ def _comb_unword(w: str, op: str) -> Tree:
 
 @_acyclic
 def bicom_to_word(t: Tree) -> str:
-    return _map_or_refuse("Bicom", _bicom_word, t)[0]
+    return _map_or_refuse("a normal Bicom monomial", _bicom_word, t)[0]
 
 
 def _bicom_word(t: Tree) -> tuple[str, str]:
@@ -139,8 +146,12 @@ def _bicom_word(t: Tree) -> tuple[str, str]:
 
 @_acyclic
 def word_to_bicom(w: str) -> Tree:
-    if w.count("E") != w.count("N") or set(w) - {"E", "N"}:
-        raise ValueError(f"not a balanced EN word: {w!r}")
+    return _map_or_refuse("a str of as many E's as N's", _balanced_unword, w)
+
+
+def _balanced_unword(w: str) -> Tree:
+    if not isinstance(w, str) or w.count("E") != w.count("N") or set(w) - {"E", "N"}:
+        raise ValueError("not a balanced EN word")
     return _unword(w)
 
 
@@ -178,9 +189,9 @@ def _relabel(t: Tree, table: dict, cls: str) -> Tree:
 
 @_acyclic
 def flex_to_L(t: Tree) -> Tree:
-    return _map_or_refuse("Flex", _relabel, t, _TO_L, "N")
+    return _map_or_refuse("a normal Flex monomial", _relabel, t, _TO_L, "N")
 
 
 @_acyclic
 def L_to_flex(s: Tree) -> Tree:
-    return _map_or_refuse("L", _relabel, s, _TO_FLEX, "N")
+    return _map_or_refuse("a normal L monomial", _relabel, s, _TO_FLEX, "N")

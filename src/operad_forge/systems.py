@@ -2,9 +2,13 @@
 
 Systems: "Zin", "Bicom" (an infinite rule family, instantiated up to an
 arity cap), "Flex", "AntiFlex" and the auxiliary "L" system over operations
-z, t.  For each system the module provides the normal-form grammar (a
-treeterm.Grammar, enumerated by treeterm.generate) and closed dimension
-formulas.  It holds no arity-3 presentation: nc_relations reads the
+z, t.  One table, _SYSTEMS, keyed by system name, holds all that is known
+of each: its rules for a given cap, its default cap (10 for Bicom, None
+for the systems that have no cap), its normal-form grammar (a
+treeterm.Grammar, enumerated by treeterm.generate) and its closed count
+formula.  SYSTEM_NAMES, system(), normal_forms() and dim_formula() all
+read that table, and _spec() is its one refusal of an unknown name, a
+KeyError.  The module holds no arity-3 presentation: nc_relations reads the
 nonsymmetric versions from the catalog, where manin derives them, and
 writes them as planar trees (tree labels x = "<" and y = ">").
 
@@ -19,12 +23,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .arity3 import catalog
-from .treeterm import (LEAF, NsElement, RewriteRule, RewriteSystem, Tree,
-                       check_confluence, generate, parse_tree, rule)
-
-SYSTEM_NAMES = ("Zin", "Bicom", "Flex", "AntiFlex", "L")
+from .treeterm import (LEAF, Grammar, NsElement, RewriteRule, RewriteSystem,
+                       Tree, check_confluence, generate, parse_tree, rule)
 
 
 def _zin_rules() -> tuple[RewriteRule, ...]:
@@ -45,6 +48,13 @@ def _bicom_rule(n: int, outer: str) -> RewriteRule:
         rhs_core = (outer, rhs_core, LEAF)
     name = f"{'f' if outer == 'x' else 'g'}{n}"
     return RewriteRule(name, (outer, LEAF, lhs_core), ((1, rhs_core),))
+
+
+def _bicom_rules(cap: int) -> tuple[RewriteRule, ...]:
+    """f_n, then g_n, for each n whose rules have arity at most cap."""
+    if cap < 3:
+        raise ValueError("Bicom needs an arity cap of at least 3")
+    return tuple(_bicom_rule(n, outer) for n in range(cap - 2) for outer in "xy")
 
 
 def _flex_rule1(sign: int) -> RewriteRule:
@@ -70,38 +80,25 @@ def _derive_flex_rule2(rule1: RewriteRule, name: str) -> RewriteRule:
     return RewriteRule(name, lhs, rhs)
 
 
-def system(name: str, max_arity: int | None = None) -> RewriteSystem:
-    """One object per (name, cap); only Bicom has a cap (10 by default)."""
-    cap = (10 if max_arity is None else max_arity) if name == "Bicom" else None
-    return _system(name, cap)
+def _flex_rules(sign: int) -> tuple[RewriteRule, ...]:
+    r1 = _flex_rule1(sign)
+    return r1, _derive_flex_rule2(r1, "flex2" if sign > 0 else "aflex2")
 
 
-@lru_cache(maxsize=None)
-def _system(name: str, cap: int | None) -> RewriteSystem:
-    if name == "Zin":
-        return RewriteSystem("Zin", _zin_rules())
-    if name == "Bicom":
-        if cap < 3:
-            raise ValueError("Bicom needs an arity cap of at least 3")
-        rules = []
-        for n in range(cap - 2):
-            rules.append(_bicom_rule(n, "x"))
-            rules.append(_bicom_rule(n, "y"))
-        return RewriteSystem("Bicom", tuple(rules), arity_cap=cap)
-    if name in ("Flex", "AntiFlex"):
-        sign = 1 if name == "Flex" else -1
-        r1 = _flex_rule1(sign)
-        r2 = _derive_flex_rule2(r1, "flex2" if sign > 0 else "aflex2")
-        return RewriteSystem(name, (r1, r2))
-    if name == "L":
-        return RewriteSystem("L", (rule("L", "t(1,z(1,1))", "z(t(1,1),1)"),))
-    raise KeyError(f"unknown system {name!r}")
+def _flex_count(n: int) -> int:
+    """Flex's count, which AntiFlex and L share."""
+    return math.comb(3 * n - 2, n - 1) // n
 
 
-# --- normal-form grammars --------------------------------------------------
+class _Spec(NamedTuple):
+    """One system's row of _SYSTEMS.  grammar is a treeterm.Grammar:
+    (class, productions) pairs, the root class first; a production is
+    "leaf" or (op, class_left, class_right)."""
+    rules: Callable[[int | None], tuple[RewriteRule, ...]]  # for a cap
+    default_cap: int | None  # None: the system has no cap
+    grammar: Grammar
+    count: Callable[[int], int]  # the number of normal forms of arity n
 
-# Each grammar is a treeterm.Grammar: (class, productions) pairs, the root
-# class first; a production is "leaf" or (op, class_left, class_right).
 
 _FLEX_GRAMMAR = (
     ("N", ("leaf", ("x", "N", "N"), ("y", "N", "R"))),
@@ -109,47 +106,64 @@ _FLEX_GRAMMAR = (
     ("Q", ("leaf", ("y", "N", "R"))),
 )
 
-_GRAMMARS = {
-    "Zin": (
-        ("N", ("leaf", ("x", "N", "one"), ("y", "N", "one"), ("y", "N", "X1"))),
-        ("X1", (("x", "N", "one"),)),       # x(N, 1)
-        ("one", ("leaf",)),                 # exactly the leaf, as a subtree
-    ),
-    "Bicom": (
-        ("N", ("leaf", ("x", "N", "X"), ("y", "N", "Y"))),
-        ("X", ("leaf", ("x", "X", "X"))),
-        ("Y", ("leaf", ("y", "Y", "Y"))),
-    ),
-    "Flex": _FLEX_GRAMMAR,
-    "AntiFlex": _FLEX_GRAMMAR,
-    "L": (
-        ("S", ("leaf", ("z", "S", "S"), ("t", "S", "U"))),
-        ("U", ("leaf", ("t", "S", "U"))),
-    ),
+_SYSTEMS = {
+    "Zin": _Spec(
+        lambda cap: _zin_rules(), None,
+        (("N", ("leaf", ("x", "N", "one"), ("y", "N", "one"), ("y", "N", "X1"))),
+         ("X1", (("x", "N", "one"),)),       # x(N, 1)
+         ("one", ("leaf",))),                # exactly the leaf, as a subtree
+        lambda n: math.comb(2 * n, n) // (n + 1)),
+    "Bicom": _Spec(
+        _bicom_rules, 10,
+        (("N", ("leaf", ("x", "N", "X"), ("y", "N", "Y"))),
+         ("X", ("leaf", ("x", "X", "X"))),
+         ("Y", ("leaf", ("y", "Y", "Y")))),
+        lambda n: math.comb(2 * n - 2, n - 1)),
+    "Flex": _Spec(lambda cap: _flex_rules(1), None, _FLEX_GRAMMAR, _flex_count),
+    "AntiFlex": _Spec(lambda cap: _flex_rules(-1), None, _FLEX_GRAMMAR, _flex_count),
+    "L": _Spec(
+        lambda cap: (rule("L", "t(1,z(1,1))", "z(t(1,1),1)"),), None,
+        (("S", ("leaf", ("z", "S", "S"), ("t", "S", "U"))),
+         ("U", ("leaf", ("t", "S", "U")))),
+        _flex_count),
 }
+
+SYSTEM_NAMES = tuple(_SYSTEMS)
+
+
+def _spec(name: str) -> _Spec:
+    spec = _SYSTEMS.get(name)
+    if spec is None:
+        raise KeyError(f"unknown system {name!r}")
+    return spec
+
+
+def system(name: str, max_arity: int | None = None) -> RewriteSystem:
+    """One object per (name, cap); only Bicom has a cap (10 by default)."""
+    cap = _spec(name).default_cap
+    if cap is not None and max_arity is not None:
+        cap = max_arity
+    return _system(name, cap)
+
+
+@lru_cache(maxsize=None)
+def _system(name: str, cap: int | None) -> RewriteSystem:
+    return RewriteSystem(name, _spec(name).rules(cap), arity_cap=cap)
 
 
 def normal_forms(name: str, n: int) -> tuple[Tree, ...]:
     """All arity-n trees generated by the system's normal-form grammar: the
     enumerator's cached tuple, shared by every call."""
-    if name not in _GRAMMARS:
-        raise KeyError(f"unknown system {name!r}")
+    grammar = _spec(name).grammar
     if n < 1:
         raise ValueError("arity must be at least 1")
-    grammar = _GRAMMARS[name]
     return generate(grammar, grammar[0][0], n)
 
 
 def dim_formula(name: str, n: int) -> int:
     if n < 1:
         raise ValueError("arity must be at least 1")
-    if name == "Zin":
-        return math.comb(2 * n, n) // (n + 1)
-    if name == "Bicom":
-        return math.comb(2 * n - 2, n - 1)
-    if name in ("Flex", "AntiFlex", "L"):
-        return math.comb(3 * n - 2, n - 1) // n
-    raise KeyError(f"unknown system {name!r}")
+    return _spec(name).count(n)
 
 
 # --- the nonsymmetric versions as planar relations ------------------------

@@ -38,16 +38,19 @@ annotated node is the tuple (1, op, left, right, state, bits, tree, arity)
 with left and right annotated, bits the OR of the rule masks
 (LhsAutomaton.masks) over the subtree and tree the plain tree; the leaf is
 the one constant (0, "", None, None, 0, 0, LEAF, 1).  A term is normal iff
-bits == 0.  Otherwise low = bits & -bits is the first rule that matches
-somewhere, and one descent from the root finds its first preorder match.
-The system's compiled reducts (RewriteSystem.reducts, per rule and rhs term
-a coefficient and a builder) build the annotated rhs from the redex's
+bits == 0.  A rule is applied at a redex in one place, _apply: the system's
+compiled reducts (RewriteSystem.reducts, per rule and rhs term a
+coefficient and a builder) build the annotated rhs from the redex's
 annotated wildcard subtrees, and the spine above the redex is re-wrapped
-around it: only new nodes cost an automaton lookup.  Each builder is one
-straight-line function generated from source (_compile): the lhs's child
-paths read the wildcards, and each rhs node is one _node call, its label
-written as a str literal.  The reducts are compiled per system, not per
-rule, because a rule can sit in systems whose automata differ.
+around it: only new nodes cost an automaton lookup.  _apply is reached two
+ways, which differ only in how they find the redex.  A rewrite step
+(_rewrite) takes low = bits & -bits, the first rule that matches somewhere,
+and one descent from the root finds its first preorder match;
+check_confluence (_rewrite_at) descends by an overlap's address.  Each
+builder is one straight-line function generated from source (_compile): the
+lhs's child paths read the wildcards, and each rhs node is one _node call,
+its label written as a str literal.  The reducts are compiled per system,
+not per rule, because a rule can sit in systems whose automata differ.
 
 The trees given to rewrite_once() and normalize() share subtrees as
 is_normal()'s do, so _annotate() keeps the annotated nodes of proper
@@ -82,10 +85,10 @@ across calls: a normal-form memo is sound only for a system already
 certified confluent, and check_confluence() runs on this engine.  It
 annotates each overlap tree once and applies each of the overlap's two
 rules at its address (_rewrite_at): one descent by the address, a
-ValueError unless the state there has the rule's mask bit, and the rhs and
-spine rebuilt as a rewrite step rebuilds them.  Their difference, the
-S-polynomial, is normalized once: a step's reducts depend on the term
-alone, so normalization is linear.
+ValueError unless the state there has the rule's mask bit, then _apply,
+as in a rewrite step.  Their difference, the S-polynomial, is normalized
+once: a step's reducts depend on the term alone, so normalization is
+linear.
 
 generate(), normalize(), check_confluence() and the six maps of
 bijections build trees in bulk, so each runs with CPython's cyclic garbage
@@ -307,12 +310,11 @@ def _compile(lhs: Tree, p: Tree, auto: LhsAutomaton) -> Callable[[Node], Node]:
 
     It is generated as one straight-line function, one _node call per
     internal node of p with its label written as its repr, so a rhs term
-    costs one call more than its nodes, where nested closures took two per
-    node and one per wildcard.  _node stays a call: inlined, it made the
-    source of Bicom's 24 builders at cap 14 six times longer, and their
-    compiling (13 ms against 3.5 ms) outweighed what check_confluence saves
-    on Bicom at arity 14.  Only a str label is written, since its repr is
-    a literal."""
+    costs one call more than its nodes.  _node stays a call: inlined, it
+    made the source of Bicom's 24 builders at cap 14 six times longer, and
+    their compiling (13 ms against 3.5 ms) outweighed what check_confluence
+    saves on Bicom at arity 14.  Only a str label is written, since its
+    repr is a literal."""
     reads, lines = _wildcards(lhs, "u"), ["def build(u):"]
     lines.append(f"    return {_emit(p, reads, lines)}")
     source, namespace = "\n".join(lines), {"auto": auto, "node": _node}
@@ -497,14 +499,35 @@ def _annotated(t: Tree, auto: LhsAutomaton, nodes: list) -> Node:
     return (1, op, a, b, s, bits, t, a[7] + b[7])
 
 
+def _apply(auto: LhsAutomaton, reducts: tuple, u: Node,
+           spine: list[tuple[Node, object]]) -> list[tuple[Node, object]]:
+    """(annotated term, coefficient) per rhs term of rule k, given by its
+    compiled reducts (RewriteSystem.reducts[k]), at the redex u, found
+    below spine: (node, true if the path went left) per node on the path
+    from the root to u, which it reverses in place.  Each reduct is built
+    from u and re-wrapped with one _node per spine node, innermost first;
+    nothing else is built anew.  It takes the automaton and the reducts,
+    which both callers look up anyway, not the system: reading
+    sys.automaton once more per step read normalize's op_p90_ms 1.0% and
+    2.7% above the parent's in two sets of pairs, this form 0.8% above and
+    0.3% below (BENCH_oneplace.json)."""
+    spine.reverse()
+    out = []
+    for c, build in reducts:
+        v = build(u)
+        for w, left in spine:
+            v = _node(auto, w[1], v, w[3]) if left else _node(auto, w[1], w[2], v)
+        out.append((v, c))
+    return out
+
+
 def _rewrite(u: Node, sys: RewriteSystem) -> list[tuple[Node, object]]:
-    """(annotated term, coefficient) per rhs term of the first rule that
-    matches in the non-normal annotated node u, at its first preorder node.
+    """_apply of the first rule that matches in the non-normal annotated
+    node u, at its first preorder node.
 
     low is that rule's bit.  One descent from the root finds the node: it
     stops where the node's own state holds low, else goes left if the left
-    subtree's bits hold low, else right.  Only the rhs and the spine above
-    the redex are built anew.
+    subtree's bits hold low, else right.
     """
     auto = sys.automaton
     masks = auto.masks
@@ -514,38 +537,22 @@ def _rewrite(u: Node, sys: RewriteSystem) -> list[tuple[Node, object]]:
         left = u[2][5] & low
         spine.append((u, left))
         u = u[2] if left else u[3]
-    spine.reverse()
-    out = []
-    for c, build in sys.reducts[low.bit_length() - 1]:
-        v = build(u)
-        for w, left in spine:
-            v = _node(auto, w[1], v, w[3]) if left else _node(auto, w[1], w[2], v)
-        out.append((v, c))
-    return out
+    return _apply(auto, sys.reducts[low.bit_length() - 1], u, spine)
 
 
 def _rewrite_at(u: Node, sys: RewriteSystem, k: int,
                 addr: Addr) -> list[tuple[Node, object]]:
-    """(annotated term, coefficient) per rhs term of rule k of sys applied
-    at addr (0 left child, 1 right) in the annotated node u, built as
-    _rewrite builds them; a ValueError naming the rule if the automaton
-    state there has no mask bit for it.  The rebuild loop is not shared
-    with _rewrite: the extra call per step made normalize 3% slower."""
-    auto = sys.automaton
+    """_apply of rule k of sys at addr (0 left child, 1 right) in the
+    annotated node u; a ValueError naming the rule if the automaton state
+    there has no mask bit for it."""
     spine = []
     for step in addr:
         spine.append((u, not step))
         u = u[2 + step]
+    auto = sys.automaton
     if u[4] >= 0 or not auto.masks[u[4]] >> k & 1:
         raise ValueError(f"rule {sys.rules[k].name} does not match at {addr}")
-    spine.reverse()
-    out = []
-    for c, build in sys.reducts[k]:
-        v = build(u)
-        for w, left in spine:
-            v = _node(auto, w[1], v, w[3]) if left else _node(auto, w[1], w[2], v)
-        out.append((v, c))
-    return out
+    return _apply(auto, sys.reducts[k], u, spine)
 
 
 def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:

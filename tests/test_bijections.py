@@ -206,6 +206,19 @@ def test_word_to_bicom_rejects_unbalanced():
         bj.word_to_bicom("EX")
 
 
+_EXPECTED = {bj.pbt_to_zin: "a planar binary tree with an internal vertex",
+             bj.word_to_bicom: "a str of as many E's as N's"}
+
+
+@pytest.mark.parametrize("convert, value", [
+    (bj.pbt_to_zin, 5), (bj.pbt_to_zin, ("*",)),
+    (bj.word_to_bicom, 5), (bj.word_to_bicom, ["E", "N"]),
+])
+def test_reverse_maps_refuse_malformed_input(convert, value):
+    with pytest.raises(ValueError, match=f"^not {_EXPECTED[convert]}$"):
+        convert(value)
+
+
 # --- Flex normal forms <-> L normal forms ----------------------------------
 
 @pytest.mark.parametrize("n", range(1, 9))

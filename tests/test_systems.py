@@ -99,6 +99,24 @@ def test_one_system_object_per_name_and_cap():
     assert systems.system("Bicom", 8) is not systems.system("Bicom")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: systems.system("Nope"),
+    lambda: systems.system("Nope", max_arity=5),
+    lambda: systems.normal_forms("Nope", 3),
+    lambda: systems.normal_forms("Nope", 0),
+    lambda: systems.dim_formula("Nope", 3),
+])
+def test_unknown_system_names_are_refused(call):
+    with pytest.raises(KeyError) as info:
+        call()
+    assert info.value.args == ("unknown system 'Nope'",)
+
+
+def test_dim_formula_checks_the_arity_before_the_name():
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        systems.dim_formula("Nope", 0)
+
+
 def test_l_system_single_rule():
     lsys = systems.system("L")
     assert len(lsys.rules) == 1
