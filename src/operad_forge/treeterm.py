@@ -102,6 +102,17 @@ pause switches interpreter-wide state, so like the slots and nodes it
 assumes one thread: with two, a pause can lift early or last to the end of
 the longer call, but no collection is lost.
 
+The pause defers one walk and removes none.  A tuple is tracked by the
+collector when it is built, so what a paused call built waits in the
+youngest generation, and the first young collection after the call walks
+each new tuple once and untracks it (a tuple of strs, ints and untracked
+tuples): after the enumerate benchmark's listings that walk takes
+0.15-0.21 s (raw, CPython 3.11, BENCH_product.json "collector"), and
+later collections skip the trees.  No pause can avoid it, since only
+objects that are never tracked skip it.  gc.freeze() would, but it moves
+every object then alive out of the collector's reach, the caller's too,
+so a cycle the caller had built would not be freed; it is not used.
+
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
 """
@@ -113,6 +124,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from heapq import heapify, heappop, heappush
+from itertools import product
 from sys import maxsize
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -203,14 +215,22 @@ Grammar = tuple[tuple[str, tuple], ...]
 
 @_acyclic
 def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
-    """All arity-n trees of class cls: productions in order, then left arity.
+    """All arity-n trees of class cls: productions in order, then left
+    arity, left tree and right tree.
 
-    Every listing stays alive for the life of the process (an unbounded
-    lru_cache): that is most of the enumerate benchmark's ~200 MB peak, and
-    generate.cache_clear() frees it.  The cache stays because equal grammars
-    share it (AntiFlex's normal forms reuse Flex's listing) and the smaller
-    listings serve the larger ones; a per-call memo, in a recorded trial,
-    raised enumerate's work_s from 1.59 s to 1.92-2.11 s."""
+    Each production and left arity k is one itertools.product((op,),
+    lefts, rights) over the listings of arities k and n - k, so the trees
+    are built in C.  product varies its last argument fastest, which is the
+    order above, and takes a tuple argument as its pool without copying
+    it, so each child is the very tree listed at its class and arity: the
+    listings share their subtrees, as is_normal()'s slots and _annotate()'s
+    nodes expect.  Every listing stays alive for the life of the process
+    (an unbounded lru_cache): that is most of the enumerate benchmark's
+    ~200 MB peak, and generate.cache_clear() frees it.  The cache stays
+    because equal grammars share it (AntiFlex's normal forms reuse Flex's
+    listing) and the larger listings are built from the smaller ones.  The
+    first young collection after the call still walks each new tree once
+    (module docstring)."""
     return _generate(grammar, cls, n)
 
 
@@ -224,10 +244,8 @@ def _generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
             continue
         op, lc, rc = prod
         for k in range(1, n):
-            rights = _generate(grammar, rc, n - k)
-            for left in _generate(grammar, lc, k):
-                for right in rights:
-                    out.append((op, left, right))
+            out.extend(product((op,), _generate(grammar, lc, k),
+                               _generate(grammar, rc, n - k)))
     return tuple(out)
 
 
@@ -796,12 +814,15 @@ class ConfluenceReport:
 def check_confluence(sys: RewriteSystem, max_arity: int) -> ConfluenceReport:
     """Normalize the S-polynomial of each overlap: the one-step reducts of
     rule_i at the root less those of rule_j at its address.  The overlap
-    tree is annotated once, and each rule is applied by _rewrite_at."""
+    tree is annotated once, and each rule is applied by _rewrite_at.  An
+    overlap holds the very rules of sys.rules, so their indices are looked
+    up by identity: the first occurrence's, as rules.index gives."""
     rules, checks = sys.rules, []
+    index = {id(r): rules.index(r) for r in rules}
     for ov in overlaps(sys, max_arity):
         u = _annotate(ov.tree, sys)
-        left = _rewrite_at(u, sys, rules.index(ov.rule_i), ())
-        right = _rewrite_at(u, sys, rules.index(ov.rule_j), ov.addr)
+        left = _rewrite_at(u, sys, index[id(ov.rule_i)], ())
+        right = _rewrite_at(u, sys, index[id(ov.rule_j)], ov.addr)
         # each side's terms are distinct; a tree on both sides enters once
         work = {v[6]: c for v, c in left}
         heap = [v for v, _ in left] + [v for v, _ in right if v[6] not in work]

@@ -75,6 +75,60 @@ def test_equal_grammars_share_one_enumeration():
     assert generate(g1, "F", 6) is generate(g2, "F", 6)
 
 
+def _reference_generate(grammar, cls, n, memo=None):
+    """generate by three nested loops over new trees, with its own memo:
+    productions in order, then left arity, left tree and right tree."""
+    memo = {} if memo is None else memo
+    if (cls, n) not in memo:
+        out = []
+        for prod in dict(grammar)[cls]:
+            if prod == "leaf":
+                if n == 1:
+                    out.append(LEAF)
+                continue
+            op, lc, rc = prod
+            for k in range(1, n):
+                rights = _reference_generate(grammar, rc, n - k, memo)
+                for left in _reference_generate(grammar, lc, k, memo):
+                    for right in rights:
+                        out.append((op, left, right))
+        memo[cls, n] = tuple(out)
+    return memo[cls, n]
+
+
+def _free_grammar(ops):
+    return (("F", ("leaf",) + tuple((op, "F", "F") for op in ops)),)
+
+
+_LISTING_CASES = (
+    [(name, spec.grammar, 9) for name, spec in systems._SYSTEMS.items()]
+    + [("free" + "".join(ops), _free_grammar(ops), 7)
+       for ops in (("x", "y"), ("y", "x"), ("a", "b", "c"))])
+
+
+@pytest.mark.parametrize("name,grammar,max_n", _LISTING_CASES,
+                         ids=[c[0] for c in _LISTING_CASES])
+def test_generate_lists_the_reference_order_and_shares_its_children(
+        name, grammar, max_n):
+    classes = [c for c, _ in grammar]
+    ids = {}
+    for n in range(1, max_n + 1):
+        for c in classes:
+            got = generate(grammar, c, n)
+            assert got == _reference_generate(grammar, c, n), (c, n)
+            ids[c, n] = {id(u) for u in got}
+    # every child is the very object listed at its class and arity
+    for (c, n), members in ids.items():
+        prods = [p for p in dict(grammar)[c] if p != "leaf"]
+        for u in generate(grammar, c, n):
+            if u == LEAF:
+                continue
+            k = arity(u[1])
+            assert any(op == u[0] and id(u[1]) in ids[lc, k]
+                       and id(u[2]) in ids[rc, n - k]
+                       for op, lc, rc in prods), (c, n, format_tree(u))
+
+
 def test_match_at_binds_leaves():
     r = rule("r", "x(1,y(1,1))", [(1, "y(x(1,1),1)")])
     tree = t("x(y(1,1),y(x(1,1),1))")
@@ -667,6 +721,26 @@ def test_check_confluence_normalizes_once_per_overlap(monkeypatch):
     bicom = systems.system("Bicom", max_arity=9)
     report = check_confluence(bicom, 9)
     assert report.passed and len(calls) == len(report.checks) > 0
+
+
+def test_check_confluence_applies_an_equal_rule_by_its_first_index(monkeypatch):
+    zin = systems.system("Zin")
+    again = RewriteRule(zin.rules[0].name, zin.rules[0].lhs, zin.rules[0].rhs)
+    assert again == zin.rules[0] and again is not zin.rules[0]
+    sys = RewriteSystem("ZinTwice", zin.rules + (again,))
+    applied = []
+    real = treeterm._rewrite_at
+
+    def recorded(u, sys, k, addr):
+        applied.append(k)
+        return real(u, sys, k, addr)
+
+    monkeypatch.setattr(treeterm, "_rewrite_at", recorded)
+    report = check_confluence(sys, 6)
+    assert any(c.overlap.rule_i is again or c.overlap.rule_j is again
+               for c in report.checks)
+    assert len(sys.rules) - 1 not in applied
+    assert report == _reference_confluence(sys, 6)
 
 
 @pytest.mark.parametrize("name", ["Zin", "Flex", "L", "Bicom", "Bicom confluence"])
