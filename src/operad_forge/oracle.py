@@ -33,6 +33,18 @@ is no pivot of I(k)'s echelon rows:
    part.  As r is linear in each inner tree, the root rows need only run
    over normal inner trees.
 
+The root rows go to absorb by descending leading column, and among equal
+leading columns by descending last column (consequences).  The first row
+at a column becomes its pivot; a pivot whose tail lies far right leaves
+the rows it reduces fewer further steps, and they reach fewer grafted
+rows, which the table would build and keep.  Against the order by length
+among equals, through arity 8 this takes NcNov from 252,876 calls of
+exactlin._cancel to 175,962 and NcBicom from 14,265 to 11,145, and builds
+6,133 grafted rows of NcBicom's arity 8 instead of 8,405, in the label
+order (x, y); the other catalog presentations, and these two in the
+order (y, x), do the same work under either key.  No row and no rank
+changes.
+
 No tree is grafted: in the fixed order of the free trees the position of a
 grafting is affine in the positions of its parts (position).  Every row
 has int entries; the root rows of fact 3 go straight to absorb of the one
@@ -264,9 +276,11 @@ def consequences(rels: Sequence[NsElement], m: int,
                         row = {j: x for j, x in row.items() if x}
                         if row:
                             root.append(row)
-    # largest leading column first, less fill-in; the sparsest first among
-    # equals (a stable sort), so the relations' order and basis do not count
-    root.sort(key=len)
+    # largest leading column first, less fill-in; among equals (a stable
+    # sort) the largest last column first, as the first one becomes the
+    # pivot the others are reduced by.  The order and the signs of the
+    # relations leave the fill-in as it is, a change of their basis need not
+    root.sort(key=max, reverse=True)
     root.sort(key=min, reverse=True)
     return root
 

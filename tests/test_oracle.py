@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operad_forge import oracle, systems
+from operad_forge import exactlin, oracle, systems
 from operad_forge.exactlin import _integral, absorb
 from operad_forge.oracle import (bruteforce_dim, catalan, consequences,
                                  free_dim, free_trees, ideal_rank, ideal_ranks,
@@ -354,11 +354,12 @@ def test_nc_nov_pivots_grow_beyond_one():
 def test_rows_come_by_descending_leading_column():
     # the grafted rows lead at pairwise distinct columns, which the pivot
     # indicator marks, and are pivot rows as they stand; the root rows
-    # follow by descending leading column, which keeps NcZin's fill-in at
-    # arity 7 at 21,212 nonzeros in all pivot rows (in generation order it
-    # was 37,200, with the same rank) and at 2,576 in the root pivot rows of
-    # arities up to 7, of which every other pivot row is a copy (7,861 in
-    # generation order)
+    # follow by descending leading column, and among equals by descending
+    # last column (test_root_row_order_bounds_the_elimination_work), which
+    # keeps NcZin's fill-in at arity 7 at 21,212 nonzeros in all pivot rows
+    # (in generation order it was 37,200, with the same rank) and at 2,576
+    # in the root pivot rows of arities up to 7, of which every other pivot
+    # row is a copy (7,861 in generation order)
     rels = systems.nc_relations("NcZin")
     elims = _eliminations(rels, 7)
     bases = _bases(elims, 7)
@@ -382,7 +383,7 @@ def test_rows_come_by_descending_leading_column():
             assert absorb(alone, dict(row)) and alone == {lead: row}
     assert len(implicit) == implicit.lead.count(1) == grafted
     root = consequences(rels, 7, bases)
-    assert [(-min(r), len(r)) for r in root] == sorted((-min(r), len(r)) for r in root)
+    assert [(-min(r), -max(r)) for r in root] == sorted((-min(r), -max(r)) for r in root)
     for row in root:
         absorb(table, dict(row))
         absorb(implicit, dict(row))
@@ -485,17 +486,81 @@ def test_grafted_blocks_come_in_increasing_start_column(name, ops, names):
 
 
 @pytest.mark.parametrize("name,rank,nonzeros", [("NcZin", 8019, 21_212),
-                                                ("NcNov", 7524, 24_889)])
+                                                ("NcBicom", 7524, 15_048),
+                                                ("NcFlex", 4572, 25_308),
+                                                ("NcAntiFlex", 4572, 25_308),
+                                                ("NcNov", 7524, 26_444)])
 def test_fill_in_does_not_depend_on_the_relations_order(name, rank, nonzeros):
-    # nonzeros counts all pivot rows of I(7), each read; stored counts the
-    # root pivot rows of arities up to 7, of which the others are copies
-    stored = {"NcZin": 2_576, "NcNov": 6_193}[name]
+    # the relations reversed and negated give the same fill-in; nonzeros
+    # counts all pivot rows of I(7), each read; stored counts the root pivot
+    # rows of arities up to 7, of which the others are copies.  A change of
+    # basis may change both: NcNov given as (r1 + r2, r2) has 34,930
+    # nonzeros against 26,444, NcZin given as (r1 + r2 + r3, r2, r3) 32,857
+    # against 21,212
+    stored = {"NcZin": 2_576, "NcBicom": 2_912, "NcFlex": 8_960,
+              "NcAntiFlex": 8_960, "NcNov": 6_794}[name]
     rels = systems.nc_relations(name)
     for given in (rels, _flipped(rels)):
         elim = _eliminations(given, 7)[7]
         assert elim.rank == rank
         assert elim.nonzeros == stored
         assert sum(map(len, _full(elim).values())) == nonzeros
+
+
+# exactlin._cancel calls of ideal_rank(rels, 7, ops), with the root rows by
+# descending last column among equal leading columns, and with them by
+# ascending length among equals, the order before
+_CANCELS_7 = {
+    ("NcAs", ("x", "y")): (2_706, 2_706),
+    ("NcAs", ("y", "x")): (2_706, 2_706),
+    ("NcZin", ("x", "y")): (10_937, 10_937),
+    ("NcZin", ("y", "x")): (11_660, 11_660),
+    ("NcAlt", ("x", "y")): (1_787, 1_787),
+    ("NcAlt", ("y", "x")): (1_787, 1_787),
+    ("NcFlex", ("x", "y")): (1_787, 1_787),
+    ("NcFlex", ("y", "x")): (1_787, 1_787),
+    ("NcAntiFlex", ("x", "y")): (1_787, 1_787),
+    ("NcAntiFlex", ("y", "x")): (1_787, 1_787),
+    ("NcLeib", ("x", "y")): (1_884, 1_884),
+    ("NcLeib", ("y", "x")): (1_884, 1_884),
+    ("NcAssosym", ("x", "y")): (1_787, 1_787),
+    ("NcAssosym", ("y", "x")): (1_787, 1_787),
+    ("NcNov", ("x", "y")): (14_060, 17_862),
+    ("NcNov", ("y", "x")): (9_323, 9_323),
+    ("NcBicom", ("x", "y")): (1_894, 2_290),
+    ("NcBicom", ("y", "x")): (1_894, 1_894),
+}
+
+
+@pytest.mark.parametrize("name,ops", sorted(_CANCELS_7),
+                         ids=[f"{name}-{''.join(ops)}" for name, ops in sorted(_CANCELS_7)])
+def test_root_row_order_bounds_the_elimination_work(name, ops, monkeypatch):
+    # absorb reads _cancel as a global of exactlin; nc_relations runs first,
+    # so its own eliminations are not counted
+    rels = systems.nc_relations(name)
+    calls = 0
+    cancel = exactlin._cancel
+
+    def counted(row, p, piv):
+        nonlocal calls
+        calls += 1
+        cancel(row, p, piv)
+
+    monkeypatch.setattr(exactlin, "_cancel", counted)
+    ideal_rank(rels, 7, ops)
+    now, by_length = _CANCELS_7[name, ops]
+    assert calls == now <= by_length
+    if ops == ("x", "y") and name in ("NcNov", "NcBicom"):
+        assert now < by_length
+
+
+def test_root_row_order_builds_fewer_grafted_rows():
+    # at NcBicom 8 the elimination reads 6,133 of the 46,720 grafted rows
+    # (8,405 with the sparsest root row first among equal leading columns);
+    # the table holds them and the 4,760 root pivot rows
+    elim = _eliminations(systems.nc_relations("NcBicom"), 8)[8]
+    assert elim.rank - len(elim.roots) == 46_720
+    assert len(elim) - len(elim.roots) == 6_133
 
 
 _ARITY3 = {ops: free_trees(3, ops) for ops in (("x", "y"), ("z", "t"))}
