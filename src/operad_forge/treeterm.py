@@ -34,10 +34,10 @@ hits costs one call (BENCH_rootstep.json).
 
 rewrite_once() and normalize() rewrite annotated nodes: a subtree carries
 its automaton state, so an unchanged subtree is never walked again.  An
-annotated node is the tuple (1, op, left, right, state, bits, tree, arity)
-with left and right annotated, bits the OR of the rule masks
+annotated node is the tuple (1, op, left, right, state, bits, tree) with
+left and right annotated, bits the OR of the rule masks
 (LhsAutomaton.masks) over the subtree and tree the plain tree; the leaf is
-the one constant (0, "", None, None, 0, 0, LEAF, 1).  A term is normal iff
+the one constant (0, "", None, None, 0, 0, LEAF).  A term is normal iff
 bits == 0.  A rule is applied at a redex in one place, _apply: the system's
 compiled reducts (RewriteSystem.reducts, per rule and rhs term a
 coefficient and a builder) build the annotated rhs from the redex's
@@ -64,31 +64,36 @@ assume one thread.
 
 A system truncated at an arity cap (Bicom) holds a prefix of its family's
 rule order, so a redex it finds above the cap is exactly the one the whole
-family would pick; only a verdict "normal" above the cap is refused, with a
-ValueError.  normalize() rewrites the smallest non-normal term (by tree_key)
-first.  Its working set maps every pending plain tree to its coefficient,
-since hashing nested annotated nodes costs far more; its heap holds only
-the terms to rewrite: a term enters it, when it enters the working set,
-only if its bits are nonzero.  The one exception is a normal term above a
-capped system's cap: it enters the heap and is refused when popped if it is
-still pending.  Popping a normal term at or below the cap would only skip
-it, and a pop takes the smallest entry, so leaving those terms out changes
-neither which non-normal term is popped next nor when a term above the cap
-is refused: the rewrite order, the step counts and the results are those of
-a heap that holds every term.  An annotated node is its own heap key: its
-first four fields compare exactly like tree_key (a leaf below any node,
-then op, then the children), whatever the labels.  Inside the loop a
-coefficient is an int or a Fraction; the result, as every NsElement, holds
-an int or a non-integral Fraction (exactlin._exact).  More than _STEP_CAP
-steps raise StepCapExceeded.  No normal form is kept
-across calls: a normal-form memo is sound only for a system already
-certified confluent, and check_confluence() runs on this engine.  It
-annotates each overlap tree once and applies each of the overlap's two
-rules at its address (_rewrite_at): one descent by the address, a
-ValueError unless the state there has the rule's mask bit, then _apply,
-as in a rewrite step.  Their difference, the S-polynomial, is normalized
-once: a step's reducts depend on the term alone, so normalization is
-linear.
+family would pick.  One rule holds for the cap: only a verdict "normal"
+above it is refused, with a ValueError.  is_normal() and rewrite_once()
+refuse a tree above the cap in which they find no redex, and normalize()
+refuses its result if a term in it is above the cap, naming the smallest
+such term by tree_key.  A term at or below the cap that the truncated rules
+call normal is normal for the whole family, whose other rules are larger,
+so every step and every result that is not refused is the whole family's;
+terms that pass above the cap on the way and cancel are never refused.
+
+normalize() rewrites the smallest non-normal term (by tree_key) first.  Its
+working set maps every pending plain tree to its coefficient, since
+hashing nested annotated nodes costs far more; its heap holds only the
+terms to rewrite: a term enters it, when it enters the working set, only
+if its bits are nonzero.  Popping a normal term would only skip it, and a
+pop takes the smallest entry, so leaving those terms out changes neither
+which term is rewritten next nor the result: the rewrite order, the step
+counts and the results are those of a heap that holds every term.  An
+annotated node is its own heap key: its first four fields compare exactly
+like tree_key (a leaf below any node, then op, then the children), whatever
+the labels.  Inside the loop a coefficient is an int or a Fraction; the
+result, as every NsElement, holds an int or a non-integral Fraction
+(exactlin._exact).  More than _STEP_CAP steps raise StepCapExceeded.  No
+normal form is kept across calls: a normal-form memo is sound only for a
+system already certified confluent, and check_confluence() runs on this
+engine.  It annotates each overlap tree once and applies each of the
+overlap's two rules at its address (_rewrite_at): one descent by the
+address, a ValueError unless the state there has the rule's mask bit, then
+_apply, as in a rewrite step.  Their difference, the S-polynomial, is
+normalized once: a step's reducts depend on the term alone, so
+normalization is linear.
 
 generate(), normalize(), check_confluence() and the six maps of
 bijections build trees in bulk, so each runs with CPython's cyclic garbage
@@ -125,16 +130,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from heapq import heapify, heappop, heappush
 from itertools import product
-from sys import maxsize
 from typing import Callable, Iterable, Iterator, Optional
 
 from .exactlin import _exact
 
 Tree = object  # 1 | (op, Tree, Tree)
 LEAF: Tree = 1
-# (1, op, left, right, state, bits, tree, arity) | the leaf _LEAF
+# (1, op, left, right, state, bits, tree) | the leaf _LEAF
 Node = tuple
-_LEAF: Node = (0, "", None, None, 0, 0, LEAF, 1)
+_LEAF: Node = (0, "", None, None, 0, 0, LEAF)
 Addr = tuple[int, ...]
 # The number of is_normal's slots per system: a prime, so that tree
 # addresses, which are all aligned alike, spread over every slot.
@@ -304,13 +308,6 @@ class RewriteRule:
     def arity(self) -> int:
         return arity(self.lhs)
 
-    def as_element(self) -> NsElement:
-        """lhs - rhs with all wildcards instantiated by leaves."""
-        e = NsElement([(self.lhs, 1)])
-        for c, p in self.rhs:
-            e.add(p, -c)
-        return e
-
 
 def _wildcards(q: Tree, read: str) -> Iterator[str]:
     """Source that reads each wildcard of the lhs q, left to right, off the
@@ -463,10 +460,10 @@ class RewriteSystem:
                 if k not in ("reducts", "slots", "nodes")}
 
 
-def _refuse_above_cap(sys: RewriteSystem, n: int) -> None:
+def _refuse_above_cap(sys: RewriteSystem, t: Tree) -> None:
     """A truncated system lacks the rules above its cap, so it cannot call a
-    tree of larger arity normal."""
-    if sys.arity_cap is not None and n > sys.arity_cap:
+    tree of larger arity normal: the one place that measures t for the cap."""
+    if sys.arity_cap is not None and (n := arity(t)) > sys.arity_cap:
         raise ValueError(f"arity {n} exceeds the arity cap "
                          f"{sys.arity_cap} of system {sys.name}")
 
@@ -477,7 +474,7 @@ def _node(auto: LhsAutomaton, op: str, l: Node, r: Node) -> Node:
     bits = l[5] | r[5]
     if s < 0:
         bits |= auto.masks[s]
-    return (1, op, l, r, s, bits, (op, l[6], r[6]), l[7] + r[7])
+    return (1, op, l, r, s, bits, (op, l[6], r[6]))
 
 
 def _annotate(t: Tree, sys: RewriteSystem) -> Node:
@@ -514,7 +511,7 @@ def _annotated(t: Tree, auto: LhsAutomaton, nodes: list) -> Node:
     bits = a[5] | b[5]
     if s < 0:
         bits |= auto.masks[s]
-    return (1, op, a, b, s, bits, t, a[7] + b[7])
+    return (1, op, a, b, s, bits, t)
 
 
 def _apply(auto: LhsAutomaton, reducts: tuple, u: Node,
@@ -577,7 +574,7 @@ def rewrite_once(t: Tree, sys: RewriteSystem) -> Optional[NsElement]:
     """First match in rule order, then preorder position; None iff t is normal."""
     u = _annotate(t, sys)
     if not u[5]:
-        _refuse_above_cap(sys, u[7])
+        _refuse_above_cap(sys, t)
         return None
     return NsElement((v[6], c) for v, c in _rewrite(u, sys))
 
@@ -651,7 +648,7 @@ def is_normal(t: Tree, sys: RewriteSystem) -> bool:
         if sys.automaton[op, a, b] < 0:
             return False
     if sys.arity_cap is not None:
-        _refuse_above_cap(sys, arity(t))
+        _refuse_above_cap(sys, t)
     return True
 
 
@@ -676,27 +673,23 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
 
     The heap holds annotated nodes, which are their own keys; work is keyed
     by plain trees, so a term that is normal from the start stays the very
-    tree it came as.  Only nodes with nonzero bits, and normal nodes above
-    a capped system's cap, enter the heap: the initial list is filtered
-    here, and each rewrite's new terms in the loop.  Popping a normal node
-    at or below the cap would only skip it, and a pop takes the smallest
-    entry, so the same non-normal terms are rewritten in the same order as
-    with every node in the heap, and a normal one above the cap is refused
-    when it is popped while pending.  The ints are returned as they are; a
+    tree it came as.  Only nodes with nonzero bits enter the heap: the
+    initial list is filtered here, and each rewrite's new terms in the
+    loop.  Popping a normal node would only skip it, and a pop takes the
+    smallest entry, so the same terms are rewritten in the same order as
+    with every node in the heap.  A capped system then refuses the
+    smallest term by tree_key left in work above its cap, if there is one:
+    only the result is judged, so a term that passes above the cap and
+    cancels is never refused.  The ints are returned as they are; a
     Fraction goes through _exact, as a product or sum of Fractions may be
     integral.
     """
-    cap = maxsize if sys.arity_cap is None else sys.arity_cap
-    heap = [u for u in heap if u[5] or u[7] > cap]
+    heap = [u for u in heap if u[5]]
     heapify(heap)
     steps, step_cap = 0, _STEP_CAP
     # a tuple does not cache its hash, so each visit looks a term up once
     while heap:
         u = heappop(heap)
-        if not u[5]:  # above the cap
-            if u[6] in work:
-                _refuse_above_cap(sys, u[7])
-            continue
         c = work.pop(u[6], None)
         if c is None:
             continue  # cancelled
@@ -712,7 +705,7 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
             # t is new iff work grew: an equal small int is one object, so
             # old is d does not tell
             if len(work) > size:
-                if v[5] or v[7] > cap:
+                if v[5]:
                     heappush(heap, v)
                 continue
             d += old
@@ -720,6 +713,13 @@ def _normalize(work: dict, heap: list[Node], sys: RewriteSystem) -> NsElement:
                 work[t] = d
             else:
                 del work[t]
+    if sys.arity_cap is not None:
+        try:
+            for t in work:
+                _refuse_above_cap(sys, t)
+        except ValueError:  # sorted only then, to name the smallest one
+            for t in sorted(work, key=tree_key):
+                _refuse_above_cap(sys, t)
     out = NsElement()
     for t, c in work.items():
         out[t] = c if type(c) is int else _exact(c)

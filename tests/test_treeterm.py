@@ -292,16 +292,59 @@ _CAP_REFUSAL = "arity 7 exceeds the arity cap 6 of system Bicom"
     ([(_B7_REDEX, 1), (_B7_REDUCT, -1), ("x(1,x(1,x(1,x(1,1))))", 2),
       ("x(1,x(1,x(1,y(1,1))))", -1)],
      "+2*x(1,x(1,x(1,x(1,1))))-1*y(x(1,x(1,x(1,1))),1)"),
-], ids=["normal", "redex", "mixed", "mixed and cancelled"])
+    # two redexes whose rewrites pass normal arity-7 terms and meet
+    ([("x(1,x(x(x(y(1,x(1,1)),1),1),1))", 1),
+      ("x(1,x(x(y(1,x(x(1,1),1)),1),1))", -1)], "0"),
+    # two normal terms above the cap: the smallest by tree_key is named,
+    # not the first in the element's order
+    ([("y(1,y(1,y(1,y(1,y(1,y(1,1))))))", 1),
+      ("x(1,x(1,x(1,x(1,x(1,x(1,x(1,1)))))))", 1)],
+     "arity 8 exceeds the arity cap 6 of system Bicom"),
+], ids=["normal", "redex", "mixed", "mixed and cancelled",
+        "rewritten and cancelled", "smallest named"])
 def test_a_capped_system_refuses_a_pending_normal_term_above_its_cap(terms, want):
-    # a normal term above the cap is the one normal term that enters the
-    # heap: it is refused when popped, but only if it is still pending
+    # only the result is judged: a normal term above the cap is refused if
+    # it is left in the result, whatever passed above the cap on the way
     e = NsElement([(t(s), c) for s, c in terms])
+    assert _capped_normalize(e, 6) == want
+
+
+def _capped_normalize(e, cap):
+    """normalize(e) under Bicom cut at cap, formatted, or the ValueError's text."""
     try:
-        got = format_element(normalize(e, systems.system("Bicom", max_arity=6)))
+        return format_element(normalize(e, systems.system("Bicom", max_arity=cap)))
     except ValueError as err:
-        got = str(err)
-    assert got == want
+        return str(err)
+
+
+def _bicom6_end(tree):
+    """The last tree Bicom's cap-6 rules reach from the monomial tree: a
+    rewrite step's reduct is one tree, and a normal tree above the cap is
+    refused."""
+    bicom6 = systems.system("Bicom", max_arity=6)
+    try:
+        while (step := rewrite_once(tree, bicom6)) is not None:
+            (tree, _), = step.items()
+    except ValueError:
+        pass
+    return tree
+
+
+def test_a_capped_result_does_not_depend_on_what_passed_above_the_cap():
+    # pairs of arity-7 monomials that cap 6 rewrites to one tree: their
+    # difference normalizes to 0 under cap 7, so cap 6 must return it too;
+    # every 400th of the 122,463 pairs, in free_trees order
+    ends = {}
+    for tree in free_trees(7):
+        end = _bicom6_end(tree)
+        if end is not tree:
+            ends.setdefault(end, []).append(tree)
+    pairs = [(a, b) for same in ends.values()
+             for i, a in enumerate(same) for b in same[i + 1:]]
+    assert len(pairs) == 122_463
+    for a, b in pairs[::400]:
+        e = NsElement([(a, 1), (b, -1)])
+        assert _capped_normalize(e, 6) == _capped_normalize(e, 7) == "0"
 
 
 def test_overlaps_refuse_arity_above_the_cap():
@@ -743,10 +786,11 @@ def test_check_confluence_applies_an_equal_rule_by_its_first_index(monkeypatch):
     assert report == _reference_confluence(sys, 6)
 
 
-@pytest.mark.parametrize("name", ["Zin", "Flex", "L", "Bicom", "Bicom confluence"])
+@pytest.mark.parametrize("name", ["Zin", "Flex", "L", "Bicom", "Bicom confluence",
+                                  "Bicom above the cap"])
 def test_the_heap_holds_only_terms_to_rewrite_or_refuse(monkeypatch, name):
-    # a normal term at or below the cap would only be popped and skipped;
-    # entered records each annotated node given to heapify or heappush
+    # a normal term would only be popped and skipped; entered records each
+    # annotated node given to heapify or heappush
     entered = []
 
     def heapify(heap):
@@ -762,15 +806,16 @@ def test_the_heap_holds_only_terms_to_rewrite_or_refuse(monkeypatch, name):
     if name == "Bicom confluence":
         sys = systems.system("Bicom", max_arity=7)
         assert check_confluence(sys, 7).passed
+    elif name == "Bicom above the cap":  # normal arity-7 terms, refused or not
+        for tree in free_trees(7):
+            _capped_normalize(NsElement([(tree, 1)]), 6)
     else:
         sys, ops = _REFERENCE_SYSTEMS[name]
         for n in range(1, 7):
             for tree in free_trees(n, ops):
                 normalize(NsElement([(tree, 1)]), sys)
-    cap = sys.arity_cap
     assert entered
-    assert not [format_tree(u[6]) for u in entered
-                if not u[5] and (cap is None or u[7] <= cap)]
+    assert not [format_tree(u[6]) for u in entered if not u[5]]
 
 
 def _random_element(draw_terms, ops):
