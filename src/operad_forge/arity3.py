@@ -314,7 +314,7 @@ CATALOG_NAMES = (*_RELATIONS, "NcNov", "NcZin", "NcBicom", "NcFlex", "NcAntiFlex
 def catalog(name: str) -> OperadPresentation:
     if name in _CATALOG:
         return _CATALOG[name]
-    if name.startswith("Nc") and name[2:] in _CATALOG:
+    if name in CATALOG_NAMES:  # an Nc name: the others are in _CATALOG
         from .manin import nonsymmetric_version  # manin imports this module
         return nonsymmetric_version(_CATALOG[name[2:]])
     raise KeyError(f"unknown operad {name!r}")

@@ -48,9 +48,9 @@ def format_pbt(b: PBT) -> str:
 
 def _map_or_refuse(expected: str, walk, *args):
     """walk(*args), refusing what it cannot map with ValueError("not " +
-    expected): a node that is not (op, left, right) or (left, right), a
-    foreign label or step, or a shape outside the grammar ends walk with a
-    KeyError, TypeError or ValueError."""
+    expected): a node that is not a tuple (op, left, right) or (left,
+    right), a foreign label or step, or a shape outside the grammar ends
+    walk with a KeyError, TypeError or ValueError."""
     try:
         return walk(*args)
     except (KeyError, TypeError, ValueError):
@@ -64,16 +64,19 @@ def zin_to_pbt(t: Tree) -> PBT:
 
 
 def _zin_to_pbt(t: Tree) -> PBT:
-    if t == LEAF:
-        return (BULLET, BULLET)
+    if type(t) is not tuple:
+        if t == LEAF:
+            return (BULLET, BULLET)
+        raise TypeError("a node is a tuple")
     op, u, v = t
     if op == "x" and v == LEAF:
         return (_zin_to_pbt(u), BULLET)
     if op == "y" and v == LEAF:
         return (BULLET, _zin_to_pbt(u))
-    x, w, one = v
-    if op == "y" and x == "x" and one == LEAF:
-        return (_zin_to_pbt(w), _zin_to_pbt(u))
+    if op == "y" and type(v) is tuple:
+        x, w, one = v
+        if x == "x" and one == LEAF:
+            return (_zin_to_pbt(w), _zin_to_pbt(u))
     raise ValueError("outside the Zin grammar")
 
 
@@ -84,8 +87,8 @@ def pbt_to_zin(b: PBT) -> Tree:
 
 
 def _pbt_to_zin(b: PBT) -> Tree:
-    if b == BULLET:
-        raise ValueError("a bare bullet has no internal vertex")
+    if type(b) is not tuple:  # a bare bullet has no internal vertex
+        raise TypeError("a node is a tuple")
     if b == (BULLET, BULLET):
         return LEAF
     l, r = b
@@ -103,8 +106,10 @@ _STEPS = {"x": ("E", "N"), "y": ("N", "E")}
 
 def _comb_word(t: Tree, op: str) -> str:
     """x-combs to Dyck words: E w(left) N w(right); y-combs mirrored."""
-    if t == LEAF:
-        return ""
+    if type(t) is not tuple:
+        if t == LEAF:
+            return ""
+        raise TypeError("a node is a tuple")
     label, left, right = t
     if label != op:
         raise ValueError("not a comb")
@@ -133,8 +138,10 @@ def _bicom_word(t: Tree) -> tuple[str, str]:
     """t's word, and the labels of which t is a pure comb ("xy" for the
     leaf, "" for a mixed tree).  A pure comb maps by _comb_word; a mixed
     op(u, a) maps to u's word, then a's comb word between op's two steps."""
-    if t == LEAF:
-        return "", "xy"
+    if type(t) is not tuple:
+        if t == LEAF:
+            return "", "xy"
+        raise TypeError("a node is a tuple")
     op, u, a = t
     first, second = _STEPS[op]
     word, combs = _bicom_word(u)
@@ -180,8 +187,10 @@ _TO_FLEX = {(cls, new): (op, lc, rc) for (cls, op), (new, lc, rc) in _TO_L.items
 
 
 def _relabel(t: Tree, table: dict, cls: str) -> Tree:
-    if t == LEAF:
-        return LEAF
+    if type(t) is not tuple:
+        if t == LEAF:
+            return LEAF
+        raise TypeError("a node is a tuple")
     op, left, right = t
     new, lc, rc = table[cls, op]
     return (new, _relabel(left, table, lc), _relabel(right, table, rc))

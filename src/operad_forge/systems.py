@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .arity3 import catalog
+from .arity3 import OperadPresentation, catalog
 from .treeterm import (LEAF, Grammar, NsElement, RewriteRule, RewriteSystem,
                        Tree, check_confluence, generate, parse_tree, rule)
 
@@ -173,11 +173,17 @@ _TREE_LABEL = {"<": "x", ">": "y"}
 
 def nc_relations(name: str) -> list[NsElement]:
     """The relations of catalog(name), a nonsymmetric version such as
-    "NcZin", as planar tree elements (x = <, y = >)."""
+    "NcZin", as planar tree elements."""
     if not name.startswith("Nc"):
         raise KeyError(f"unknown nonsymmetric presentation {name!r}")
+    return _planar(catalog(name))
+
+
+def _planar(p: OperadPresentation) -> list[NsElement]:
+    """The relations of p, a presentation over the pair <, >, as planar
+    tree elements (x = <, y = >)."""
     out = []
-    for rel in catalog(name).relations:
+    for rel in p.relations:
         e = NsElement()
         for m, c in rel.terms.items():
             inner = (_TREE_LABEL[m.inner], LEAF, LEAF)

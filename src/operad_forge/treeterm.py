@@ -107,16 +107,25 @@ pause switches interpreter-wide state, so like the slots and nodes it
 assumes one thread: with two, a pause can lift early or last to the end of
 the longer call, but no collection is lost.
 
-The pause defers one walk and removes none.  A tuple is tracked by the
-collector when it is built, so what a paused call built waits in the
-youngest generation, and the first young collection after the call walks
-each new tuple once and untracks it (a tuple of strs, ints and untracked
-tuples): after the enumerate benchmark's listings that walk takes
-0.15-0.21 s (raw, CPython 3.11, BENCH_product.json "collector"), and
-later collections skip the trees.  No pause can avoid it, since only
-objects that are never tracked skip it.  gc.freeze() would, but it moves
-every object then alive out of the collector's reach, the caller's too,
-so a cycle the caller had built would not be freed; it is not used.
+A tuple is tracked by the collector when it is built, so what a paused
+call built waits in the youngest generation, and the next young
+collections would walk the new trees: after the enumerate benchmark's
+listings, 27 collections that freed nothing took 0.26-0.31 s of its
+0.90-1.05 s (raw, CPython 3.11).  So generate(), and only generate(),
+promotes: when the call built a listing, the collector's freeze() then,
+in a finally, its unfreeze() move every live object to the oldest
+generation, and young collections no longer walk the trees
+(BENCH_promote.json).  That is sound: nothing leaves the collector's
+reach, as unfreeze() returns everything freeze() took.  The trade-off is
+that a full collection, not a young one, now walks the trees once and
+untracks them (a tuple of strs, ints and untracked tuples), and that a
+cycle the caller had dropped before the call is freed by the next full
+collection, not a young one (gc.collect() frees it at once).  A cached
+lookup builds nothing and does not promote.  The other paused calls
+build per item, and freeze() resets the young count, so promoting in
+them would starve the caller's own young collections.  A caller that
+holds objects frozen keeps them frozen: generate() does not promote
+while the freeze count is nonzero, since its unfreeze() would thaw them.
 
 Text grammar (bit-exact for golden files):
     tree := "1" | op "(" tree "," tree ")"
@@ -232,10 +241,22 @@ def generate(grammar: Grammar, cls: str, n: int) -> tuple[Tree, ...]:
     (an unbounded lru_cache): that is most of the enumerate benchmark's
     ~200 MB peak, and generate.cache_clear() frees it.  The cache stays
     because equal grammars share it (AntiFlex's normal forms reuse Flex's
-    listing) and the larger listings are built from the smaller ones.  The
-    first young collection after the call still walks each new tree once
-    (module docstring)."""
-    return _generate(grammar, cls, n)
+    listing) and the larger listings are built from the smaller ones.
+
+    A call that built a listing promotes every live object to the oldest
+    collector generation (freeze() then unfreeze()), so no young
+    collection walks the new trees; the next full collection walks them
+    once instead.  It skips that while the caller holds objects frozen,
+    which unfreeze() would thaw, and a cached lookup leaves the collector
+    alone (module docstring)."""
+    built = _generate.cache_info().misses
+    out = _generate(grammar, cls, n)
+    if _generate.cache_info().misses != built and not gc.get_freeze_count():
+        try:
+            gc.freeze()
+        finally:
+            gc.unfreeze()
+    return out
 
 
 @lru_cache(maxsize=None)

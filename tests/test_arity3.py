@@ -139,6 +139,16 @@ def test_catalog_unknown_name():
             catalog(name)
 
 
+@pytest.mark.parametrize("name", ["NcAs", "NcAlt", "NcLeib", "NcPreLie",
+                                  "NcAssosym", "NcFree"])
+def test_catalog_knows_only_its_nc_names(name):
+    # Nc + a catalog operad is a name only when it is in CATALOG_NAMES
+    assert name not in CATALOG_NAMES
+    with pytest.raises(KeyError) as info:
+        catalog(name)
+    assert info.value.args == (f"unknown operad {name!r}",)
+
+
 def test_relation_space_is_s3_stable():
     for name in ("Zin", "Leib", "Flex", "Alt"):
         p = catalog(name)

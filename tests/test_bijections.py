@@ -283,6 +283,24 @@ def test_malformed_nodes_are_refused(convert, tree, kind):
         convert(tree)
 
 
+@pytest.mark.parametrize("convert, tree, expected", [
+    (bj.zin_to_pbt, ["x", 1, 1], "a normal Zin monomial"),
+    (bj.zin_to_pbt, ("x", ["x", 1, 1], 1), "a normal Zin monomial"),
+    (bj.zin_to_pbt, ("y", 1, ["x", 1, 1]), "a normal Zin monomial"),
+    (bj.pbt_to_zin, [("*", "*"), "*"], "a planar binary tree with an internal vertex"),
+    (bj.pbt_to_zin, (["*", "*"], "*"), "a planar binary tree with an internal vertex"),
+    (bj.flex_to_L, ["x", 1, 1], "a normal Flex monomial"),
+    (bj.flex_to_L, ("y", 1, ["x", 1, 1]), "a normal Flex monomial"),
+    (bj.L_to_flex, ["z", 1, 1], "a normal L monomial"),
+    (bj.bicom_to_word, ["x", 1, 1], "a normal Bicom monomial"),
+    (bj.bicom_to_word, ("x", 1, ["x", 1, 1]), "a normal Bicom monomial"),
+])
+def test_a_list_where_a_node_must_be_a_tuple_is_refused(convert, tree, expected):
+    # each would map as the tuple tree it spells, e.g. x(1,1) for ["x", 1, 1]
+    with pytest.raises(ValueError, match=f"^not {expected}$"):
+        convert(tree)
+
+
 @pytest.mark.parametrize("convert, back, kind, labels, accepted", [
     (bj.zin_to_pbt, bj.pbt_to_zin, "Zin", ("x", "y", "xy"), 196),
     (bj.bicom_to_word, bj.word_to_bicom, "Bicom", ("x", "y", "xy"), 351),

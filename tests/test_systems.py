@@ -220,3 +220,10 @@ def test_former_nc_nov_relations_span_the_derived_ones():
 def test_nc_relations_unknown_name(name):
     with pytest.raises(KeyError):
         systems.nc_relations(name)
+
+
+@pytest.mark.parametrize("name", ["NcPreLie", "NcLeib"])
+def test_nc_relations_refuses_an_nc_name_outside_the_catalog(name):
+    with pytest.raises(KeyError) as info:
+        systems.nc_relations(name)
+    assert info.value.args == (f"unknown operad {name!r}",)

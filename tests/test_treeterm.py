@@ -6,6 +6,7 @@ import gc
 import heapq
 import pickle
 import re
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -450,13 +451,16 @@ def test_heap_key_sorts_like_tree_key(trees):
 
 
 def _reference_rewrite_once(tree, sys):
+    """The engine's cap rule: a redex above the cap is rewritten, and only
+    a verdict "normal" above it is refused."""
     addrs = positions(tree)
-    if sys.arity_cap is not None and len(addrs) >= sys.arity_cap:
-        raise ValueError("above the arity cap")
     for r in sys.rules:
         for addr in addrs:
             if match_at(tree, r, addr) is not None:
                 return apply_rule_at(tree, r, addr)
+    if sys.arity_cap is not None and len(addrs) >= sys.arity_cap:
+        raise ValueError(f"arity {len(addrs) + 1} exceeds the arity cap "
+                         f"{sys.arity_cap} of system {sys.name}")
     return None
 
 
@@ -645,6 +649,27 @@ def test_engine_matches_the_reference_on_every_free_tree(name):
             assert once is None or all(_is_exact(c) for c in once.values())
             assert is_normal(tree, sys) == (once is None)
             _assert_same_normalize(NsElement([(tree, Fraction(1))]), sys)
+
+
+def test_engine_matches_the_reference_one_arity_above_the_cap():
+    # Bicom at cap 6 on every free tree of arity 7: the same first redex,
+    # rewritten, and the same refusal of every tree with none: the 924
+    # normal forms and the two trees that only a rule of arity 7 rewrites,
+    # x(1,x(x(x(x(y(1,1),1),1),1),1)) and its mirror image
+    sys, ops = _REFERENCE_SYSTEMS["Bicom"]
+    redexes = refused = 0
+    for tree in free_trees(sys.arity_cap + 1, ops):
+        try:
+            want = _reference_rewrite_once(tree, sys)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                rewrite_once(tree, sys)
+            refused += 1
+            continue
+        assert want is not None
+        assert rewrite_once(tree, sys) == want, format_tree(tree)
+        redexes += 1
+    assert (redexes, refused) == (7_522, systems.dim_formula("Bicom", 7) + 2)
 
 
 def test_reference_systems_are_not_all_confluent():
@@ -1233,5 +1258,83 @@ def test_paused_calls_restore_the_collector(monkeypatch, call, raises, enabled):
             with pytest.raises(raises):
                 call()
         assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+# --- the promotion of a new listing -------------------------------------------
+
+
+def _fresh_grammar(label):
+    """The one-class grammar Fresh := leaf | label(Fresh, Fresh): each test
+    names its own label, so its listings are new to generate's cache."""
+    return (("Fresh", ("leaf", (label, "Fresh", "Fresh"))),)
+
+
+def _new_listing(label, n=9):
+    """generate(_fresh_grammar(label), "Fresh", n), which must build it."""
+    misses = treeterm._generate.cache_info().misses
+    trees = generate(_fresh_grammar(label), "Fresh", n)
+    assert treeterm._generate.cache_info().misses > misses
+    return trees
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
+
+
+def test_a_new_listing_leaves_the_young_generations():
+    # with the collector off no young collection untracks the trees, so
+    # they are tracked and sit where generate left them: the oldest
+    # generation, not the two young ones
+    gc.disable()
+    try:
+        trees = _new_listing("p")
+        assert not gc.get_freeze_count()
+        young = {id(o) for g in (0, 1) for o in gc.get_objects(generation=g)}
+        assert len(trees) == 1430
+        assert all(gc.is_tracked(u) for u in trees)
+        assert not any(id(u) in young for u in (trees, *trees))
+    finally:
+        gc.enable()
+
+
+def test_a_cycle_dropped_before_a_new_listing_is_still_freed():
+    gc.collect()
+    gc.disable()
+    try:
+        cycle = weakref.ref(_Cycle())
+        assert cycle() is not None
+        _new_listing("q")
+        assert not gc.get_freeze_count()
+        assert cycle() is not None
+        assert gc.collect() >= 1
+        assert cycle() is None
+    finally:
+        gc.enable()
+
+
+def test_a_new_listing_leaves_the_callers_frozen_objects_frozen():
+    marker = _Cycle()
+    gc.freeze()
+    try:
+        _new_listing("r")
+        assert gc.get_freeze_count()
+        assert all(o is not marker for o in gc.get_objects())
+    finally:
+        gc.unfreeze()
+
+
+def test_a_cached_listing_promotes_nothing():
+    grammar = _fresh_grammar("s")
+    generate(grammar, "Fresh", 6)
+    gc.disable()
+    try:
+        marker = _Cycle()
+        misses = treeterm._generate.cache_info().misses
+        generate(grammar, "Fresh", 6)
+        assert treeterm._generate.cache_info().misses == misses
+        assert any(o is marker for o in gc.get_objects(generation=0))
     finally:
         gc.enable()
